@@ -9,12 +9,12 @@ brute-force oracle that cross-checks everything.
 from .conjugacy import (conjugacy_class, enumerate_conjugation,
                         enumerate_prefix_conjugates, rotate2d,
                         special_conjugate2d)
-from .dawg import (Digraph, build_line_dawg, cartesian_product,
-                   enumerate_dawg, export_dot, export_json, root_paths,
-                   rooted_product, subword_from_path)
+from .dawg import (Digraph, build_line_dawg, enumerate_dawg, export_dot,
+                   root_paths, rooted_product, subword_from_path)
 from .errors import (BadBounds, EmptyWord, Fib2DError, IncompleteInput,
-                     InconsistentJoint, NotAFactor, NotFibStructured,
-                     OutOfDomain, OutOfRange, ShapeMismatch, TooShort)
+                     InconsistentJoint, InternalError, NotAFactor,
+                     NotFibStructured, OutOfDomain, OutOfRange,
+                     ShapeMismatch, TooShort)
 from .frames import (FrameTL, classify_frame, enumerate_extension,
                      extend_diagonal, extensions_of, fill_from_frame,
                      frame_tl)
@@ -27,7 +27,7 @@ from .word1d import (factors1d, fib, fib_prefix, fib_word, first_occ1d,
                      special_factor, truncated, z_stream, zeck_repr)
 from .word2d import (EMPTY, Grid, LineTags, as_grid, classify_lines,
                      col_alphabet_of, column, concat_col, concat_row, dims,
-                     fib_array, is_primitive2d, mu_prefix, parse_text,
+                     fib_array, fill, is_primitive2d, mu_prefix, parse_text,
                      row_alphabet_of, subblock, swap_row_alphabet, to_text)
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from . import conjugacy, dawg, frames, locator, oracle, word1d, word2d
 from .errors import EXIT_CODES, Fib2DError
 
 _ENUM_METHODS = {
-    "dawg": lambda k, l: dawg.enumerate_dawg(k, l),
+    "dawg": dawg.enumerate_dawg,
     "extend": frames.enumerate_extension,
     "conjugate": conjugacy.enumerate_conjugation,
     "prefix": conjugacy.enumerate_prefix_conjugates,

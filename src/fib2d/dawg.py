@@ -3,9 +3,12 @@
 Reading across the infinite grid, each column is one of two words, so a row
 is a word over two column-classes: {d,b} (written "d,b") and {c,a}.  Going
 down, each row is one of two words, giving the classes {d,c} and {b,a}.
-The two truncated DAWGs recognize factors of those abstract words; hanging
+The two truncated DAWGs recognize factors of those abstract words.  Hanging
 the column DAWG at every node of the row DAWG gives a graph whose root paths
-of shape (l across, then k down) are exactly the size-(k,l) subwords.
+of shape (l across, then k down) are exactly the size-(k,l) subwords.  Every
+hung copy is the same graph, so those paths are the pairs of an across root
+path and a down root path: enumeration walks the two line DAWGs and pairs
+their paths, and the product itself is built only for display.
 
 Node arithmetic uses fib(n, "F12"): spine edges i-1 -> i carry the i-th
 abstract letter, and shortcut edges F(j)-2 -> F(j+1)-1 carry the dominant
@@ -15,13 +18,23 @@ class when j is even, the other class when j is odd.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 
-from .errors import InconsistentJoint
+from .errors import InconsistentJoint, InternalError
 from .word1d import fib, fib_prefix
-from .word2d import Grid, column, swap_row_alphabet
+from .word2d import (COL_ALPHABETS, ROW_ALPHABETS, Grid, col_alphabet_of,
+                     column, fill, row_alphabet_of)
 
 # abstract classes per orientation, dominant first
 _CLASSES = {"rows": ("db", "ca"), "cols": ("dc", "ba")}
+
+# line alphabet -> {label: the one letter of the label in that alphabet},
+# for every label that has exactly one; labels are letters or letter sets
+_LETTER = {alph: {lab: "".join(set(lab) & set(alph))
+                  for lab in [*"abcd", *(frozenset(c) for r in range(1, 5)
+                                         for c in combinations("abcd", r))]
+                  if len(set(lab) & set(alph)) == 1}
+           for alph in ROW_ALPHABETS + COL_ALPHABETS}
 
 
 class Digraph:
@@ -77,97 +90,67 @@ def build_line_dawg(orientation: str, max_len: int) -> Digraph:
 
 
 def root_paths(g: Digraph, length: int) -> tuple[tuple[frozenset, ...], ...]:
-    """Label sequences of all root paths with `length` edges."""
+    """Label sequences of all root paths with `length` edges, depth first."""
     out = []
-
-    def walk(node, labels):
-        if len(labels) == length:
+    labels = [None] * length
+    stack = [(g.root, 0, None)]
+    while stack:
+        node, depth, lab = stack.pop()
+        if depth:
+            labels[depth - 1] = lab
+        if depth == length:
             out.append(tuple(labels))
-            return
-        for dst, lab in g.out(node):
-            walk(dst, labels + [lab])
-
-    walk(g.root, [])
+            continue
+        for dst, step in reversed(g.out(node)):
+            stack.append((dst, depth + 1, step))
     return tuple(out)
 
 
-# ---------------------------------------------------------------- products --
+# ----------------------------------------------------------------- product --
 
-def cartesian_product(g1: Digraph, g2: Digraph) -> Digraph:
-    g = Digraph((g1.root, g2.root))
-    for u in g1.nodes:
-        for v in g2.nodes:
-            g.add_node((u, v))
-    for u, u2, lab in g1.edges:
-        for v in g2.nodes:
-            g.add_edge((u, v), (u2, v), lab)
-    for v, v2, lab in g2.edges:
-        for u in g1.nodes:
-            g.add_edge((u, v), (u, v2), lab)
-    return g
-
-
-def rooted_product(base: Digraph, hung: Digraph, *,
-                   keep_root_copy: bool = False) -> Digraph:
-    """Hang a copy of `hung` at every node of `base`.
+def rooted_product(base: Digraph, hung: Digraph) -> Digraph:
+    """Hang a copy of `hung` at every node of `base` but its root.
 
     Base edges run between the copy roots; within a copy only hung edges
     exist, so root paths take all their base steps first.  No root path of
-    positive base length enters the copy at the base root, so that copy is
-    dropped unless keep_root_copy is set.
+    positive base length enters a copy at the base root, so none is hung
+    there.
     """
     g = Digraph((base.root, hung.root))
     for u in base.nodes:
         g.add_node((u, hung.root))
     for u, u2, lab in base.edges:
         g.add_edge((u, hung.root), (u2, hung.root), lab)
-    for u in base.nodes:
-        if u == base.root and not keep_root_copy:
-            continue
+    for u in base.nodes - {base.root}:
         for v, v2, lab in hung.edges:
             g.add_edge((u, v), (u, v2), lab)
     return g
 
 
-def _shaped_paths(prod: Digraph, base_len: int, hung_len: int):
-    """(base labels, hung labels) of root paths: base_len base edges, then
-    hung_len edges inside one copy."""
-    out = []
-
-    def walk(node, labels):
-        depth = len(labels)
-        if depth == base_len + hung_len:
-            out.append((tuple(labels[:base_len]), tuple(labels[base_len:])))
-            return
-        for dst, lab in prod.out(node):
-            base_step = dst[0] != node[0]
-            if base_step != (depth < base_len):
-                continue
-            walk(dst, labels + [lab])
-
-    walk(prod.root, [])
-    return out
-
-
 # ------------------------------------------------------- path to subword --
 
-def _pick(label: frozenset, alphabet: str) -> str:
-    hits = [ch for ch in alphabet if ch in label]
-    if not hits:
-        raise InconsistentJoint(
-            f"label {set(label)} has no letter in alphabet {alphabet!r}")
-    if len(hits) > 1:
-        raise ValueError(f"label {set(label)} is ambiguous over {alphabet!r}")
-    return hits[0]
+def _label(x) -> frozenset:
+    if isinstance(x, str) and len(x) != 1:
+        raise ValueError("a concrete label is a single letter")
+    lab = frozenset(x)
+    if not lab.issubset("abcd"):
+        raise ValueError(f"label {set(lab)} has a letter outside 'abcd'")
+    return lab
 
 
-def _label_seq(labels):
-    out = []
-    for x in labels:
-        if isinstance(x, str) and len(x) != 1:
-            raise ValueError("a concrete label is a single letter")
-        out.append(frozenset(x))
-    return out
+def _spell(labels, alphabet: str) -> str:
+    """The letters the labels pick from one line alphabet."""
+    try:
+        return "".join(map(_LETTER[alphabet].__getitem__, labels))
+    except (KeyError, TypeError):
+        pass
+    for lab in map(_label, labels):
+        if len(lab & set(alphabet)) > 1:
+            raise ValueError(f"label {set(lab)} is ambiguous over {alphabet!r}")
+        if not lab & set(alphabet):
+            raise InconsistentJoint(
+                f"label {set(lab)} has no letter in alphabet {alphabet!r}")
+    raise ValueError("a label is a letter or a frozenset of letters")
 
 
 def subword_from_path(h_labels, v_labels) -> Grid:
@@ -177,51 +160,42 @@ def subword_from_path(h_labels, v_labels) -> Grid:
     the top right corner, so the last h-label and the first v-label must
     agree on exactly one letter.  That corner letter fixes the alphabet of
     every line and the whole grid follows.  Labels may be abstract classes
-    or single letters.
+    (frozensets) or single letters.
     """
-    hs = _label_seq(h_labels)
-    vs = _label_seq(v_labels)
-    if not hs or not vs:
+    if not h_labels or not v_labels:
         raise ValueError("both paths must be non-empty")
-    joint = hs[-1] & vs[0]
+    h_end, v_start = _label(h_labels[-1]), _label(v_labels[0])
+    joint = h_end & v_start
     if not joint:
         raise InconsistentJoint(
-            f"row end {set(hs[-1])} and column start {set(vs[0])} disagree")
+            f"row end {set(h_end)} and column start {set(v_start)} disagree")
     if len(joint) > 1:
         raise ValueError("corner letter is ambiguous")
     s = next(iter(joint))
-    row_alph = "dc" if s in "dc" else "ba"
-    col_alph = "db" if s in "db" else "ca"
-    top = "".join(_pick(x, row_alph) for x in hs)
-    side = "".join(_pick(x, col_alph) for x in vs)
-    grid = tuple(top if ch == s else swap_row_alphabet(top) for ch in side)
-    assert column(grid, len(top)) == side  # the grid really ends in the v path
+    top = _spell(h_labels, row_alphabet_of(s))
+    side = _spell(v_labels, col_alphabet_of(s))
+    grid = fill(top, side)
+    if column(grid, len(top)) != side:
+        raise InternalError(f"grid {grid} does not end in column {side!r}")
     return grid
 
 
 # ------------------------------------------------------------- enumeration --
 
 @lru_cache(maxsize=None)
-def enumerate_dawg(k: int, l: int, base: str = "rows") -> tuple[Grid, ...]:
-    """All (k+1)(l+1) subwords of size (k,l), sorted row-major.
-
-    base picks which line DAWG carries the other: "rows" walks l across then
-    k down, "cols" the reverse.  Both give the same set.
-    """
+def enumerate_dawg(k: int, l: int) -> tuple[Grid, ...]:
+    """All (k+1)(l+1) subwords of size (k,l), sorted row-major: one per pair
+    of a length-l root path of the row DAWG and a length-k root path of the
+    column DAWG."""
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
-    if base == "rows":
-        prod = rooted_product(build_line_dawg("rows", l),
-                              build_line_dawg("cols", k))
-        pairs = _shaped_paths(prod, l, k)
-    elif base == "cols":
-        prod = rooted_product(build_line_dawg("cols", k),
-                              build_line_dawg("rows", l))
-        pairs = [(h, v) for v, h in _shaped_paths(prod, k, l)]
-    else:
-        raise ValueError("base must be 'rows' or 'cols'")
-    words = {subword_from_path(h, v) for h, v in pairs}
-    assert len(words) == (k + 1) * (l + 1)  # distinct paths, distinct words
+    across = root_paths(build_line_dawg("rows", l), l)
+    down = root_paths(build_line_dawg("cols", k), k)
+    words = {subword_from_path(h, v) for h in across for v in down}
+    if len(words) != (k + 1) * (l + 1):
+        raise InternalError(
+            f"{len(across) * len(down)} path pairs gave {len(words)} "
+            f"subwords, expected {(k + 1) * (l + 1)}")
     return tuple(sorted(words))
 
 
@@ -247,11 +221,3 @@ def export_dot(g: Digraph) -> str:
         lines.append(f'  "{_fmt_node(u)}" -> "{_fmt_node(v)}" [label="{_fmt_label(lab)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def export_json(g: Digraph) -> dict:
-    nodes = [_fmt_node(v) for v in sorted(g.nodes)]
-    edges = [{"from": _fmt_node(u), "to": _fmt_node(v), "label": _fmt_label(lab)}
-             for u, v, lab in sorted(g.edges,
-                                     key=lambda e: (e[0], e[1], _fmt_label(e[2])))]
-    return {"root": _fmt_node(g.root), "nodes": nodes, "edges": edges}

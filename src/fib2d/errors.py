@@ -1,7 +1,8 @@
 """Error types shared across the package.
 
 Every condition a caller can provoke with well-typed but wrong data gets its
-own class, so the CLI can map each to a distinct exit code.
+own class, so the CLI can map each to a distinct exit code.  InternalError
+is the exception: it reports a broken invariant of the package itself.
 """
 
 
@@ -49,6 +50,10 @@ class BadBounds(Fib2DError):
     """Scan bounds are negative or smaller than the pattern."""
 
 
+class InternalError(Fib2DError):
+    """A paper invariant failed, such as the (k+1)(l+1) count law: a bug."""
+
+
 # stable CLI exit code per error class; 0 = ok, 1 = failed verify, 2 = usage
 EXIT_CODES = {
     NotAFactor: 3,
@@ -61,4 +66,5 @@ EXIT_CODES = {
     IncompleteInput: 10,
     OutOfRange: 11,
     BadBounds: 12,
+    InternalError: 13,
 }

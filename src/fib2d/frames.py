@@ -1,10 +1,12 @@
 """Frame decomposition of grid factors and enumeration by extension.
 
 A factor is pinned down by its first row and first column, which share the
-corner letter: the other rows are copies of the first row, swapped to the
-companion alphabet whenever the first-column letter differs from the corner.
-Growing the two frame words on the right and bottom grows the factor, and
-doing that over a complete size class yields the next complete size class.
+corner letter: word2d.fill rebuilds the other rows from them.  Growing the
+two frame words on the right and bottom grows the factor, and doing that
+over a complete size class yields the next complete size class.
+Enumeration starts from the complete one-line class, whose factors are the
+1D factors of the two row words (or of the two column words), and extends
+it diagonally until the shorter side reaches its size.
 """
 
 from __future__ import annotations
@@ -12,10 +14,13 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import IncompleteInput, InconsistentJoint, NotAFactor
+from .errors import (IncompleteInput, InconsistentJoint, InternalError,
+                     NotAFactor)
 from .word1d import factors1d, right_extensions, special_factor
-from .word2d import (Grid, classify_lines, col_alphabet_of, column, dims,
-                     row_alphabet_of, subblock, swap_row_alphabet)
+from .word2d import (COL_ALPHABETS, ROW_ALPHABETS, Grid, classify_lines,
+                     col_alphabet_of, column, dims, fill, row_alphabet_of)
+# unused here; perfbench/selftest.py checks that the tracer wraps this binding
+from .word2d import subblock  # noqa: F401
 
 
 class FrameTL(NamedTuple):
@@ -33,10 +38,10 @@ def frame_tl(w: Grid) -> FrameTL:
 
 
 def fill_from_frame(f: FrameTL) -> Grid:
-    """Reconstruct the whole grid from its top-left frame.
+    """Reconstruct the whole grid from its top-left frame, after checking
+    that both frame words are factors of their line words.
 
-    Row i is frame_t itself where frame_l[i] equals the corner letter and
-    the alphabet-swapped copy elsewhere.  Inverse of frame_tl.
+    Inverse of frame_tl.
     """
     frame_t, frame_l, s = f
     if not frame_t or not frame_l:
@@ -50,8 +55,7 @@ def fill_from_frame(f: FrameTL) -> Grid:
         raise NotAFactor(f"{frame_t!r} is not a row word over {row_alph!r}")
     if frame_l not in factors1d(len(frame_l), col_alph):
         raise NotAFactor(f"{frame_l!r} is not a column word over {col_alph!r}")
-    return tuple(frame_t if ch == s else swap_row_alphabet(frame_t)
-                 for ch in frame_l)
+    return fill(frame_t, frame_l)
 
 
 def classify_frame(f: FrameTL) -> str:
@@ -104,27 +108,34 @@ def extend_diagonal(s) -> tuple[Grid, ...]:
     out = set()
     for w in words:
         out.update(extensions_of(w))
-    assert len(out) == (k + 2) * (l + 2)
+    if len(out) != (k + 2) * (l + 2):
+        raise InternalError(
+            f"size ({k + 1},{l + 1}) has {(k + 2) * (l + 2)} subwords, "
+            f"extension gave {len(out)}")
     return tuple(sorted(out))
-
-
-@lru_cache(maxsize=None)
-def _square_set(m: int) -> tuple[Grid, ...]:
-    if m == 1:
-        return (("a",), ("b",), ("c",), ("d",))
-    return extend_diagonal(_square_set(m - 1))
 
 
 @lru_cache(maxsize=None)
 def enumerate_extension(k: int, l: int) -> tuple[Grid, ...]:
     """All (k+1)(l+1) subwords of size (k,l), found by repeated extension.
 
-    Extends the four single letters diagonally up to the max(k,l) square,
-    then crops: every (k,l) factor extends to a square factor, so the crops
-    cover everything; the count check makes that loud.
+    With m = min(k,l), starts from the complete one-line size class
+    (k-m+1, l-m+1): the 1D factors of the two row words when k <= l, of the
+    two column words otherwise.  Then extends it diagonally m-1 times.
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
-    crops = {subblock(w, (1, 1), (k, l)) for w in _square_set(max(k, l))}
-    assert len(crops) == (k + 1) * (l + 1)
-    return tuple(sorted(crops))
+    m = min(k, l)
+    if k <= l:
+        words = [(u,) for alph in ROW_ALPHABETS
+                 for u in factors1d(l - m + 1, alph)]
+    else:
+        words = [tuple(u) for alph in COL_ALPHABETS
+                 for u in factors1d(k - m + 1, alph)]
+    for _ in range(m - 1):
+        words = extend_diagonal(words)
+    if len(words) != (k + 1) * (l + 1):
+        raise InternalError(
+            f"size ({k},{l}) has {(k + 1) * (l + 1)} subwords, "
+            f"extension gave {len(words)}")
+    return tuple(sorted(words))

@@ -3,22 +3,16 @@
 A factor occurs exactly where its first-column word occurs going down and
 its first-row word occurs going right, so the 2D occurrence set is the
 Cartesian product of two 1D occurrence sets, each of the form
-"Zeckendorf-restricted integers shifted by the first occurrence".
+"Zeckendorf-restricted integers shifted by the first occurrence".  A
+line-structured grid is the fill of its frame, so it is a factor iff both
+frame words are; the 1D searches raise NotAFactor when one is not.
 """
 
 from __future__ import annotations
 
-from .errors import NotAFactor
-from .frames import FrameTL, fill_from_frame, frame_tl
+from .frames import frame_tl
 from .word1d import first_occ1d, occ1d
 from .word2d import Grid, col_alphabet_of, row_alphabet_of
-
-
-def _checked_frame(w: Grid) -> FrameTL:
-    f = frame_tl(w)
-    if fill_from_frame(f) != w:
-        raise NotAFactor("grid does not occur in the infinite grid")
-    return f
 
 
 def first_occ2d(w: Grid) -> tuple[int, int]:
@@ -28,7 +22,7 @@ def first_occ2d(w: Grid) -> tuple[int, int]:
     is searched in: the first column in a column word over {d,b} or {c,a},
     the first row in a row word over {d,c} or {b,a}.
     """
-    f = _checked_frame(w)
+    f = frame_tl(w)
     return (first_occ1d(f.frame_l, col_alphabet_of(f.s_joint)),
             first_occ1d(f.frame_t, row_alphabet_of(f.s_joint)))
 
@@ -42,7 +36,7 @@ def occ2d(w: Grid, row_bound: int, col_bound: int) -> tuple[tuple[int, int], ...
     """
     if row_bound < 0 or col_bound < 0:
         raise ValueError("bounds must be >= 0")
-    f = _checked_frame(w)
+    f = frame_tl(w)
     xs = occ1d(f.frame_l, col_alphabet_of(f.s_joint), row_bound)
     ys = occ1d(f.frame_t, row_alphabet_of(f.s_joint), col_bound)
     return tuple((x, y) for x in xs for y in ys)

@@ -30,6 +30,16 @@ def swap_row_alphabet(w: str) -> str:
     return w.translate(_SWAP)
 
 
+def fill(top: str, side: str) -> Grid:
+    """The grid with first row `top` whose rows follow the column `side`.
+
+    Row i is top where side[i] equals side[0] and the alphabet-swapped copy
+    of top elsewhere: the frame decomposition of every factor.
+    """
+    first, other = side[0], swap_row_alphabet(top)
+    return tuple([top if ch == first else other for ch in side])
+
+
 def row_alphabet_of(ch: str) -> str:
     """The row alphabet containing ch, dominant letter first."""
     if ch not in "abcd":
@@ -74,7 +84,7 @@ def column(w: Grid, j: int) -> str:
     rows, cols = dims(w)
     if not 1 <= j <= cols:
         raise OutOfDomain(f"column {j} of a {rows}x{cols} grid")
-    return "".join(row[j - 1] for row in w)
+    return "".join([row[j - 1] for row in w])
 
 
 def to_text(w: Grid) -> str:
@@ -207,27 +217,23 @@ def _tag(line: str, alphabets) -> str:
     raise NotFibStructured(f"line {line!r} mixes alphabets")
 
 
-def _require_same_per_tag(lines, tags) -> None:
-    first = {}
-    for line, tag in zip(lines, tags):
-        if first.setdefault(tag, line) != line:
-            raise NotFibStructured(f"two {tag!r} lines differ")
-
-
 def classify_lines(w: Grid) -> LineTags:
     """Tag each row with 'dc' or 'ba' and each column with 'db' or 'ca'.
 
-    Raises NotFibStructured if a line mixes alphabets or two lines sharing a
-    tag are not identical, both impossible inside the infinite grid.
+    A grid is line-structured iff its first row stays in one alphabet and
+    the grid is the fill of its first row and first column; the first
+    column then stays in one alphabet too.  Otherwise some line mixes
+    alphabets or two lines sharing a tag differ, both impossible inside the
+    infinite grid, and NotFibStructured is raised.
     """
     if not w:
         raise ValueError("cannot classify the empty grid")
-    cols = [column(w, j + 1) for j in range(len(w[0]))]
-    row_tags = tuple(_tag(r, ROW_ALPHABETS) for r in w)
-    col_tags = tuple(_tag(c, COL_ALPHABETS) for c in cols)
-    _require_same_per_tag(w, row_tags)
-    _require_same_per_tag(cols, col_tags)
-    return LineTags(row_tags, col_tags)
+    top, side = w[0], column(w, 1)
+    _tag(top, ROW_ALPHABETS)
+    if fill(top, side) != w:
+        raise NotFibStructured("grid is not the fill of its first row and column")
+    return LineTags(tuple(map(row_alphabet_of, side)),
+                    tuple(map(col_alphabet_of, top)))
 
 
 def _divisors(n: int) -> list[int]:

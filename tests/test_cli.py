@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import fib2d
 from fib2d import cli, word2d
 
 from tables import OCC_BLOCK, OCC_BLOCK_AXIS, WORDS_2_2
@@ -152,6 +156,43 @@ def test_data_errors_map_to_distinct_codes(capsys, tmp_path):
                        "--row-bound", "5", "--col-bound", "5")
     assert code == 3  # NotAFactor
     assert err.startswith("error:")
+
+
+# one broken invariant per case: the patch applied, the request, and the
+# complaint expected on stderr
+INVARIANT_BREAKS = {
+    "dawg-count": ("dawg.subword_from_path = lambda h, v: ('d',)",
+                   "dawg", 2, 2, "path pairs gave 1 subwords"),
+    "dawg-corner": ("dawg.fill = lambda top, side: (top,) * len(side)",
+                    "dawg", 2, 2, "does not end in column"),
+    "extend-count": ("frames.extensions_of = lambda w: ()",
+                     "extend", 2, 2, "extension gave 0"),
+    "one-line-count": ("frames.factors1d = lambda k, alph: ()",
+                       "extend", 1, 3, "extension gave 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVARIANT_BREAKS))
+def test_invariant_checks_survive_optimize(case):
+    # python -O strips assert statements; the count laws and the corner
+    # check must still end the run with InternalError's exit code 13
+    patch, method, k, l, complaint = INVARIANT_BREAKS[case]
+    script = ("import sys\n"
+              "if __debug__:\n"
+              "    sys.exit('not optimized')\n"
+              "from fib2d import cli, dawg, frames\n"
+              f"{patch}\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(fib2d.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, "enum", "--method", method,
+         "--k", str(k), "--l", str(l)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 13, proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert complaint in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_usage_errors_exit_2(capsys, tmp_path):

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import sys
+from itertools import product
+
 import pytest
 
-from fib2d import dawg, word1d
+from fib2d import cli, dawg, word1d
 from fib2d.errors import InconsistentJoint
 
 from tables import PATH_PAIRS_2_2, WORDS_1_1, WORDS_2_2, WORDS_3_3
@@ -76,29 +79,66 @@ def test_root_paths_spell_line_factors():
                 assert spelled == set(word1d.factors1d(length, alphabet))
 
 
-# ---------------------------------------------------------------- products --
+def test_deep_paths_need_no_recursion(capsys):
+    # a walk with one stack frame per edge overflows the default limit of
+    # 1000 frames at these lengths
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        g = dawg.build_line_dawg("cols", 1100)
+        assert len(dawg.root_paths(g, 1100)) == 1101
+        code = cli.main(["enum", "--method", "dawg", "--k", "1", "--l", "1001"])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    assert capsys.readouterr().out.count("\n\n") == 2 * 1002 - 1
 
-def test_cartesian_product_counts():
-    g1 = dawg.build_line_dawg("rows", 2)
-    g2 = dawg.build_line_dawg("cols", 2)
-    cart = dawg.cartesian_product(g1, g2)
-    assert len(cart.nodes) == len(g1.nodes) * len(g2.nodes)
-    assert len(cart.edges) == (len(g1.nodes) * len(g2.edges)
-                               + len(g2.nodes) * len(g1.edges))
+
+# ----------------------------------------------------------------- product --
+
+def _product_path_pairs(prod, base_len, hung_len):
+    # (base labels, hung labels) of every root path of the rooted product
+    # that takes base_len base edges, then hung_len edges inside one copy
+    out = []
+    stack = [(prod.root, ())]
+    while stack:
+        node, labels = stack.pop()
+        depth = len(labels)
+        if depth == base_len + hung_len:
+            out.append((labels[:base_len], labels[base_len:]))
+            continue
+        for dst, lab in prod.out(node):
+            if (dst[0] != node[0]) == (depth < base_len):
+                stack.append((dst, labels + (lab,)))
+    return out
 
 
 def test_rooted_product_counts_and_containment():
     g1 = dawg.build_line_dawg("rows", 2)
     g2 = dawg.build_line_dawg("cols", 2)
-    full = dawg.rooted_product(g1, g2, keep_root_copy=True)
-    assert len(full.nodes) == len(g1.nodes) * len(g2.nodes)
-    assert len(full.edges) == len(g1.edges) + len(g1.nodes) * len(g2.edges)
-    # default drops the copy hanging at the base root: no root path uses it
-    pruned = dawg.rooted_product(g1, g2)
-    assert len(pruned.edges) == len(g1.edges) + (len(g1.nodes) - 1) * len(g2.edges)
-    cart = dawg.cartesian_product(g1, g2)
-    assert set(full.edges) <= set(cart.edges)
-    assert set(pruned.edges) < set(full.edges)
+    prod = dawg.rooted_product(g1, g2)
+    # a copy of g2 hangs at every node of g1 but the root, which no root
+    # path of positive base length enters
+    assert len(prod.nodes) == len(g1.nodes) + (len(g1.nodes) - 1) * (len(g2.nodes) - 1)
+    assert len(prod.edges) == len(g1.edges) + (len(g1.nodes) - 1) * len(g2.edges)
+    across = {((u, g2.root), (u2, g2.root), lab) for u, u2, lab in g1.edges}
+    down = {((u, v), (u, v2), lab)
+            for u in g1.nodes - {g1.root} for v, v2, lab in g2.edges}
+    assert set(prod.edges) == across | down
+
+
+def test_product_paths_pair_line_paths():
+    # enumerate_dawg pairs line DAWG paths instead of walking the product:
+    # the product's shaped root paths are exactly those pairs, each once
+    for k in range(1, 7):
+        for l in range(1, 7):
+            rows = dawg.build_line_dawg("rows", l)
+            cols = dawg.build_line_dawg("cols", k)
+            pairs = _product_path_pairs(dawg.rooted_product(rows, cols), l, k)
+            expected = set(product(dawg.root_paths(rows, l),
+                                   dawg.root_paths(cols, k)))
+            assert len(pairs) == len(set(pairs)) == (k + 1) * (l + 1)
+            assert set(pairs) == expected
 
 
 # ------------------------------------------------------- path to subword --
@@ -118,6 +158,8 @@ def test_subword_from_path_rejects_disagreeing_corner():
         dawg.subword_from_path("dc", "dd")
     with pytest.raises(InconsistentJoint):
         dawg.subword_from_path("ba", "bd")
+    with pytest.raises(InconsistentJoint):
+        dawg.subword_from_path((BA, DB), (DC,))  # BA has no letter of 'dc'
 
 
 def test_subword_from_path_rejects_malformed_labels():
@@ -127,6 +169,12 @@ def test_subword_from_path_rejects_malformed_labels():
         dawg.subword_from_path(["dc"], "d")  # two-letter string is not a label
     with pytest.raises(ValueError):
         dawg.subword_from_path((DC,), (DC,))  # ambiguous corner
+    with pytest.raises(ValueError):
+        dawg.subword_from_path((DB, DC), (DB,))  # DC is ambiguous over 'dc'
+    with pytest.raises(ValueError):
+        dawg.subword_from_path((frozenset("dx"),), (DB,))  # not a letter
+    with pytest.raises(ValueError):
+        dawg.subword_from_path([["d"]], "d")  # neither a letter nor a set
 
 
 # ------------------------------------------------------------- enumeration --
@@ -135,12 +183,6 @@ def test_enumerate_dawg_small_catalogs():
     assert dawg.enumerate_dawg(1, 1) == WORDS_1_1
     assert dawg.enumerate_dawg(2, 2) == WORDS_2_2
     assert dawg.enumerate_dawg(3, 3) == WORDS_3_3
-
-
-def test_enumerate_dawg_base_choice_is_irrelevant():
-    for k, l in ((1, 1), (2, 2), (2, 3), (3, 2), (4, 6)):
-        assert (dawg.enumerate_dawg(k, l, base="rows")
-                == dawg.enumerate_dawg(k, l, base="cols"))
 
 
 def test_enumerate_dawg_counts():
@@ -153,7 +195,7 @@ def test_enumerate_dawg_rejects_bad_input():
     with pytest.raises(ValueError):
         dawg.enumerate_dawg(0, 1)
     with pytest.raises(ValueError):
-        dawg.enumerate_dawg(1, 1, base="diagonal")
+        dawg.enumerate_dawg(1, 0)
 
 
 # ----------------------------------------------------------------- export --
@@ -167,11 +209,3 @@ def test_export_dot_is_deterministic():
     assert '"0" -> "1" [label="d,b"];' in one
     assert '"0" -> "2" [label="c,a"];' in one
 
-
-def test_export_json_structure():
-    g = dawg.build_line_dawg("cols", 2)
-    data = dawg.export_json(g)
-    assert data["root"] == "0"
-    assert len(data["nodes"]) == 5
-    assert {"from": "0", "to": "1", "label": "d,c"} in data["edges"]
-    assert all(set(e) == {"from", "to", "label"} for e in data["edges"])

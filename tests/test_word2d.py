@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -55,6 +57,12 @@ def test_alphabet_helpers():
     assert word2d.col_alphabet_of("c") == "ca"
     with pytest.raises(ValueError):
         word2d.row_alphabet_of("x")
+
+
+def test_fill():
+    assert word2d.fill("dcd", "dbd") == F33
+    assert word2d.fill("ab", "ac") == ("ab", "cd")
+    assert word2d.fill("d", "d") == ("d",)
 
 
 @given(st.text(alphabet="abcd", max_size=40))
@@ -177,6 +185,48 @@ def test_classify_lines():
     assert tags.rows == ("dc", "ba", "dc")
     assert tags.cols == ("db", "ca", "db")
     assert word2d.classify_lines(("d",)) == (("dc",), ("db",))
+
+
+def _classify_lines_per_line(w):
+    # reference: tag every line, then require equal lines per tag
+    def tag(line, alphabets):
+        for alph in alphabets:
+            if set(line) <= set(alph):
+                return alph
+        raise NotFibStructured(line)
+
+    def same_per_tag(lines, tags):
+        first = {}
+        for line, t in zip(lines, tags):
+            if first.setdefault(t, line) != line:
+                raise NotFibStructured(t)
+
+    if not w:
+        raise ValueError("empty")
+    cols = [word2d.column(w, j + 1) for j in range(len(w[0]))]
+    row_tags = tuple(tag(r, word2d.ROW_ALPHABETS) for r in w)
+    col_tags = tuple(tag(c, word2d.COL_ALPHABETS) for c in cols)
+    same_per_tag(w, row_tags)
+    same_per_tag(cols, col_tags)
+    return word2d.LineTags(row_tags, col_tags)
+
+
+def _outcome(f, w):
+    try:
+        return f(w)
+    except (ValueError, NotFibStructured) as exc:
+        return type(exc)
+
+
+def test_classify_lines_matches_per_line_definition():
+    # every grid over abcd with at most 6 cells
+    for rows in range(1, 7):
+        for cols in range(1, 6 // rows + 1):
+            for letters in product("abcd", repeat=rows * cols):
+                w = tuple("".join(letters[i * cols:(i + 1) * cols])
+                          for i in range(rows))
+                assert (_outcome(word2d.classify_lines, w)
+                        == _outcome(_classify_lines_per_line, w)), w
 
 
 def test_classify_lines_rejects_foreign_grids():
