@@ -18,7 +18,7 @@ from .errors import (BadBounds, EmptyWord, Fib2DError, IncompleteInput,
 from .frames import (FrameTL, classify_frame, enumerate_extension,
                      extend_diagonal, extensions_of, fill_from_frame,
                      frame_tl)
-from .locator import first_occ2d, occ2d
+from .locator import first_occ2d, occ2d, occ_axes
 from .oracle import (oracle_occurrences, oracle_subwords, sufficient_bounds,
                      verify)
 from .word1d import (factors1d, fib, fib_prefix, fib_word, first_occ1d,

@@ -64,14 +64,21 @@ def _cmd_locate(args) -> int:
         with open(args.file, encoding="ascii") as fh:
             text = fh.read()
     w = word2d.parse_text(text)
+    # everything that can fail runs before the first byte is written
     first = locator.first_occ2d(w)
-    hits = locator.occ2d(w, args.row_bound, args.col_bound)
-    print(json.dumps({
-        "first": list(first),
-        "occurrences": [list(p) for p in hits],
-        "row_bound": args.row_bound,
-        "col_bound": args.col_bound,
-    }))
+    xs, ys = locator.occ_axes(w, args.row_bound, args.col_bound)
+    # the bytes of json.dumps({"first", "occurrences", "row_bound",
+    # "col_bound"}), written one row of the product at a time
+    out = sys.stdout
+    out.write(f'{{"first": [{first[0]}, {first[1]}], "occurrences": [')
+    if ys:
+        ystrs = [str(y) for y in ys]
+        sep = ""
+        for x in xs:
+            out.write(sep + f"[{x}, " + f"], [{x}, ".join(ystrs) + "]")
+            sep = ", "
+    out.write(f'], "row_bound": {args.row_bound}, '
+              f'"col_bound": {args.col_bound}}}\n')
     return 0
 
 

@@ -27,16 +27,24 @@ def first_occ2d(w: Grid) -> tuple[int, int]:
             first_occ1d(f.frame_t, row_alphabet_of(f.s_joint)))
 
 
-def occ2d(w: Grid, row_bound: int, col_bound: int) -> tuple[tuple[int, int], ...]:
-    """Every 0-based occurrence (row, col) with row < row_bound and
-    col < col_bound, ascending row-major.
+def occ_axes(w: Grid, row_bound: int,
+             col_bound: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(xs, ys), each ascending: w occurs at (x, y) with x < row_bound and
+    y < col_bound exactly when x is in xs and y in ys.
 
-    The factor sits at (x, y) iff x is an occurrence of its first-column
-    word and y one of its first-row word; both 1D sets come from occ1d.
+    xs are the occurrences of w's first-column word, ys those of its
+    first-row word; both 1D sets come from occ1d.
     """
     if row_bound < 0 or col_bound < 0:
         raise ValueError("bounds must be >= 0")
     f = frame_tl(w)
-    xs = occ1d(f.frame_l, col_alphabet_of(f.s_joint), row_bound)
-    ys = occ1d(f.frame_t, row_alphabet_of(f.s_joint), col_bound)
+    return (occ1d(f.frame_l, col_alphabet_of(f.s_joint), row_bound),
+            occ1d(f.frame_t, row_alphabet_of(f.s_joint), col_bound))
+
+
+def occ2d(w: Grid, row_bound: int, col_bound: int) -> tuple[tuple[int, int], ...]:
+    """Every 0-based occurrence (row, col) with row < row_bound and
+    col < col_bound, ascending row-major: the product of occ_axes.
+    """
+    xs, ys = occ_axes(w, row_bound, col_bound)
     return tuple((x, y) for x in xs for y in ys)

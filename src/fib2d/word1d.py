@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import EmptyWord, NotAFactor, TooShort
+from .errors import EmptyWord, InternalError, NotAFactor, TooShort
 
 LETTERS = "abcd"
 
@@ -44,7 +44,7 @@ def fib(n: int, numbering: str = "F11") -> int:
     return a
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def zeck_repr(x: int, numbering: str = "F12") -> tuple[int, ...]:
     """Zeckendorf index set of x, ascending, no two consecutive indices.
 
@@ -64,20 +64,46 @@ def zeck_repr(x: int, numbering: str = "F12") -> tuple[int, ...]:
             n -= 1
         out.append(n)
         rem -= fib(n, numbering)
-        n -= 2
-    for i, j in zip(out, out[1:]):
-        assert i - j >= 2
+        n -= 1
+    # after taking fib(n) the remainder is below fib(n+1) - fib(n), which is
+    # fib(n-1) only by the recurrence: without it the digits can be adjacent
+    if any(i - j < 2 for i, j in zip(out, out[1:])):
+        raise InternalError(f"greedy digits {out[::-1]} of {x} are adjacent")
     return tuple(reversed(out))
 
 
 def z_stream(n: int, bound: int) -> tuple[int, ...]:
-    """All x in [0, bound) whose Zeckendorf form (F12) avoids indices < n."""
+    """All x in [0, bound) whose Zeckendorf form (F12) avoids indices < n.
+
+    Generated, not filtered: a depth-first walk over the admissible index
+    sets, largest index first.  Adding index j to a set whose smallest
+    index is above j + 1 keeps it admissible and gives a value in
+    [v + F(j), v + F(j + 1)), so visiting v before its extensions, and
+    those by ascending j, yields ascending values.  An extension is pushed
+    only when its value is below bound, so the cost is O(hits + log bound).
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    return tuple(x for x in range(bound)
-                 if all(i >= n for i in zeck_repr(x, "F12")))
+    if bound == 0:
+        return ()
+    fibs = []  # F12 numbers below bound
+    a, b = 1, 2
+    while a < bound:
+        fibs.append(a)
+        a, b = b, a + b
+    out = []
+    # (value, largest index still free); pops in ascending value order
+    stack = [(0, len(fibs) - 1)]
+    while stack:
+        v, top = stack.pop()
+        out.append(v)
+        j = n
+        while j <= top and v + fibs[j] < bound:
+            j += 1
+        stack.extend((v + fibs[i], i - 2) for i in range(j - 1, n - 1, -1))
+    return tuple(out)
 
 
 # ------------------------------------------------------------------ words --
@@ -129,7 +155,9 @@ def _factors(k: int, first: str, second: str) -> tuple[str, ...]:
     while True:
         w = fib_prefix((first, second), length)
         seen = {w[i:i + k] for i in range(len(w) - k + 1)}
-        assert len(seen) <= k + 1  # Sturmian complexity
+        if len(seen) > k + 1:
+            raise InternalError(f"{len(seen)} factors of length {k}, "
+                                f"above the Sturmian count {k + 1}")
         if len(seen) == k + 1:
             order = {first: 0, second: 1}
             return tuple(sorted(seen, key=lambda u: [order[c] for c in u]))
@@ -160,7 +188,9 @@ def _special(k: int, first: str, second: str) -> str:
     longer = set(_factors(k + 1, first, second))
     hits = [u for u in _factors(k, first, second)
             if u + first in longer and u + second in longer]
-    assert len(hits) == 1  # exactly one right-special factor per length
+    if len(hits) != 1:
+        raise InternalError(f"{len(hits)} right-special factors of length "
+                            f"{k}, expected exactly 1")
     return hits[0]
 
 
@@ -209,13 +239,20 @@ def shortest_truncated_index(u: str, alphabet) -> int:
     return n
 
 
-def first_occ1d(u: str, alphabet) -> int:
-    """0-based offset of the first occurrence of u in the infinite word."""
+def _first_occ(u: str, alphabet) -> tuple[int, int]:
+    """(shortest_truncated_index(u), first occurrence offset of u)."""
     n = shortest_truncated_index(u, alphabet)
     w = fib_prefix(alphabet, fib(n + 2, "F12"))
     i = w.find(u)
-    assert i >= 0  # guaranteed by the scan bound
-    return i
+    if i < 0:
+        raise InternalError(f"{u!r} not in the first {len(w)} letters, "
+                            f"the scan bound for truncation index {n}")
+    return n, i
+
+
+def first_occ1d(u: str, alphabet) -> int:
+    """0-based offset of the first occurrence of u in the infinite word."""
+    return _first_occ(u, alphabet)[1]
 
 
 def occ1d(u: str, alphabet, bound: int) -> tuple[int, ...]:
@@ -226,8 +263,7 @@ def occ1d(u: str, alphabet, bound: int) -> tuple[int, ...]:
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    n = shortest_truncated_index(u, alphabet)
-    fo = first_occ1d(u, alphabet)
+    n, fo = _first_occ(u, alphabet)
     if bound <= fo:
         return ()
     return tuple(z + fo for z in z_stream(n - 1, bound - fo))

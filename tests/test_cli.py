@@ -83,6 +83,44 @@ def test_locate_from_stdin(capsys, monkeypatch):
     assert json.loads(out)["first"] == [0, 1]
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("bounds", [(21, 21), (3, 3), (0, 21), (21, 0)])
+def test_locate_bytes_equal_json_dumps(capsys, monkeypatch, tmp_path,
+                                       source, bounds):
+    # the streamed writer must print exactly what json.dumps would
+    rb, cb = bounds
+    text = word2d.to_text(OCC_BLOCK)
+    if source == "file":
+        path = tmp_path / "block.txt"
+        path.write_text(text)
+        source = str(path)
+    else:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        source = "-"
+    code, out, err = run(capsys, "locate", "--file", source,
+                         "--row-bound", str(rb), "--col-bound", str(cb))
+    hits = [[x, y] for x in OCC_BLOCK_AXIS if x < rb
+            for y in OCC_BLOCK_AXIS if y < cb]
+    assert (code, err) == (0, "")
+    assert out == json.dumps({"first": [2, 2], "occurrences": hits,
+                              "row_bound": rb, "col_bound": cb}) + "\n"
+
+
+@pytest.mark.parametrize("text, bounds, exit_code", [
+    ("cc\naa\n", ("21", "21"), 3),                     # NotAFactor
+    (word2d.to_text(OCC_BLOCK), ("-1", "21"), 2),       # negative bound
+    (word2d.to_text(OCC_BLOCK), ("21", "-1"), 2),
+])
+def test_locate_errors_leave_stdout_empty(capsys, tmp_path, text, bounds,
+                                          exit_code):
+    path = tmp_path / "block.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "locate", "--file", str(path),
+                         "--row-bound", bounds[0], "--col-bound", bounds[1])
+    assert (code, out) == (exit_code, "")
+    assert err.startswith("error:")
+
+
 # ------------------------------------------------------------- conjugates --
 
 def test_conjugates_special(capsys):

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fib2d
 from fib2d import word1d
 from fib2d.errors import EmptyWord, NotAFactor, TooShort
 
@@ -64,6 +69,39 @@ def test_z_stream_values():
     assert word1d.z_stream(2, 12) == Z2_BELOW_12
     assert word1d.z_stream(4, 30) == Z4_BELOW_30
     assert word1d.z_stream(3, 0) == ()
+
+
+# the reference for z_stream is its definition, a filter over every x below
+# the bound; the Zeckendorf forms are listed once for all examples
+Z_REF_BOUND = 5000
+ZECK_BELOW = tuple(word1d.zeck_repr(x) for x in range(Z_REF_BOUND))
+F12_EDGES = sorted({b for i in range(18) for b in (word1d.fib(i, "F12") - 1,
+                                                   word1d.fib(i, "F12"),
+                                                   word1d.fib(i, "F12") + 1)
+                    if b <= Z_REF_BOUND})
+
+
+@given(st.integers(1, 20),
+       st.one_of(st.integers(0, Z_REF_BOUND), st.sampled_from(F12_EDGES)))
+def test_z_stream_matches_filter(n, bound):
+    assert word1d.z_stream(n, bound) == tuple(
+        x for x in range(bound) if all(i >= n for i in ZECK_BELOW[x]))
+
+
+def test_z_stream_is_output_sensitive():
+    # every sum of non-adjacent F12 numbers with indices in [40, 60): the
+    # filter would visit 4e12 integers, the generator visits its output
+    lo, hi = 40, 60
+    out = word1d.z_stream(lo, word1d.fib(hi, "F12"))
+    assert all(a < b for a, b in zip(out, out[1:]))
+    for x in out:
+        assert all(lo <= i < hi for i in word1d.zeck_repr(x))
+    # non-adjacent subsets of hi - lo indices, counted by the last index
+    # being free or taken
+    free, taken = 1, 0
+    for _ in range(hi - lo):
+        free, taken = free + taken, free
+    assert len(out) == free + taken == 17711
 
 
 def test_z_stream_rejects_bad_input():
@@ -241,3 +279,59 @@ def test_occ1d_matches_window_scan():
             for u in word1d.factors1d(k, alphabet):
                 naive = tuple(i for i in range(bound) if w[i:i + k] == u)
                 assert word1d.occ1d(u, alphabet, bound) == naive
+
+
+@given(st.sampled_from(ALPHABETS), st.integers(1, 50), st.integers(0, 10**4),
+       st.data())
+def test_occ1d_matches_find_scan(alphabet, k, bound, data):
+    u = data.draw(st.sampled_from(word1d.factors1d(k, alphabet)))
+    w = word1d.fib_prefix(alphabet, bound + k)
+    naive = []
+    i = w.find(u)
+    while 0 <= i < bound:
+        naive.append(i)
+        i = w.find(u, i + 1)
+    assert word1d.occ1d(u, alphabet, bound) == tuple(naive)
+
+
+# one broken invariant per case: the patch applied, the call that trips it,
+# and the complaint expected on stderr
+INVARIANT_BREAKS = {
+    "zeckendorf-gap": ("word1d.fib = lambda n, numbering: 2 ** n",
+                       "word1d.zeck_repr(3)", "are adjacent"),
+    "sturmian-complexity": (
+        "word1d.fib_prefix = lambda alph, length: ('aabb' * length)[:length]",
+        "word1d.factors1d(2, 'ab')", "4 factors of length 2"),
+    "one-special-factor": (
+        "word1d._factors = lambda k, first, second: tuple("
+        "''.join(p) for p in itertools.product(first + second, repeat=k))",
+        "word1d.special_factor(2, 'ab')", "4 right-special factors"),
+    "first-occurrence-scan": (
+        "word1d.shortest_truncated_index = lambda u, alph: 2",
+        "word1d.first_occ1d('abaababaab', 'ab')", "scan bound"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVARIANT_BREAKS))
+def test_invariant_checks_survive_optimize(case):
+    # python -O strips assert statements; these paper invariants must still
+    # raise InternalError, whose exit code is 13
+    patch, call, complaint = INVARIANT_BREAKS[case]
+    script = ("import itertools, sys\n"
+              "if __debug__:\n"
+              "    sys.exit('not optimized')\n"
+              "from fib2d import word1d\n"
+              "from fib2d.errors import EXIT_CODES, InternalError\n"
+              f"{patch}\n"
+              "try:\n"
+              f"    {call}\n"
+              "except InternalError as exc:\n"
+              "    print(f'error: {exc}', file=sys.stderr)\n"
+              "    sys.exit(EXIT_CODES[type(exc)])\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(fib2d.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 13, proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert complaint in proc.stderr
