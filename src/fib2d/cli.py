@@ -65,8 +65,7 @@ def _cmd_locate(args) -> int:
             text = fh.read()
     w = word2d.parse_text(text)
     # everything that can fail runs before the first byte is written
-    first = locator.first_occ2d(w)
-    xs, ys = locator.occ_axes(w, args.row_bound, args.col_bound)
+    first, xs, ys = locator.occ_axes(w, args.row_bound, args.col_bound)
     # the bytes of json.dumps({"first", "occurrences", "row_bound",
     # "col_bound"}), written one row of the product at a time
     out = sys.stdout

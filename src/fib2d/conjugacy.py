@@ -9,9 +9,7 @@ rotations of the next larger grid.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .errors import EmptyWord, OutOfRange
+from .errors import EmptyWord, InternalError, OutOfRange
 from .word1d import fib
 from .word2d import Grid, dims, fib_array, subblock
 
@@ -55,7 +53,6 @@ def _cover_index(k: int) -> int:
     return m
 
 
-@lru_cache(maxsize=None)
 def enumerate_conjugation(k: int, l: int) -> tuple[Grid, ...]:
     """All (k+1)(l+1) subwords of size (k,l) as prefixes of the inverse
     rotations of the special conjugate."""
@@ -64,7 +61,9 @@ def enumerate_conjugation(k: int, l: int) -> tuple[Grid, ...]:
     q = special_conjugate2d(_cover_index(k), _cover_index(l))
     out = {subblock(rotate2d(q, -i, -j), (1, 1), (k, l))
            for i in range(k + 1) for j in range(l + 1)}
-    assert len(out) == (k + 1) * (l + 1)
+    if len(out) != (k + 1) * (l + 1):
+        raise InternalError(f"size ({k},{l}) has {(k + 1) * (l + 1)} "
+                            f"subwords, conjugation gave {len(out)}")
     return tuple(sorted(out))
 
 
@@ -80,11 +79,12 @@ def _prefix_rotations(k: int, m: int) -> tuple[int, ...]:
     # {0..F(m)-1} plus the tail {F(m+2)-k-1..F(m+1)-1}: k+1 exponents
     lo = tuple(range(fib(m, "F11")))
     hi = tuple(range(fib(m + 2, "F11") - k - 1, fib(m + 1, "F11")))
-    assert len(set(lo + hi)) == k + 1
+    if len(set(lo + hi)) != k + 1:
+        raise InternalError(f"{len(set(lo + hi))} rotation exponents for "
+                            f"length {k}, expected {k + 1}")
     return lo + hi
 
 
-@lru_cache(maxsize=None)
 def enumerate_prefix_conjugates(k: int, l: int) -> tuple[Grid, ...]:
     """The same (k+1)(l+1) subwords, read from positive rotations of the
     one-larger grid; needs k, l >= 2."""
@@ -95,5 +95,7 @@ def enumerate_prefix_conjugates(k: int, l: int) -> tuple[Grid, ...]:
     base = fib_array(m + 1, n + 1)
     out = {subblock(rotate2d(base, i, j), (1, 1), (k, l))
            for i in _prefix_rotations(k, m) for j in _prefix_rotations(l, n)}
-    assert len(out) == (k + 1) * (l + 1)
+    if len(out) != (k + 1) * (l + 1):
+        raise InternalError(f"size ({k},{l}) has {(k + 1) * (l + 1)} "
+                            f"subwords, prefix conjugates gave {len(out)}")
     return tuple(sorted(out))

@@ -17,7 +17,6 @@ class when j is even, the other class when j is odd.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 
 from .errors import InconsistentJoint, InternalError
@@ -182,7 +181,6 @@ def subword_from_path(h_labels, v_labels) -> Grid:
 
 # ------------------------------------------------------------- enumeration --
 
-@lru_cache(maxsize=None)
 def enumerate_dawg(k: int, l: int) -> tuple[Grid, ...]:
     """All (k+1)(l+1) subwords of size (k,l), sorted row-major: one per pair
     of a length-l root path of the row DAWG and a length-k root path of the

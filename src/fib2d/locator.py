@@ -11,7 +11,7 @@ frame words are; the 1D searches raise NotAFactor when one is not.
 from __future__ import annotations
 
 from .frames import frame_tl
-from .word1d import first_occ1d, occ1d
+from .word1d import _first_occ, _occ_from
 from .word2d import Grid, col_alphabet_of, row_alphabet_of
 
 
@@ -22,29 +22,27 @@ def first_occ2d(w: Grid) -> tuple[int, int]:
     is searched in: the first column in a column word over {d,b} or {c,a},
     the first row in a row word over {d,c} or {b,a}.
     """
-    f = frame_tl(w)
-    return (first_occ1d(f.frame_l, col_alphabet_of(f.s_joint)),
-            first_occ1d(f.frame_t, row_alphabet_of(f.s_joint)))
+    return occ_axes(w, 0, 0)[0]
 
 
-def occ_axes(w: Grid, row_bound: int,
-             col_bound: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(xs, ys), each ascending: w occurs at (x, y) with x < row_bound and
-    y < col_bound exactly when x is in xs and y in ys.
+def occ_axes(w: Grid, row_bound: int, col_bound: int
+             ) -> tuple[tuple[int, int], tuple[int, ...], tuple[int, ...]]:
+    """(first_occ2d(w), xs, ys): w occurs at (x, y) with x < row_bound and
+    y < col_bound exactly when x is in xs and y in ys, both ascending.
 
     xs are the occurrences of w's first-column word, ys those of its
-    first-row word; both 1D sets come from occ1d.
+    first-row word; each frame word is searched for once.
     """
-    if row_bound < 0 or col_bound < 0:
-        raise ValueError("bounds must be >= 0")
     f = frame_tl(w)
-    return (occ1d(f.frame_l, col_alphabet_of(f.s_joint), row_bound),
-            occ1d(f.frame_t, row_alphabet_of(f.s_joint), col_bound))
+    col = _first_occ(f.frame_l, col_alphabet_of(f.s_joint))
+    row = _first_occ(f.frame_t, row_alphabet_of(f.s_joint))
+    return ((col[1], row[1]), _occ_from(col, row_bound),
+            _occ_from(row, col_bound))
 
 
 def occ2d(w: Grid, row_bound: int, col_bound: int) -> tuple[tuple[int, int], ...]:
     """Every 0-based occurrence (row, col) with row < row_bound and
     col < col_bound, ascending row-major: the product of occ_axes.
     """
-    xs, ys = occ_axes(w, row_bound, col_bound)
+    _, xs, ys = occ_axes(w, row_bound, col_bound)
     return tuple((x, y) for x in xs for y in ys)

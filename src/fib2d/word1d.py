@@ -172,26 +172,25 @@ def factors1d(k: int, alphabet) -> tuple[str, ...]:
     return _factors(k, first, second)
 
 
+@lru_cache(maxsize=None)
+def _right_table(k: int, first: str, second: str) -> dict[str, tuple[str, ...]]:
+    # every length-k factor -> its right extensions, in alphabet order: the
+    # length-(k+1) factors are sorted, so u + first comes before u + second
+    table: dict[str, tuple[str, ...]] = {}
+    for v in _factors(k + 1, first, second):
+        table[v[:-1]] = table.get(v[:-1], ()) + (v[-1],)
+    return table
+
+
 def right_extensions(u: str, alphabet) -> tuple[str, ...]:
     """Letters x with u + x still a factor; two letters only for the special factor."""
     first, second = _pair(alphabet)
     if not u:
         return (first, second)
-    if u not in _factors(len(u), first, second):
+    exts = _right_table(len(u), first, second).get(u)
+    if exts is None:
         raise NotAFactor(f"{u!r} does not occur in the infinite word")
-    longer = set(_factors(len(u) + 1, first, second))
-    return tuple(x for x in (first, second) if u + x in longer)
-
-
-@lru_cache(maxsize=None)
-def _special(k: int, first: str, second: str) -> str:
-    longer = set(_factors(k + 1, first, second))
-    hits = [u for u in _factors(k, first, second)
-            if u + first in longer and u + second in longer]
-    if len(hits) != 1:
-        raise InternalError(f"{len(hits)} right-special factors of length "
-                            f"{k}, expected exactly 1")
-    return hits[0]
+    return exts
 
 
 def special_factor(k: int, alphabet) -> str:
@@ -199,7 +198,12 @@ def special_factor(k: int, alphabet) -> str:
     first, second = _pair(alphabet)
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _special(k, first, second)
+    hits = [u for u, xs in _right_table(k, first, second).items()
+            if len(xs) == 2]
+    if len(hits) != 1:
+        raise InternalError(f"{len(hits)} right-special factors of length "
+                            f"{k}, expected exactly 1")
+    return hits[0]
 
 
 # ------------------------------------------------------------- conjugates --
@@ -255,15 +259,20 @@ def first_occ1d(u: str, alphabet) -> int:
     return _first_occ(u, alphabet)[1]
 
 
+def _occ_from(search: tuple[int, int], bound: int) -> tuple[int, ...]:
+    """occ1d's offsets below bound, given the factor's _first_occ result."""
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+    n, fo = search
+    if bound <= fo:
+        return ()
+    return tuple(z + fo for z in z_stream(n - 1, bound - fo))
+
+
 def occ1d(u: str, alphabet, bound: int) -> tuple[int, ...]:
     """Every occurrence offset of the factor u below bound, ascending.
 
     Computed arithmetically: the occurrence set of u is the occurrence set of
     the shortest truncated word containing u, shifted by first_occ1d(u).
     """
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    n, fo = _first_occ(u, alphabet)
-    if bound <= fo:
-        return ()
-    return tuple(z + fo for z in z_stream(n - 1, bound - fo))
+    return _occ_from(_first_occ(u, alphabet), bound)

@@ -10,7 +10,6 @@ over {d,b} or {c,a}.  Within any factor, lines sharing an alphabet are equal.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import NotFibStructured, OutOfDomain, ShapeMismatch
@@ -174,21 +173,19 @@ def _square_step(g: Grid) -> Grid:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _square(t: int) -> Grid:
-    if t == 0:
-        return ("d",)
-    return _square_step(_square(t - 1))
-
-
 def mu_prefix(rows: int, cols: int) -> Grid:
-    """The (rows, cols) top-left corner of the infinite grid."""
+    """The (rows, cols) top-left corner of the infinite grid.
+
+    Each substitution step keeps only that corner: every letter's image is
+    at least 1x1 and a row's image depends only on that row, so the corner
+    of the image depends only on the corner of the preimage.
+    """
     if rows < 1 or cols < 1:
         raise ValueError("size must be at least (1,1)")
-    t = 0
-    while len(_square(t)) < max(rows, cols):
-        t += 1
-    return tuple(r[:cols] for r in _square(t)[:rows])
+    g: Grid = ("d",)
+    while len(g) < rows or len(g[0]) < cols:
+        g = tuple(r[:cols] for r in _square_step(g)[:rows])
+    return g
 
 
 # -------------------------------------------------------------- structure --

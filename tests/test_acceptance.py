@@ -43,17 +43,26 @@ def test_criterion_01_size_2_2_catalog_under_every_method(capsys):
 
 def test_criterion_02_extension_step_with_multiplicities():
     # one level of diagonal extension: 9 factors grow into exactly 16,
-    # each source contributing 1/2/2/4 new blocks by frame type
+    # each source contributing 1/2/2/4 new blocks by frame type; frames
+    # grow, and each grown frame fills to a block whose (2,2) corner is
+    # its source
     start = time.perf_counter()
-    produced = 0
+    assert len(WORDS_2_2) == 9
+    produced, total = set(), 0
     for w in WORDS_2_2:
-        exts = frames.extensions_of(w)
-        kind = frames.classify_frame(frames.frame_tl(w))
+        f = frames.frame_tl(w)
+        exts = tuple(sorted(word2d.fill(g.frame_t, g.frame_l)
+                            for g in frames.extensions_of(f)))
+        kind = frames.classify_frame(f)
         assert exts == EXTENSIONS_2_2[w]
         assert len(exts) == EXTENSION_COUNT[kind] == EXTENSION_COUNT[FRAME_TYPES_2_2[w]]
-        produced += len(exts)
-    assert produced == 16  # no two sources produce the same block
-    assert frames.extend_diagonal(WORDS_2_2) == WORDS_3_3
+        assert all(word2d.subblock(g, (1, 1), (2, 2)) == w for g in exts)
+        produced.update(exts)
+        total += len(exts)
+    assert total == len(produced) == 16  # no two sources share a block
+    step = frames.extend_diagonal([frames.frame_tl(w) for w in WORDS_2_2])
+    assert tuple(sorted(word2d.fill(f.frame_t, f.frame_l)
+                        for f in step)) == WORDS_3_3
     assert time.perf_counter() - start < 1.0
 
 

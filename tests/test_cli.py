@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import fib2d
-from fib2d import cli, word2d
+from fib2d import cli, word1d, word2d
 
 from tables import OCC_BLOCK, OCC_BLOCK_AXIS, WORDS_2_2
 
@@ -104,6 +104,19 @@ def test_locate_bytes_equal_json_dumps(capsys, monkeypatch, tmp_path,
     assert (code, err) == (0, "")
     assert out == json.dumps({"first": [2, 2], "occurrences": hits,
                               "row_bound": rb, "col_bound": cb}) + "\n"
+
+
+def test_locate_searches_each_frame_word_once(capsys, monkeypatch):
+    # the first occurrence and both axes come from one search per frame word
+    calls = []
+    search = word1d.shortest_truncated_index
+    monkeypatch.setattr(word1d, "shortest_truncated_index",
+                        lambda u, alph: calls.append(u) or search(u, alph))
+    monkeypatch.setattr("sys.stdin", io.StringIO(word2d.to_text(OCC_BLOCK)))
+    code, out, _ = run(capsys, "locate", "--file", "-",
+                       "--row-bound", "21", "--col-bound", "21")
+    assert code == 0 and json.loads(out)["first"] == [2, 2]
+    assert sorted(calls) == sorted([OCC_BLOCK[0], "".join(r[0] for r in OCC_BLOCK)])
 
 
 @pytest.mark.parametrize("text, bounds, exit_code", [
@@ -207,6 +220,10 @@ INVARIANT_BREAKS = {
                      "extend", 2, 2, "extension gave 0"),
     "one-line-count": ("frames.factors1d = lambda k, alph: ()",
                        "extend", 1, 3, "extension gave 0"),
+    "conjugate": ("conjugacy.subblock = lambda w, tl, br: ('d',)",
+                  "conjugate", 2, 2, "conjugation gave 1"),
+    "prefix": ("conjugacy._floor_index = lambda k: 2",
+               "prefix", 5, 5, "4 rotation exponents for length 5"),
 }
 
 
@@ -218,7 +235,7 @@ def test_invariant_checks_survive_optimize(case):
     script = ("import sys\n"
               "if __debug__:\n"
               "    sys.exit('not optimized')\n"
-              "from fib2d import cli, dawg, frames\n"
+              "from fib2d import cli, conjugacy, dawg, frames\n"
               f"{patch}\n"
               "sys.exit(cli.main(sys.argv[1:]))\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(

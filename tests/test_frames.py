@@ -6,6 +6,7 @@ import pytest
 
 from fib2d import frames
 from fib2d.errors import IncompleteInput, InconsistentJoint, NotAFactor
+from fib2d.word2d import fill, subblock
 
 from tables import (EXTENSIONS_2_2, FRAME_TYPES_1_1, FRAME_TYPES_2_2,
                     WORDS_1_1, WORDS_2_2, WORDS_3_3)
@@ -62,37 +63,64 @@ def test_type_distribution():
 
 # -------------------------------------------------------------- extension --
 
+def frames_of(words):
+    return [frames.frame_tl(w) for w in words]
+
+
+def grids(fs):
+    return tuple(sorted(fill(f.frame_t, f.frame_l) for f in fs))
+
+
 def test_extensions_of_matches_catalog():
     for w in WORDS_2_2:
-        assert frames.extensions_of(w) == EXTENSIONS_2_2[w]
+        assert grids(frames.extensions_of(frames.frame_tl(w))) == EXTENSIONS_2_2[w]
 
 
 def test_extension_count_per_type():
     for k, l in ((1, 1), (2, 2), (3, 2)):
         for w in frames.enumerate_extension(k, l):
-            kind = frames.classify_frame(frames.frame_tl(w))
-            assert len(frames.extensions_of(w)) == TYPE_EXTENSION_COUNT[kind]
+            f = frames.frame_tl(w)
+            kind = frames.classify_frame(f)
+            assert len(frames.extensions_of(f)) == TYPE_EXTENSION_COUNT[kind]
 
 
 def test_extensions_contain_their_source():
-    from fib2d.word2d import subblock
     for w in WORDS_2_2:
-        for bigger in frames.extensions_of(w):
+        for bigger in grids(frames.extensions_of(frames.frame_tl(w))):
             assert subblock(bigger, (1, 1), (2, 2)) == w
 
 
 def test_extend_diagonal():
-    assert frames.extend_diagonal(WORDS_2_2) == WORDS_3_3
-    assert frames.extend_diagonal(WORDS_1_1) == WORDS_2_2
+    assert grids(frames.extend_diagonal(frames_of(WORDS_2_2))) == WORDS_3_3
+    assert grids(frames.extend_diagonal(frames_of(WORDS_1_1))) == WORDS_2_2
 
 
 def test_extend_diagonal_rejects_incomplete_sets():
     with pytest.raises(IncompleteInput):
         frames.extend_diagonal(())
     with pytest.raises(IncompleteInput):
-        frames.extend_diagonal(WORDS_2_2[:-1])  # one factor missing
+        frames.extend_diagonal(frames_of(WORDS_2_2[:-1]))  # one frame missing
     with pytest.raises(IncompleteInput):
-        frames.extend_diagonal(WORDS_2_2 + WORDS_1_1)  # mixed sizes
+        frames.extend_diagonal(frames_of(WORDS_2_2 + WORDS_1_1))  # mixed sizes
+    with pytest.raises(IncompleteInput):
+        # a duplicate in place of the missing frame
+        frames.extend_diagonal(frames_of(WORDS_2_2[:-1] + WORDS_2_2[:1]))
+
+
+def test_extend_diagonal_rejects_bad_frames():
+    # a complete-looking class, nine distinct (2,2) frames, with one bad frame
+    good = frames_of(WORDS_2_2)[:-1]
+    bad_frames = [
+        (frames.FrameTL("dc", "ba", "d"), InconsistentJoint),  # joint d vs b
+        (frames.FrameTL("dc", "db", "b"), InconsistentJoint),  # joint letter
+        (frames.FrameTL("cc", "ca", "c"), NotAFactor),  # row word
+        (frames.FrameTL("ba", "bb", "b"), NotAFactor),  # column word
+    ]
+    for bad, error in bad_frames:
+        with pytest.raises(error):
+            frames.extend_diagonal(good + [bad])
+        with pytest.raises(error):
+            frames.extend_diagonal([bad] + good)
 
 
 # ------------------------------------------------------------- enumeration --

@@ -203,6 +203,23 @@ def test_right_extensions():
         word1d.right_extensions("bb", "ab")
 
 
+def _set_rule_extensions(u, alphabet):
+    # the definition, kept as the reference: letters x with u + x a factor
+    longer = set(word1d.factors1d(len(u) + 1, alphabet))
+    return tuple(x for x in alphabet if u + x in longer)
+
+
+def test_right_extension_table_matches_set_rule():
+    for alphabet in ("dc", "ba", "db", "ca"):
+        for k in range(1, 61):
+            factors = word1d.factors1d(k, alphabet)
+            rule = {u: _set_rule_extensions(u, alphabet) for u in factors}
+            for u in factors:
+                assert word1d.right_extensions(u, alphabet) == rule[u]
+            special = [u for u in factors if len(rule[u]) == 2]
+            assert [word1d.special_factor(k, alphabet)] == special
+
+
 def test_special_factor_is_reversed_prefix():
     for alphabet in ("ab", "dc", "db"):
         for k in range(1, 31):

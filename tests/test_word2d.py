@@ -154,6 +154,15 @@ def test_mu_prefix_extends_fib_array():
             assert word2d.mu_prefix(rows, cols) == word2d.fib_array(m, n)
 
 
+def test_mu_prefix_matches_uncropped_substitution():
+    # the reference substitutes whole squares and crops once at the end
+    g = ("d",)
+    while len(g) < 1000:
+        g = word2d._square_step(g)
+    for rows, cols in ((1, 1000), (1000, 1), (7, 300), (300, 7)):
+        assert word2d.mu_prefix(rows, cols) == tuple(r[:cols] for r in g[:rows])
+
+
 def test_mu_prefix_lines_are_fibonacci_words():
     g = word2d.mu_prefix(34, 34)
     # rows are the (d,c)/(b,a) words, columns the (d,b)/(c,a) words
