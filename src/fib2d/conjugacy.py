@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import EmptyWord, InternalError, OutOfRange
 from .word1d import fib
-from .word2d import Grid, dims, fib_array, subblock
+from .word2d import Grid, dims, fib_array
 
 
 def rotate2d(w: Grid, i: int, j: int) -> Grid:
@@ -53,26 +53,37 @@ def _cover_index(k: int) -> int:
     return m
 
 
+def _corners(base: Grid, row_starts, col_starts, k: int, l: int,
+             method: str) -> tuple[Grid, ...]:
+    """The sorted (k,l) top-left corners of the rotations of base that start
+    at each row in row_starts and each column in col_starts.
+
+    Corners are read off the cyclic grid without building any rotation:
+    each distinct row cuts its windows once, so equal rows of the corners
+    are one string.  There must be (k+1)(l+1) distinct corners.
+    """
+    windows = {}
+    for w in set(base):
+        cyclic = w + w[:l - 1]
+        windows[w] = [cyclic[j:j + l] for j in col_starts]
+    lanes = [windows[w] for w in base + base[:k - 1]]
+    out = {tuple([lane[x] for lane in lanes[i:i + k]])
+           for i in row_starts for x in range(len(col_starts))}
+    if len(out) != (k + 1) * (l + 1):
+        raise InternalError(f"size ({k},{l}) has {(k + 1) * (l + 1)} "
+                            f"subwords, {method} gave {len(out)}")
+    return tuple(sorted(out))
+
+
 def enumerate_conjugation(k: int, l: int) -> tuple[Grid, ...]:
     """All (k+1)(l+1) subwords of size (k,l) as prefixes of the inverse
     rotations of the special conjugate."""
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
     q = special_conjugate2d(_cover_index(k), _cover_index(l))
-    out = {subblock(rotate2d(q, -i, -j), (1, 1), (k, l))
-           for i in range(k + 1) for j in range(l + 1)}
-    if len(out) != (k + 1) * (l + 1):
-        raise InternalError(f"size ({k},{l}) has {(k + 1) * (l + 1)} "
-                            f"subwords, conjugation gave {len(out)}")
-    return tuple(sorted(out))
-
-
-def _floor_index(k: int) -> int:
-    # the m >= 2 with fib(m) <= k < fib(m+1)
-    m = 2
-    while fib(m + 1, "F11") <= k:
-        m += 1
-    return m
+    rows, cols = dims(q)
+    return _corners(q, [-i % rows for i in range(k + 1)],
+                    [-j % cols for j in range(l + 1)], k, l, "conjugation")
 
 
 def _prefix_rotations(k: int, m: int) -> tuple[int, ...]:
@@ -90,12 +101,8 @@ def enumerate_prefix_conjugates(k: int, l: int) -> tuple[Grid, ...]:
     one-larger grid; needs k, l >= 2."""
     if k < 2 or l < 2:
         raise OutOfRange("prefix-conjugate enumeration needs k, l >= 2")
-    m = _floor_index(k)
-    n = _floor_index(l)
-    base = fib_array(m + 1, n + 1)
-    out = {subblock(rotate2d(base, i, j), (1, 1), (k, l))
-           for i in _prefix_rotations(k, m) for j in _prefix_rotations(l, n)}
-    if len(out) != (k + 1) * (l + 1):
-        raise InternalError(f"size ({k},{l}) has {(k + 1) * (l + 1)} "
-                            f"subwords, prefix conjugates gave {len(out)}")
-    return tuple(sorted(out))
+    # for k >= 2, fib(m) <= k < fib(m+1)
+    m = _cover_index(k) - 1
+    n = _cover_index(l) - 1
+    return _corners(fib_array(m + 1, n + 1), _prefix_rotations(k, m),
+                    _prefix_rotations(l, n), k, l, "prefix conjugates")

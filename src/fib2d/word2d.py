@@ -120,16 +120,6 @@ def concat_row(u: Grid, v: Grid) -> Grid:
 
 # -------------------------------------------------------- Fibonacci grids --
 
-def _seed_letters(seeds) -> tuple[str, str, str, str]:
-    s00, s01, s10, s11 = seeds
-    quad = (s00, s01, s10, s11)
-    if any(ch not in "abcd" for ch in quad):
-        raise ValueError("seeds must be letters from 'abcd'")
-    if len(set(quad)) < 2:
-        raise ValueError("seeds must not all coincide")
-    return quad
-
-
 def _expand(x0: Grid, x1: Grid, steps: int, cat) -> Grid:
     # x_{i+1} = cat(x_i, x_{i-1})
     a, b = x0, x1
@@ -138,27 +128,18 @@ def _expand(x0: Grid, x1: Grid, steps: int, cat) -> Grid:
     return a
 
 
-def fib_array(m: int, n: int, seeds="abcd", order: str = "cols-first") -> Grid:
+def fib_array(m: int, n: int) -> Grid:
     """The Fibonacci grid of size (fib(m), fib(n)) under F(0) = F(1) = 1.
 
-    Defaults start from the four 1x1 grids a (0,0), b (0,1), c (1,0), d (1,1)
-    and grow by x_{k,j+1} = x_{k,j} o x_{k,j-1} in both directions.  The two
-    expansion orders exist to cross-check each other and must agree.
+    Starts from the four 1x1 grids a (0,0), b (0,1), c (1,0), d (1,1) and
+    grows by x_{k,j+1} = x_{k,j} o x_{k,j-1} in both directions, columns
+    first.
     """
     if m < 0 or n < 0:
         raise ValueError("m and n must be >= 0")
-    s00, s01, s10, s11 = _seed_letters(seeds)
-    rowcat = concat_row
-    colcat = concat_col
-    if order == "cols-first":
-        top = _expand((s00,), (s01,), n, colcat)
-        bottom = _expand((s10,), (s11,), n, colcat)
-        return _expand(top, bottom, m, rowcat)
-    if order == "rows-first":
-        left = _expand((s00,), (s10,), m, rowcat)
-        right = _expand((s01,), (s11,), m, rowcat)
-        return _expand(left, right, n, colcat)
-    raise ValueError("order must be 'cols-first' or 'rows-first'")
+    top = _expand(("a",), ("b",), n, concat_col)
+    bottom = _expand(("c",), ("d",), n, concat_col)
+    return _expand(top, bottom, m, concat_row)
 
 
 def _square_step(g: Grid) -> Grid:
@@ -232,21 +213,3 @@ def classify_lines(w: Grid) -> LineTags:
     return LineTags(tuple(map(row_alphabet_of, side)),
                     tuple(map(col_alphabet_of, top)))
 
-
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def is_primitive2d(w: Grid) -> bool:
-    """True iff w is not a repetition of a strictly smaller block."""
-    if not w:
-        raise ValueError("primitivity needs a non-empty grid")
-    rows, cols = dims(w)
-    for r in _divisors(rows):
-        for c in _divisors(cols):
-            if (r, c) == (rows, cols):
-                continue
-            if all(w[i][j] == w[i % r][j % c]
-                   for i in range(rows) for j in range(cols)):
-                return False
-    return True

@@ -135,3 +135,43 @@ def test_enumerate_prefix_conjugates_needs_size_two():
     for k, l in ((1, 1), (1, 2), (2, 1)):
         with pytest.raises(OutOfRange):
             conjugacy.enumerate_prefix_conjugates(k, l)
+
+
+def _rotated_corners(base, row_exps, col_exps, k, l):
+    # reference: build each rotation, then crop its corner
+    return tuple(sorted({word2d.subblock(conjugacy.rotate2d(base, i, j),
+                                         (1, 1), (k, l))
+                         for i in row_exps for j in col_exps}))
+
+
+def _reference_conjugation(k, l):
+    q = conjugacy.special_conjugate2d(conjugacy._cover_index(k),
+                                      conjugacy._cover_index(l))
+    return _rotated_corners(q, [-i for i in range(k + 1)],
+                            [-j for j in range(l + 1)], k, l)
+
+
+def _reference_prefix_conjugates(k, l):
+    m = conjugacy._cover_index(k) - 1
+    n = conjugacy._cover_index(l) - 1
+    return _rotated_corners(word2d.fib_array(m + 1, n + 1),
+                            conjugacy._prefix_rotations(k, m),
+                            conjugacy._prefix_rotations(l, n), k, l)
+
+
+def test_corners_match_cropped_rotations():
+    sizes = [(k, l) for k in range(1, 13) for l in range(1, 13)]
+    sizes += [(300, 2), (2, 300), (150, 1), (1, 150)]
+    for k, l in sizes:
+        assert (conjugacy.enumerate_conjugation(k, l)
+                == _reference_conjugation(k, l)), (k, l)
+        if k >= 2 and l >= 2:
+            assert (conjugacy.enumerate_prefix_conjugates(k, l)
+                    == _reference_prefix_conjugates(k, l)), (k, l)
+
+
+def test_corners_share_equal_rows():
+    for grids in (conjugacy.enumerate_conjugation(40, 3),
+                  conjugacy.enumerate_prefix_conjugates(40, 3)):
+        rows = [r for g in grids for r in g]
+        assert len({id(r) for r in rows}) == len(set(rows))

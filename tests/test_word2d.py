@@ -109,13 +109,6 @@ def test_fib_array_sizes():
             assert cols == word1d.fib(n, "F11")
 
 
-def test_fib_array_orders_agree():
-    for m in range(7):
-        for n in range(7):
-            assert (word2d.fib_array(m, n, order="cols-first")
-                    == word2d.fib_array(m, n, order="rows-first"))
-
-
 def test_fib_array_recursions():
     for m in range(2, 7):
         for n in range(2, 7):
@@ -127,12 +120,6 @@ def test_fib_array_recursions():
 def test_fib_array_rejects_bad_input():
     with pytest.raises(ValueError):
         word2d.fib_array(-1, 2)
-    with pytest.raises(ValueError):
-        word2d.fib_array(2, 2, seeds="aaaa")
-    with pytest.raises(ValueError):
-        word2d.fib_array(2, 2, seeds="abcx")
-    with pytest.raises(ValueError):
-        word2d.fib_array(2, 2, order="diagonal")
 
 
 def test_mu_prefix_values():
@@ -246,15 +233,3 @@ def test_classify_lines_rejects_foreign_grids():
     with pytest.raises(NotFibStructured):
         word2d.classify_lines(("dc", "dd"))  # column 2 mixes c and d
 
-
-def test_is_primitive2d():
-    assert word2d.is_primitive2d(("dc", "ba"))
-    assert word2d.is_primitive2d(("d",))
-    assert not word2d.is_primitive2d(("dd",))
-    assert not word2d.is_primitive2d(("dc", "dc"))
-    assert not word2d.is_primitive2d(("dcdc",))
-    for m in range(2, 7):
-        for n in range(2, 7):
-            assert word2d.is_primitive2d(word2d.fib_array(m, n))
-    with pytest.raises(ValueError):
-        word2d.is_primitive2d(word2d.EMPTY)
