@@ -11,29 +11,16 @@ import argparse
 import json
 import sys
 
-from . import conjugacy, dawg, frames, locator, oracle, word1d, word2d
+from . import conjugacy, dawg, locator, oracle, word1d, word2d
 from .errors import EXIT_CODES, Fib2DError
 
-_ENUM_METHODS = {
-    "dawg": dawg.enumerate_dawg,
-    "extend": frames.enumerate_extension,
-    "conjugate": conjugacy.enumerate_conjugation,
-    "prefix": conjugacy.enumerate_prefix_conjugates,
-    "oracle": lambda k, l: oracle.oracle_subwords(
-        k, l, *oracle.sufficient_bounds(k, l)),
-}
+# the method table verify() runs; perfbench/selftest.py reads it by this name
+_ENUM_METHODS = oracle.METHODS
 
 
 def _grid_json(w) -> dict:
     rows, cols = word2d.dims(w)
     return {"rows": rows, "cols": cols, "data": list(w)}
-
-
-def _print_blocks(words) -> None:
-    out = []
-    for w in words:
-        out.append(word2d.to_text(w))
-    sys.stdout.write("\n".join(out))
 
 
 # --------------------------------------------------------------- commands --
@@ -53,7 +40,7 @@ def _cmd_enum(args) -> int:
     if args.json:
         print(json.dumps([_grid_json(w) for w in words]))
     else:
-        _print_blocks(words)
+        sys.stdout.write("\n".join(map(word2d.to_text, words)))
     return 0
 
 
@@ -86,8 +73,8 @@ def _cmd_conjugates(args) -> int:
         sys.stdout.write(word2d.to_text(
             conjugacy.special_conjugate2d(args.m, args.n)))
     else:
-        _print_blocks(conjugacy.conjugacy_class(
-            word2d.fib_array(args.m, args.n)))
+        grids = conjugacy.conjugacy_class(word2d.fib_array(args.m, args.n))
+        sys.stdout.write("\n".join(map(word2d.to_text, grids)))
     return 0
 
 

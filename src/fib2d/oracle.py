@@ -31,31 +31,48 @@ def sufficient_bounds(k: int, l: int) -> tuple[int, int]:
     return fib(m + 2, "F11"), fib(n + 2, "F11")
 
 
+def _windows(k: int, l: int, R: int, C: int):
+    """((i, j), window) for every 0-based (k,l) window of the (R,C) prefix.
+
+    Each column band is cut once; its windows are slices of the band.
+    """
+    g = mu_prefix(R, C)
+    for j in range(C - l + 1):
+        band = tuple([row[j:j + l] for row in g])
+        for i in range(R - k + 1):
+            yield (i, j), band[i:i + k]
+
+
 def oracle_subwords(k: int, l: int, R: int, C: int) -> tuple[Grid, ...]:
     """All distinct (k,l) windows of the (R,C) prefix, sorted."""
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
     if R < k or C < l:
         raise BadBounds(f"prefix ({R},{C}) smaller than window ({k},{l})")
-    g = mu_prefix(R, C)
-    out = {tuple(row[j:j + l] for row in g[i:i + k])
-           for i in range(R - k + 1) for j in range(C - l + 1)}
-    return tuple(sorted(out))
+    return tuple(sorted({win for _, win in _windows(k, l, R, C)}))
 
 
 def oracle_occurrences(w: Grid, R: int, C: int) -> tuple[tuple[int, int], ...]:
     """All 0-based offsets where w matches inside the (R,C) prefix,
-    row-major ascending.  Naive letter-by-letter matching."""
+    row-major ascending."""
     rows, cols = dims(w)
     if not w:
         raise ValueError("pattern must be non-empty")
     if R < rows or C < cols:
         raise BadBounds(f"prefix ({R},{C}) smaller than pattern ({rows},{cols})")
-    g = mu_prefix(R, C)
-    return tuple((i, j)
-                 for i in range(R - rows + 1)
-                 for j in range(C - cols + 1)
-                 if all(g[i + r][j:j + cols] == w[r] for r in range(rows)))
+    return tuple(sorted(at for at, win in _windows(rows, cols, R, C)
+                        if win == w))
+
+
+# every enumeration method by name, as (k, l) -> sorted subwords; the CLI's
+# `enum --method` choices and the methods verify() compares
+METHODS = {
+    "conjugate": conjugacy.enumerate_conjugation,
+    "dawg": dawg.enumerate_dawg,
+    "extend": frames.enumerate_extension,
+    "oracle": lambda k, l: oracle_subwords(k, l, *sufficient_bounds(k, l)),
+    "prefix": conjugacy.enumerate_prefix_conjugates,
+}
 
 
 def verify(k: int, l: int) -> dict:
@@ -67,18 +84,13 @@ def verify(k: int, l: int) -> dict:
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
-    R, C = sufficient_bounds(k, l)
-    sets = {
-        "conjugate": conjugacy.enumerate_conjugation(k, l),
-        "dawg": dawg.enumerate_dawg(k, l),
-        "extend": frames.enumerate_extension(k, l),
-        "oracle": oracle_subwords(k, l, R, C),
-    }
-    if k >= 2 and l >= 2:
-        sets["prefix"] = conjugacy.enumerate_prefix_conjugates(k, l)
+    # prefix conjugates exist only from size (2,2) on
+    sets = {name: enum(k, l) for name, enum in METHODS.items()
+            if name != "prefix" or min(k, l) >= 2}
     names = sorted(sets)
     expected = (k + 1) * (l + 1)
     agree = all(sets[a] == sets[b] for a, b in zip(names, names[1:]))
+    R, C = sufficient_bounds(k, l)
     stable = oracle_subwords(k, l, 2 * R, 2 * C) == sets["oracle"]
     sizes = {name: len(sets[name]) for name in names}
     return {

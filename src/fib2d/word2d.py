@@ -87,7 +87,7 @@ def column(w: Grid, j: int) -> str:
 
 
 def to_text(w: Grid) -> str:
-    return "".join(row + "\n" for row in w)
+    return "\n".join((*w, ""))
 
 
 def parse_text(s: str) -> Grid:

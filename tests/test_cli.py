@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
@@ -11,7 +12,7 @@ import sys
 import pytest
 
 import fib2d
-from fib2d import cli, word1d, word2d
+from fib2d import cli, oracle, word1d, word2d
 
 from tables import OCC_BLOCK, OCC_BLOCK_AXIS, WORDS_2_2
 
@@ -182,6 +183,14 @@ def test_verify_json(capsys):
     report = json.loads(out)
     assert report["ok"] is True
     assert report["sizes"]["oracle"] == 16
+
+
+def test_enum_methods_are_the_methods_verify_runs():
+    commands = next(a for a in cli._parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    method = next(a for a in commands.choices["enum"]._actions
+                  if a.dest == "method")
+    assert method.choices == list(oracle.verify(2, 2)["sizes"])
 
 
 def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):

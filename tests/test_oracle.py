@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from fib2d import oracle
+from fib2d import oracle, word2d
 from fib2d.errors import BadBounds
 
 from tables import OCC_BLOCK, WORDS_1_1, WORDS_2_2, WORDS_3_3
@@ -37,6 +39,48 @@ def test_oracle_subwords_rejects_small_prefix():
         oracle.oracle_subwords(3, 3, 2, 9)
     with pytest.raises(ValueError):
         oracle.oracle_subwords(0, 1, 5, 5)
+
+
+def _windows_reference(k, l, R, C):
+    # one generator per window, as before the band harvest
+    g = word2d.mu_prefix(R, C)
+    return tuple(sorted({tuple(row[j:j + l] for row in g[i:i + k])
+                         for i in range(R - k + 1)
+                         for j in range(C - l + 1)}))
+
+
+def _occurrences_reference(w, R, C):
+    # letter-by-letter matching, as before the band harvest
+    g = word2d.mu_prefix(R, C)
+    rows, cols = word2d.dims(w)
+    return tuple((i, j)
+                 for i in range(R - rows + 1)
+                 for j in range(C - cols + 1)
+                 if all(g[i + r][j:j + cols] == w[r] for r in range(rows)))
+
+
+def test_oracle_subwords_matches_window_reference():
+    sizes = [(k, l) for k in range(1, 13) for l in range(1, 13)]
+    sizes += [(300, 1), (1, 300), (300, 2), (2, 300), (30, 70), (70, 30)]
+    for k, l in sizes:
+        R, C = oracle.sufficient_bounds(k, l)
+        assert oracle.oracle_subwords(k, l, R, C) == \
+            _windows_reference(k, l, R, C), (k, l)
+
+
+def test_oracle_occurrences_matches_letter_scan():
+    for w in WORDS_2_2 + WORDS_3_3:
+        assert oracle.oracle_occurrences(w, 40, 40) == \
+            _occurrences_reference(w, 40, 40), w
+    rng = random.Random(6)
+    g = word2d.mu_prefix(120, 120)
+    for _ in range(200):
+        k, l = rng.randint(1, 6), rng.randint(1, 6)
+        i, j = rng.randrange(120 - k + 1), rng.randrange(120 - l + 1)
+        w = tuple(row[j:j + l] for row in g[i:i + k])
+        R, C = rng.randint(k, 80), rng.randint(l, 80)
+        assert oracle.oracle_occurrences(w, R, C) == \
+            _occurrences_reference(w, R, C), (w, R, C)
 
 
 def test_oracle_occurrences_values():

@@ -49,6 +49,11 @@ def test_text_round_trip():
     assert word2d.to_text(word2d.EMPTY) == ""
 
 
+def test_to_text_matches_per_row_concatenation():
+    for w in ((), ("d",), word2d.mu_prefix(1100, 1), word2d.mu_prefix(3, 2000)):
+        assert word2d.to_text(w) == "".join(row + "\n" for row in w)
+
+
 def test_alphabet_helpers():
     assert word2d.swap_row_alphabet("dcab") == "bacd"
     assert word2d.row_alphabet_of("c") == "dc"
