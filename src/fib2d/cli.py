@@ -168,6 +168,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_CODES[MemoryError]
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ rotations of the next larger grid.
 from __future__ import annotations
 
 from .errors import EmptyWord, InternalError, OutOfRange
-from .word1d import fib
+from .word1d import fib, fib_index
 from .word2d import Grid, dims, fib_array
 
 
@@ -40,17 +40,13 @@ def special_conjugate2d(m: int, n: int) -> Grid:
     factors by prefixes; exponents depend on the parities of m and n."""
     if m < 2 or n < 2:
         raise ValueError("m and n must be >= 2")
-    i = fib(m, "F11") - 1 if m % 2 == 0 else fib(m - 1, "F11") - 1
-    j = fib(n, "F11") - 1 if n % 2 == 0 else fib(n - 1, "F11") - 1
-    return rotate2d(fib_array(m, n), i, j)
+    return rotate2d(fib_array(m, n), fib(m - m % 2, "F11") - 1,
+                    fib(n - n % 2, "F11") - 1)
 
 
 def _cover_index(k: int) -> int:
     # least m >= 2 with k < fib(m, "F11")
-    m = 2
-    while fib(m, "F11") <= k:
-        m += 1
-    return m
+    return max(2, fib_index(k, "F11"))
 
 
 def _corners(base: Grid, row_starts, col_starts, k: int, l: int,

@@ -20,12 +20,12 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import InconsistentJoint, InternalError
-from .word1d import fib, fib_prefix
+from .word1d import fib, fib_index, fib_prefix
 from .word2d import (COL_ALPHABETS, ROW_ALPHABETS, Grid, col_alphabet_of,
                      column, fill, row_alphabet_of)
 
 # abstract classes per orientation, dominant first
-_CLASSES = {"rows": ("db", "ca"), "cols": ("dc", "ba")}
+_CLASSES = {"rows": COL_ALPHABETS, "cols": ROW_ALPHABETS}
 
 # line alphabet -> {label: the one letter of the label in that alphabet},
 # for every label that has exactly one; labels are letters or letter sets
@@ -70,9 +70,7 @@ def build_line_dawg(orientation: str, max_len: int) -> Digraph:
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     dominant, other = (frozenset(s) for s in _CLASSES[orientation])
-    m = 0
-    while fib(m + 1, "F12") <= max_len:
-        m += 1
+    m = fib_index(max_len, "F12") - 1
     # with F(m) <= L < F(m+1), length-L root paths reach F(m+2)-1 + L - F(m)
     top = fib(m + 2, "F12") - 1 + max_len - fib(m, "F12")
     # 'd' stands in for the dominant class in the abstract spine word
@@ -80,11 +78,10 @@ def build_line_dawg(orientation: str, max_len: int) -> Digraph:
     g = Digraph(0)
     for i in range(1, top + 1):
         g.add_edge(i - 1, i, dominant if spine[i - 1] == "d" else other)
-    j = 1
-    while fib(j + 1, "F12") - 1 <= top:
+    # every j >= 1 with fib(j + 1) - 1 <= top
+    for j in range(1, fib_index(top + 1, "F12") - 1):
         g.add_edge(fib(j, "F12") - 2, fib(j + 1, "F12") - 1,
                    dominant if j % 2 == 0 else other)
-        j += 1
     return g
 
 

@@ -67,4 +67,6 @@ EXIT_CODES = {
     OutOfRange: 11,
     BadBounds: 12,
     InternalError: 13,
+    # not a data error: the request needs more memory than the process has
+    MemoryError: 14,
 }

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from . import conjugacy, dawg, frames
 from .errors import BadBounds
-from .word1d import fib
+from .word1d import fib, fib_index
 from .word2d import Grid, dims, mu_prefix
 
 
@@ -22,12 +22,8 @@ def sufficient_bounds(k: int, l: int) -> tuple[int, int]:
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
-    m = 2
-    while fib(m, "F11") <= k:
-        m += 1
-    n = 2
-    while fib(n, "F11") <= l:
-        n += 1
+    # k, l >= 1 = fib(1), so m, n >= 2
+    m, n = fib_index(k, "F11"), fib_index(l, "F11")
     return fib(m + 2, "F11"), fib(n + 2, "F11")
 
 

@@ -28,7 +28,7 @@ def _pair(alphabet) -> tuple[str, str]:
 
 # ---------------------------------------------------------------- numbers --
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def fib(n: int, numbering: str = "F11") -> int:
     """n-th Fibonacci number; F11: 1,1,2,3,5,...  F12: 1,2,3,5,8,..."""
     if n < 0:
@@ -44,6 +44,14 @@ def fib(n: int, numbering: str = "F11") -> int:
     return a
 
 
+def fib_index(x: int, numbering: str) -> int:
+    """The least n with fib(n, numbering) > x."""
+    n = 0
+    while fib(n, numbering) <= x:
+        n += 1
+    return n
+
+
 @lru_cache(maxsize=1024)
 def zeck_repr(x: int, numbering: str = "F12") -> tuple[int, ...]:
     """Zeckendorf index set of x, ascending, no two consecutive indices.
@@ -53,18 +61,12 @@ def zeck_repr(x: int, numbering: str = "F12") -> tuple[int, ...]:
     """
     if x < 0:
         raise ValueError("x must be >= 0")
-    lowest = 1 if numbering == "F11" else 0
-    n = lowest
-    while fib(n + 1, numbering) <= x:
-        n += 1
     out = []
     rem = x
-    while rem:
-        while fib(n, numbering) > rem:
-            n -= 1
+    # take the largest Fibonacci number that fits until none is left (-1)
+    while (n := fib_index(rem, numbering) - 1) >= 0:
         out.append(n)
         rem -= fib(n, numbering)
-        n -= 1
     # after taking fib(n) the remainder is below fib(n+1) - fib(n), which is
     # fib(n-1) only by the recurrence: without it the digits can be adjacent
     if any(i - j < 2 for i, j in zip(out, out[1:])):
@@ -88,11 +90,8 @@ def z_stream(n: int, bound: int) -> tuple[int, ...]:
         raise ValueError("bound must be >= 0")
     if bound == 0:
         return ()
-    fibs = []  # F12 numbers below bound
-    a, b = 1, 2
-    while a < bound:
-        fibs.append(a)
-        a, b = b, a + b
+    # the F12 numbers below bound
+    fibs = [fib(i, "F12") for i in range(fib_index(bound - 1, "F12"))]
     out = []
     # (value, largest index still free); pops in ascending value order
     stack = [(0, len(fibs) - 1)]
@@ -108,7 +107,7 @@ def z_stream(n: int, bound: int) -> tuple[int, ...]:
 
 # ------------------------------------------------------------------ words --
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def fib_word(n: int, f0: str, f1: str) -> str:
     """w_n where w_0 = f0, w_1 = f1 and w_n = w_{n-1} w_{n-2}.
 
@@ -123,9 +122,10 @@ def fib_word(n: int, f0: str, f1: str) -> str:
         raise ValueError("seed words must be non-empty")
     if n == 0:
         return f0
-    if n == 1:
-        return f1
-    return fib_word(n - 1, f0, f1) + fib_word(n - 2, f0, f1)
+    a, b = f0, f1
+    for _ in range(n - 1):
+        a, b = b, b + a
+    return b
 
 
 def fib_prefix(alphabet, length: int) -> str:
@@ -133,10 +133,8 @@ def fib_prefix(alphabet, length: int) -> str:
     first, second = _pair(alphabet)
     if length < 0:
         raise ValueError("length must be >= 0")
-    n = 1
-    while fib(n, "F12") < length:
-        n += 1
-    return fib_word(n, first, first + second)[:length]
+    return fib_word(fib_index(length - 1, "F12"), first,
+                    first + second)[:length]
 
 
 def truncated(n: int, alphabet) -> str:
@@ -149,7 +147,7 @@ def truncated(n: int, alphabet) -> str:
 
 # ---------------------------------------------------------------- factors --
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _factors(k: int, first: str, second: str) -> tuple[str, ...]:
     length = 4 * k + 8
     while True:
@@ -172,7 +170,7 @@ def factors1d(k: int, alphabet) -> tuple[str, ...]:
     return _factors(k, first, second)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _right_table(k: int, first: str, second: str) -> dict[str, tuple[str, ...]]:
     # every length-k factor -> its right extensions, in alphabet order: the
     # length-(k+1) factors are sorted, so u + first comes before u + second
@@ -224,8 +222,7 @@ def special_conjugate1d(n: int, alphabet) -> str:
     if n < 2:
         raise ValueError("n must be >= 2")
     w = fib_word(n, second, first)
-    shift = fib(n, "F11") - 1 if n % 2 == 0 else fib(n - 1, "F11") - 1
-    return rotate1d(w, shift)
+    return rotate1d(w, fib(n - n % 2, "F11") - 1)
 
 
 # ------------------------------------------------------------ occurrences --

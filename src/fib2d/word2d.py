@@ -142,16 +142,18 @@ def fib_array(m: int, n: int) -> Grid:
     return _expand(top, bottom, m, concat_row)
 
 
+# the square substitution d -> dc/ba, c -> d/b, b -> dc, a -> d, one table
+# per image row; b and a have no bottom row, so a {b,a} row has one image row
+_MU_TOP = str.maketrans({"d": "dc", "c": "d", "b": "dc", "a": "d"})
+_MU_BOTTOM = str.maketrans({"d": "ba", "c": "b", "b": None, "a": None})
+
+
 def _square_step(g: Grid) -> Grid:
-    # letter images: d -> dc/ba, c -> d/b, b -> dc, a -> d
-    out = []
-    for row in g:
-        if row[0] in "dc":
-            out.append("".join("dc" if ch == "d" else "d" for ch in row))
-            out.append("".join("ba" if ch == "d" else "b" for ch in row))
-        else:
-            out.append("".join("dc" if ch == "b" else "d" for ch in row))
-    return tuple(out)
+    # each distinct row is substituted once; equal rows share their images
+    images = {row: tuple(filter(None, (row.translate(_MU_TOP),
+                                       row.translate(_MU_BOTTOM))))
+              for row in set(g)}
+    return tuple([r for row in g for r in images[row]])
 
 
 def mu_prefix(rows: int, cols: int) -> Grid:

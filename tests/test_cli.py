@@ -13,6 +13,7 @@ import pytest
 
 import fib2d
 from fib2d import cli, oracle, word1d, word2d
+from fib2d.errors import EXIT_CODES
 
 from tables import OCC_BLOCK, OCC_BLOCK_AXIS, WORDS_2_2
 
@@ -216,6 +217,19 @@ def test_data_errors_map_to_distinct_codes(capsys, tmp_path):
                        "--row-bound", "5", "--col-bound", "5")
     assert code == 3  # NotAFactor
     assert err.startswith("error:")
+
+
+def test_memory_error_exits_14(capsys, monkeypatch):
+    # a request too large for memory ends in its documented code, not a
+    # traceback; raised by a patch, so nothing large is allocated
+    def exhausted(rows, cols):
+        raise MemoryError
+
+    monkeypatch.setattr(word2d, "mu_prefix", exhausted)
+    code, out, err = run(capsys, "gen2d", "--rows", "3", "--cols", "3")
+    assert (code, out) == (14, "")
+    assert err == "error: out of memory\n"
+    assert len(set(EXIT_CODES.values())) == len(EXIT_CODES)
 
 
 # one broken invariant per case: the patch applied, the request, and the

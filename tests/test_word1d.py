@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import os
 import subprocess
 import sys
@@ -62,6 +63,54 @@ def test_zeck_repr_is_valid(x, numbering):
     assert all(j - i >= 2 for i, j in zip(idx, idx[1:]))
     lowest = 1 if numbering == "F11" else 0
     assert all(i >= lowest for i in idx)
+
+
+# every x below 10^4 and every Fibonacci number of either numbering, +-1
+FIB_INDEX_PROBES = sorted(set(range(10**4)) | {
+    word1d.fib(i, numbering) + d for i in range(80)
+    for numbering in ("F11", "F12") for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("numbering", ["F11", "F12"])
+def test_fib_index_matches_the_search_loops(numbering):
+    # each loop a caller used to write is compared with the fib_index
+    # expression that replaced it
+    def fib(n):
+        return word1d.fib(n, numbering)
+
+    a, b = (1, 1) if numbering == "F11" else (1, 2)
+    fibs = []  # iterated here, independently of word1d.fib
+    while len(fibs) < 90:
+        fibs.append(a)
+        a, b = b, a + b
+    for x in FIB_INDEX_PROBES:
+        n = word1d.fib_index(x, numbering)
+        assert n == bisect.bisect_right(fibs, x), x
+        # z_stream, with x = bound - 1: the numbers below bound
+        assert [fib(i) for i in range(n)] == [f for f in fibs if f <= x]
+        # fib_prefix, with x = length - 1; the loop starts at 1, and at
+        # length 1 the w_0 that fib_index picks starts like w_1
+        m = 1
+        while fib(m) < x + 1:
+            m += 1
+        assert m == max(1, n)
+        if x < 1:
+            continue
+        # zeck_repr's digit search and build_line_dawg's first search
+        m = 1 if numbering == "F11" else 0
+        while fib(m + 1) <= x:
+            m += 1
+        assert m == n - 1
+        # _cover_index and both axes of sufficient_bounds
+        m = 2
+        while fib(m) <= x:
+            m += 1
+        assert m == max(2, n)
+        # build_line_dawg's shortcut edges, with x = top
+        j = 1
+        while fib(j + 1) - 1 <= x:
+            j += 1
+        assert range(1, j) == range(1, word1d.fib_index(x + 1, numbering) - 1)
 
 
 def test_z_stream_values():

@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fib2d import word1d, word2d
@@ -146,13 +146,54 @@ def test_mu_prefix_extends_fib_array():
             assert word2d.mu_prefix(rows, cols) == word2d.fib_array(m, n)
 
 
+def _per_letter_step(g):
+    # reference substitution, one letter at a time:
+    # d -> dc/ba, c -> d/b, b -> dc, a -> d
+    out = []
+    for row in g:
+        if row[0] in "dc":
+            out.append("".join("dc" if ch == "d" else "d" for ch in row))
+            out.append("".join("ba" if ch == "d" else "b" for ch in row))
+        else:
+            out.append("".join("dc" if ch == "b" else "d" for ch in row))
+    return tuple(out)
+
+
+def _line(width):
+    return st.sampled_from(word2d.ROW_ALPHABETS).flatmap(
+        lambda alph: st.text(alph, min_size=width, max_size=width))
+
+
+# random grids of whole lines, with repeated and unrepeated rows
+@given(st.integers(1, 12).flatmap(
+    lambda width: st.lists(_line(width), min_size=1, max_size=10)))
+@example(["d"])
+@example(["b"])
+@example(["dcc", "ddc", "bba", "aab"])
+@example(list(word2d.mu_prefix(13, 21)))
+@example(list(word2d.mu_prefix(40, 7)))
+def test_square_step_matches_per_letter_substitution(g):
+    g = tuple(g)
+    assert word2d._square_step(g) == _per_letter_step(g)
+
+
 def test_mu_prefix_matches_uncropped_substitution():
     # the reference substitutes whole squares and crops once at the end
     g = ("d",)
     while len(g) < 1000:
-        g = word2d._square_step(g)
-    for rows, cols in ((1, 1000), (1000, 1), (7, 300), (300, 7)):
+        g = _per_letter_step(g)
+    for rows, cols in ((1, 1), (1, 1000), (1000, 1), (7, 300), (300, 7),
+                       (600, 700)):
         assert word2d.mu_prefix(rows, cols) == tuple(r[:cols] for r in g[:rows])
+
+
+@pytest.mark.parametrize("rows, cols", [(4181, 5), (2000, 2000)])
+def test_mu_prefix_matches_cropped_per_letter_substitution(rows, cols):
+    # the reference crops after every per-letter step
+    g = ("d",)
+    while len(g) < rows or len(g[0]) < cols:
+        g = tuple(r[:cols] for r in _per_letter_step(g)[:rows])
+    assert word2d.mu_prefix(rows, cols) == g
 
 
 def test_mu_prefix_lines_are_fibonacci_words():
