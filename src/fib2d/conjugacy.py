@@ -10,7 +10,7 @@ rotations of the next larger grid.
 from __future__ import annotations
 
 from .errors import EmptyWord, InternalError, OutOfRange
-from .word1d import fib, fib_index
+from .word1d import fib, fib_index, special_conjugate1d
 from .word2d import Grid, dims, fib_array
 
 
@@ -37,11 +37,17 @@ def conjugacy_class(w: Grid) -> tuple[Grid, ...]:
 
 def special_conjugate2d(m: int, n: int) -> Grid:
     """The conjugate of fib_array(m,n) whose inverse rotations enumerate
-    factors by prefixes; exponents depend on the parities of m and n."""
+    factors by prefixes.
+
+    A column rotation of fib_array(m,n) rotates both of its row words and a
+    row rotation rotates the word that orders its rows, so each takes the
+    1D special conjugate.
+    """
     if m < 2 or n < 2:
         raise ValueError("m and n must be >= 2")
-    return rotate2d(fib_array(m, n), fib(m - m % 2, "F11") - 1,
-                    fib(n - n % 2, "F11") - 1)
+    rows = {"a": special_conjugate1d(n, "ba"),
+            "c": special_conjugate1d(n, "dc")}
+    return tuple([rows[ch] for ch in special_conjugate1d(m, "ca")])
 
 
 def _cover_index(k: int) -> int:
@@ -56,15 +62,15 @@ def _corners(base: Grid, row_starts, col_starts, k: int, l: int,
 
     Corners are read off the cyclic grid without building any rotation:
     each distinct row cuts its windows once, so equal rows of the corners
-    are one string.  There must be (k+1)(l+1) distinct corners.
+    are one string, and each corner is a slice of one column of those
+    windows.  There must be (k+1)(l+1) distinct corners.
     """
     windows = {}
     for w in set(base):
         cyclic = w + w[:l - 1]
         windows[w] = [cyclic[j:j + l] for j in col_starts]
     lanes = [windows[w] for w in base + base[:k - 1]]
-    out = {tuple([lane[x] for lane in lanes[i:i + k]])
-           for i in row_starts for x in range(len(col_starts))}
+    out = {col[i:i + k] for col in zip(*lanes) for i in row_starts}
     if len(out) != (k + 1) * (l + 1):
         raise InternalError(f"size ({k},{l}) has {(k + 1) * (l + 1)} "
                             f"subwords, {method} gave {len(out)}")

@@ -23,7 +23,7 @@ class TooShort(Fib2DError):
 
 
 class ShapeMismatch(Fib2DError):
-    """Grid concatenation with incompatible dimensions, or a ragged grid."""
+    """A ragged grid, or one with empty rows."""
 
 
 class OutOfDomain(Fib2DError):

@@ -15,14 +15,16 @@ from functools import lru_cache
 
 from .errors import EmptyWord, InternalError, NotAFactor, TooShort
 
-LETTERS = "abcd"
+# a tuple, so `in` matches whole one-letter strings, not substrings
+LETTERS = tuple("abcd")
 
 
 def _pair(alphabet) -> tuple[str, str]:
     # accepts ("b", "a") or "ba"
-    first, second = alphabet
-    if first == second or first not in LETTERS or second not in LETTERS:
+    if (len(alphabet) != 2 or alphabet[0] == alphabet[1]
+            or not all(ch in LETTERS for ch in alphabet)):
         raise ValueError("alphabet must be two distinct letters from 'abcd'")
+    first, second = alphabet
     return first, second
 
 
@@ -149,17 +151,16 @@ def truncated(n: int, alphabet) -> str:
 
 @lru_cache(maxsize=64)
 def _factors(k: int, first: str, second: str) -> tuple[str, ...]:
-    length = 4 * k + 8
-    while True:
-        w = fib_prefix((first, second), length)
-        seen = {w[i:i + k] for i in range(len(w) - k + 1)}
-        if len(seen) > k + 1:
-            raise InternalError(f"{len(seen)} factors of length {k}, "
-                                f"above the Sturmian count {k + 1}")
-        if len(seen) == k + 1:
-            order = {first: 0, second: 1}
-            return tuple(sorted(seen, key=lambda u: [order[c] for c in u]))
-        length *= 2
+    # the shortest prefix holding all k+1 factors of length k has at most
+    # phi^2 k + 1 letters (a scan read at most 2.617k for every k <= 2000),
+    # so the first 4k + 8 letters hold them all
+    w = fib_prefix((first, second), 4 * k + 8)
+    seen = {w[i:i + k] for i in range(len(w) - k + 1)}
+    if len(seen) != k + 1:
+        raise InternalError(f"{len(seen)} factors of length {k} in the first "
+                            f"{len(w)} letters, not the Sturmian count {k + 1}")
+    order = {first: 0, second: 1}
+    return tuple(sorted(seen, key=lambda u: [order[c] for c in u]))
 
 
 def factors1d(k: int, alphabet) -> tuple[str, ...]:

@@ -1,8 +1,8 @@
 """Rectangular words over {a,b,c,d} and the two-dimensional Fibonacci word.
 
 A grid is a tuple of equal-length row strings, row-major.  The empty grid ()
-is the neutral element of both concatenations; sizes (m,0) and (0,m) with
-m > 0 do not exist.  API coordinates are 1-based.
+has size (0,0); sizes (m,0) and (0,m) with m > 0 do not exist.  API
+coordinates are 1-based.
 
 Rows of the infinite grid are over {d,c} or {b,a} (d, b dominant), columns
 over {d,b} or {c,a}.  Within any factor, lines sharing an alphabet are equal.
@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import NotFibStructured, OutOfDomain, ShapeMismatch
+from .word1d import LETTERS, fib_word
 
 Grid = tuple[str, ...]
 
@@ -41,14 +42,14 @@ def fill(top: str, side: str) -> Grid:
 
 def row_alphabet_of(ch: str) -> str:
     """The row alphabet containing ch, dominant letter first."""
-    if ch not in "abcd":
+    if ch not in LETTERS:
         raise ValueError(f"letter {ch!r} outside 'abcd'")
     return "dc" if ch in "dc" else "ba"
 
 
 def col_alphabet_of(ch: str) -> str:
     """The column alphabet containing ch, dominant letter first."""
-    if ch not in "abcd":
+    if ch not in LETTERS:
         raise ValueError(f"letter {ch!r} outside 'abcd'")
     return "db" if ch in "db" else "ca"
 
@@ -94,52 +95,21 @@ def parse_text(s: str) -> Grid:
     return as_grid([line for line in s.splitlines() if line.strip()])
 
 
-# --------------------------------------------------------- concatenations --
-
-def concat_col(u: Grid, v: Grid) -> Grid:
-    """Juxtapose: u left, v right.  Needs equal row counts."""
-    if not u:
-        return v
-    if not v:
-        return u
-    if len(u) != len(v):
-        raise ShapeMismatch(f"row counts differ: {len(u)} vs {len(v)}")
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def concat_row(u: Grid, v: Grid) -> Grid:
-    """Stack: u on top, v below.  Needs equal column counts."""
-    if not u:
-        return v
-    if not v:
-        return u
-    if len(u[0]) != len(v[0]):
-        raise ShapeMismatch(f"column counts differ: {len(u[0])} vs {len(v[0])}")
-    return u + v
-
-
 # -------------------------------------------------------- Fibonacci grids --
-
-def _expand(x0: Grid, x1: Grid, steps: int, cat) -> Grid:
-    # x_{i+1} = cat(x_i, x_{i-1})
-    a, b = x0, x1
-    for _ in range(steps):
-        a, b = b, cat(b, a)
-    return a
-
 
 def fib_array(m: int, n: int) -> Grid:
     """The Fibonacci grid of size (fib(m), fib(n)) under F(0) = F(1) = 1.
 
     Starts from the four 1x1 grids a (0,0), b (0,1), c (1,0), d (1,1) and
-    grows by x_{k,j+1} = x_{k,j} o x_{k,j-1} in both directions, columns
-    first.
+    grows by x_{k,j+1} = x_{k,j} o x_{k,j-1} in both directions.  Column
+    concatenation acts on each row alone, so the rows are the 1D words
+    fib_word(n) over (a, b) and over (c, d), stacked in the order of the
+    letters of fib_word(m) over (a, c).
     """
     if m < 0 or n < 0:
         raise ValueError("m and n must be >= 0")
-    top = _expand(("a",), ("b",), n, concat_col)
-    bottom = _expand(("c",), ("d",), n, concat_col)
-    return _expand(top, bottom, m, concat_row)
+    rows = {"a": fib_word(n, "a", "b"), "c": fib_word(n, "c", "d")}
+    return tuple([rows[ch] for ch in fib_word(m, "a", "c")])
 
 
 # the square substitution d -> dc/ba, c -> d/b, b -> dc, a -> d, one table
@@ -167,7 +137,10 @@ def mu_prefix(rows: int, cols: int) -> Grid:
         raise ValueError("size must be at least (1,1)")
     g: Grid = ("d",)
     while len(g) < rows or len(g[0]) < cols:
-        g = tuple(r[:cols] for r in _square_step(g)[:rows])
+        g = _square_step(g)[:rows]
+        # each distinct row is cropped once, so equal rows stay one string
+        cut = {r: r[:cols] for r in set(g)}
+        g = tuple([cut[r] for r in g])
     return g
 
 

@@ -277,9 +277,12 @@ def test_invariant_checks_survive_optimize(case):
 
 
 def test_usage_errors_exit_2(capsys, tmp_path):
-    code, _, err = run(capsys, "gen1d", "--alphabet", "bb", "--len", "3")
-    assert code == 2
-    assert err.startswith("error:")
+    for alphabet in ("bb", "a", "bac"):
+        code, _, err = run(capsys, "gen1d", "--alphabet", alphabet,
+                           "--len", "3")
+        assert code == 2
+        assert err == ("error: alphabet must be two distinct letters "
+                       "from 'abcd'\n")
 
     code, _, err = run(capsys, "gen2d", "--rows", "0", "--cols", "3")
     assert code == 2

@@ -84,6 +84,20 @@ def test_special_conjugate2d_is_a_conjugate():
         assert q in conjugacy.conjugacy_class(word2d.fib_array(m, n))
 
 
+def _rotated_special_conjugate(m, n):
+    # reference: rotate the whole grid by the parity-dependent shifts
+    return conjugacy.rotate2d(word2d.fib_array(m, n),
+                              word1d.fib(m - m % 2, "F11") - 1,
+                              word1d.fib(n - n % 2, "F11") - 1)
+
+
+def test_special_conjugate2d_matches_rotated_grid():
+    for m in range(2, 15):
+        for n in range(2, 15):
+            assert (conjugacy.special_conjugate2d(m, n)
+                    == _rotated_special_conjugate(m, n)), (m, n)
+
+
 def test_inverse_rotations_and_prefixes():
     for (i, j), (conj, prefix) in ROTATION_PREFIXES_3_3.items():
         w = conjugacy.rotate2d(Q_3_3, -i, -j)
@@ -145,8 +159,8 @@ def _rotated_corners(base, row_exps, col_exps, k, l):
 
 
 def _reference_conjugation(k, l):
-    q = conjugacy.special_conjugate2d(conjugacy._cover_index(k),
-                                      conjugacy._cover_index(l))
+    q = _rotated_special_conjugate(conjugacy._cover_index(k),
+                                   conjugacy._cover_index(l))
     return _rotated_corners(q, [-i for i in range(k + 1)],
                             [-j for j in range(l + 1)], k, l)
 

@@ -200,6 +200,12 @@ def test_alphabet_validation():
         word1d.fib_prefix("bb", 3)
     with pytest.raises(ValueError):
         word1d.fib_prefix(("x", "y"), 3)
+    # entries must be single letters, and exactly two of them
+    for bad in (("ab", "c"), ("", "a"), "a", "", "bac", ("a", "b", "c")):
+        with pytest.raises(ValueError):
+            word1d.fib_prefix(bad, 3)
+        with pytest.raises(ValueError):
+            word1d.factors1d(2, bad)
     with pytest.raises(ValueError):
         word1d.fib_prefix("ba", -1)
 
@@ -228,11 +234,14 @@ def test_factors1d_counts_and_order():
 
 
 def test_factors1d_matches_window_scan():
+    # 20 000 letters hold every factor of these lengths (k = 1598 needs
+    # fewer than 4 200); relative to k, the factors of length 1597 take
+    # the longest prefix of all k <= 2000
     for alphabet in ("ab", "db"):
-        w = word1d.fib_prefix(alphabet, 200)
-        for k in range(1, 7):
+        w = word1d.fib_prefix(alphabet, 20_000)
+        for k in [*range(1, 61), 610, 987, 1596, 1597, 1598]:
             windows = {w[i:i + k] for i in range(len(w) - k + 1)}
-            assert set(word1d.factors1d(k, alphabet)) == windows
+            assert set(word1d.factors1d(k, alphabet)) == windows, k
 
 
 def test_factors1d_rejects_bad_k():

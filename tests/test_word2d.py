@@ -1,4 +1,4 @@
-"""Unit tests for grids: shapes, concatenation, the recursions, structure."""
+"""Unit tests for grids: shapes, the recursions, structure."""
 
 from __future__ import annotations
 
@@ -60,8 +60,11 @@ def test_alphabet_helpers():
     assert word2d.row_alphabet_of("a") == "ba"
     assert word2d.col_alphabet_of("b") == "db"
     assert word2d.col_alphabet_of("c") == "ca"
-    with pytest.raises(ValueError):
-        word2d.row_alphabet_of("x")
+    for bad in ("x", "", "ab", "cd"):
+        with pytest.raises(ValueError):
+            word2d.row_alphabet_of(bad)
+        with pytest.raises(ValueError):
+            word2d.col_alphabet_of(bad)
 
 
 def test_fill():
@@ -73,27 +76,6 @@ def test_fill():
 @given(st.text(alphabet="abcd", max_size=40))
 def test_swap_row_alphabet_is_involution(w):
     assert word2d.swap_row_alphabet(word2d.swap_row_alphabet(w)) == w
-
-
-# --------------------------------------------------------- concatenations --
-
-def test_concat_neutral_element():
-    assert word2d.concat_col(word2d.EMPTY, F33) == F33
-    assert word2d.concat_col(F33, word2d.EMPTY) == F33
-    assert word2d.concat_row(word2d.EMPTY, F33) == F33
-    assert word2d.concat_row(F33, word2d.EMPTY) == F33
-
-
-def test_concat_values():
-    assert word2d.concat_col(("dc", "ba"), ("d", "b")) == ("dcd", "bab")
-    assert word2d.concat_row(("dc",), ("ba",)) == ("dc", "ba")
-
-
-def test_concat_shape_errors():
-    with pytest.raises(ShapeMismatch):
-        word2d.concat_col(("dc", "ba"), ("d",))
-    with pytest.raises(ShapeMismatch):
-        word2d.concat_row(("dc",), ("b",))
 
 
 # -------------------------------------------------------- Fibonacci grids --
@@ -114,12 +96,33 @@ def test_fib_array_sizes():
             assert cols == word1d.fib(n, "F11")
 
 
+def _expand(x0, x1, steps, cat):
+    # x_{i+1} = cat(x_i, x_{i-1})
+    a, b = x0, x1
+    for _ in range(steps):
+        a, b = b, cat(b, a)
+    return a
+
+
+def _recursion_array(m, n):
+    # reference: the 2D recursion, grown by grid concatenation, columns first
+    def concat_col(u, v):  # u left, v right
+        assert len(u) == len(v)
+        return tuple(a + b for a, b in zip(u, v))
+
+    def concat_row(u, v):  # u on top, v below
+        assert len(u[0]) == len(v[0])
+        return u + v
+
+    top = _expand(("a",), ("b",), n, concat_col)
+    bottom = _expand(("c",), ("d",), n, concat_col)
+    return _expand(top, bottom, m, concat_row)
+
+
 def test_fib_array_recursions():
-    for m in range(2, 7):
-        for n in range(2, 7):
-            f = word2d.fib_array
-            assert f(m, n + 1) == word2d.concat_col(f(m, n), f(m, n - 1))
-            assert f(m + 1, n) == word2d.concat_row(f(m, n), f(m - 1, n))
+    for m in range(13):
+        for n in range(13):
+            assert word2d.fib_array(m, n) == _recursion_array(m, n), (m, n)
 
 
 def test_fib_array_rejects_bad_input():
@@ -193,7 +196,10 @@ def test_mu_prefix_matches_cropped_per_letter_substitution(rows, cols):
     g = ("d",)
     while len(g) < rows or len(g[0]) < cols:
         g = tuple(r[:cols] for r in _per_letter_step(g)[:rows])
-    assert word2d.mu_prefix(rows, cols) == g
+    got = word2d.mu_prefix(rows, cols)
+    assert got == g
+    # each distinct row is cropped once: equal rows are one object
+    assert len({id(r) for r in got}) == len(set(got))
 
 
 def test_mu_prefix_lines_are_fibonacci_words():
