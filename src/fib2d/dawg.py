@@ -85,20 +85,49 @@ def build_line_dawg(orientation: str, max_len: int) -> Digraph:
     return g
 
 
+def _run(g: Digraph, node, length: int):
+    """The labels along single out-edges from node, at most `length` of
+    them, and the out-edges of the node where they stop."""
+    chain = []
+    edges = g.out(node)
+    while len(edges) == 1 and len(chain) < length:
+        node, lab = edges[0]
+        chain.append(lab)
+        edges = g.out(node)
+    return chain, edges
+
+
 def root_paths(g: Digraph, length: int) -> tuple[tuple[frozenset, ...], ...]:
-    """Label sequences of all root paths with `length` edges, depth first."""
+    """Label sequences of all root paths with `length` edges, depth first.
+
+    A line DAWG is a spine with O(log L) shortcut edges, so most nodes have
+    one out-edge.  The run of single edges from each node the walk reaches
+    is found once and copied into the path as one slice, so the walk steps
+    once per branch point, not once per path prefix.  A run stops after
+    `length` labels, so a cycle of single edges ends too.
+    """
+    if length < 0:
+        raise ValueError("length must be >= 0")
     out = []
     labels = [None] * length
+    runs = {}
     stack = [(g.root, 0, None)]
     while stack:
         node, depth, lab = stack.pop()
         if depth:
             labels[depth - 1] = lab
-        if depth == length:
+        run = runs.get(node)
+        if run is None:
+            run = runs[node] = _run(g, node, length)
+        chain, edges = run
+        end = depth + len(chain)
+        if end >= length:
+            labels[depth:] = chain[:length - depth]
             out.append(tuple(labels))
             continue
-        for dst, step in reversed(g.out(node)):
-            stack.append((dst, depth + 1, step))
+        labels[depth:end] = chain
+        for dst, step in reversed(edges):
+            stack.append((dst, end + 1, step))
     return tuple(out)
 
 

@@ -2,7 +2,9 @@
 
 Everything here works by materializing an explicit prefix of the infinite
 grid and scanning windows, so it is independent of the DAWG, extension and
-conjugation machinery it is used to check.
+conjugation machinery it is used to check.  A tall window is named by its
+text, so telling tall windows apart hashes one string per window, not one
+reference per row.
 """
 
 from __future__ import annotations
@@ -39,12 +41,41 @@ def _windows(k: int, l: int, R: int, C: int):
             yield (i, j), band[i:i + k]
 
 
+def _tall_subwords(k: int, l: int, R: int, C: int) -> tuple[Grid, ...]:
+    """All distinct (k,l) windows of the (R,C) prefix, sorted, for k > l.
+
+    A window is named by its rows joined, one slice of its column band's
+    text, so a name hashes in C instead of as k row references.  Rows have
+    one length, so names sort as their windows do.  Each distinct name
+    keeps its first offset, and only those windows are cut out of their
+    band; equal rows of every band are one shared string.
+    """
+    g = mu_prefix(R, C)
+    cut: dict[str, str] = {}
+    bands, first = [], {}
+    for j in range(C - l + 1):
+        rows = {r: cut.setdefault(r[j:j + l], r[j:j + l]) for r in set(g)}
+        band = tuple([rows[r] for r in g])
+        text = "".join(band)
+        for i in range(R - k + 1):
+            first.setdefault(text[i * l:(i + k) * l], (i, j))
+        bands.append(band)
+    return tuple([bands[j][i:i + k]
+                  for i, j in map(first.__getitem__, sorted(first))])
+
+
 def oracle_subwords(k: int, l: int, R: int, C: int) -> tuple[Grid, ...]:
-    """All distinct (k,l) windows of the (R,C) prefix, sorted."""
+    """All distinct (k,l) windows of the (R,C) prefix, sorted.
+
+    Tall windows (k > l) are named by their text (_tall_subwords); the
+    others are harvested from the column bands and hashed as they are.
+    """
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
     if R < k or C < l:
         raise BadBounds(f"prefix ({R},{C}) smaller than window ({k},{l})")
+    if k > l:
+        return _tall_subwords(k, l, R, C)
     return tuple(sorted({win for _, win in _windows(k, l, R, C)}))
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import signal
 import sys
 from itertools import product
 
@@ -77,6 +78,89 @@ def test_root_paths_spell_line_factors():
             for alphabet in alphabets:
                 spelled = {_spell(p, alphabet) for p in paths}
                 assert spelled == set(word1d.factors1d(length, alphabet))
+
+
+def _walk_reference(g, length):
+    # one stack step per path prefix, as before runs were copied as slices
+    out = []
+    labels = [None] * length
+    stack = [(g.root, 0, None)]
+    while stack:
+        node, depth, lab = stack.pop()
+        if depth:
+            labels[depth - 1] = lab
+        if depth == length:
+            out.append(tuple(labels))
+            continue
+        for dst, step in reversed(g.out(node)):
+            stack.append((dst, depth + 1, step))
+    return tuple(out)
+
+
+def test_root_paths_match_walk_reference():
+    # same paths in the same depth-first order
+    for orientation in ("rows", "cols"):
+        for length in range(1, 61):
+            for max_len in (length, 2 * length):
+                g = dawg.build_line_dawg(orientation, max_len)
+                assert dawg.root_paths(g, length) == \
+                    _walk_reference(g, length), (orientation, length, max_len)
+        for length in (500, 1100):
+            g = dawg.build_line_dawg(orientation, length)
+            assert dawg.root_paths(g, length) == _walk_reference(g, length)
+
+
+def test_root_paths_step_per_branch_point():
+    # the walk asks for a node's out-edges about once per node, not once
+    # per path prefix (~length**2 / 2)
+    for orientation in ("rows", "cols"):
+        for length in (40, 500, 1100):
+            g = dawg.build_line_dawg(orientation, length)
+            calls = 0
+            out = g.out
+
+            def counted(u):
+                nonlocal calls
+                calls += 1
+                return out(u)
+
+            g.out = counted
+            assert len(dawg.root_paths(g, length)) == length + 1
+            assert calls <= 10 * length, (orientation, length, calls)
+
+
+def _expire(signum, frame):
+    raise TimeoutError("root_paths did not stop")
+
+
+def test_root_paths_stop_on_single_edge_cycles():
+    # Digraph is public: a run of single edges may close a cycle, and the
+    # walk must still stop at `length`; dead ends give no path
+    loop = dawg.Digraph(0)
+    loop.add_edge(0, 0, "a")
+    g = dawg.Digraph(0)
+    g.add_edge(0, 0, "a")  # root self-loop
+    g.add_edge(0, 1, "b")
+    g.add_edge(1, 2, "c")  # 2-cycle of single edges
+    g.add_edge(2, 1, "d")
+    g.add_edge(0, 3, "c")  # dead-end branch
+    g.add_edge(3, 4, "a")
+    A, B, C, D = (frozenset(ch) for ch in "abcd")
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.alarm(3)
+    try:
+        assert dawg.root_paths(loop, 5) == ((A,) * 5,)
+        assert dawg.root_paths(g, 3) == ((A, A, A), (A, A, B), (A, A, C),
+                                         (A, B, C), (A, C, A), (B, C, D))
+        for length in range(9):
+            for h in (loop, g):
+                assert dawg.root_paths(h, length) == _walk_reference(h, length)
+        assert dawg.root_paths(g, 200)[-1] == (B,) + (C, D) * 99 + (C,)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ValueError):
+        dawg.root_paths(g, -1)
 
 
 def test_deep_paths_need_no_recursion(capsys):

@@ -61,11 +61,19 @@ def _occurrences_reference(w, R, C):
 
 def test_oracle_subwords_matches_window_reference():
     sizes = [(k, l) for k in range(1, 13) for l in range(1, 13)]
-    sizes += [(300, 1), (1, 300), (300, 2), (2, 300), (30, 70), (70, 30)]
+    sizes += [(300, 1), (1, 300), (300, 2), (2, 300), (30, 70), (70, 30),
+              (1100, 1)]
     for k, l in sizes:
         R, C = oracle.sufficient_bounds(k, l)
         assert oracle.oracle_subwords(k, l, R, C) == \
             _windows_reference(k, l, R, C), (k, l)
+
+
+def test_oracle_subwords_share_equal_rows():
+    # tall windows are cut from shared band rows
+    grids = oracle.oracle_subwords(300, 2, *oracle.sufficient_bounds(300, 2))
+    rows = [r for g in grids for r in g]
+    assert len({id(r) for r in rows}) == len(set(rows))
 
 
 def test_oracle_occurrences_matches_letter_scan():
