@@ -29,14 +29,23 @@ def sufficient_bounds(k: int, l: int) -> tuple[int, int]:
     return fib(m + 2, "F11"), fib(n + 2, "F11")
 
 
-def _windows(k: int, l: int, R: int, C: int):
-    """((i, j), window) for every 0-based (k,l) window of the (R,C) prefix.
+def _bands(l: int, R: int, C: int):
+    """(j, band) for every width-l column band of the (R,C) prefix.
 
-    Each column band is cut once; its windows are slices of the band.
+    Each distinct row of the prefix is cut once per band, so equal rows of
+    a band, and of every window sliced from it, are one string.
     """
     g = mu_prefix(R, C)
+    distinct = set(g)
     for j in range(C - l + 1):
-        band = tuple([row[j:j + l] for row in g])
+        rows = {r: r[j:j + l] for r in distinct}
+        yield j, tuple([rows[r] for r in g])
+
+
+def _windows(k: int, l: int, R: int, C: int):
+    """((i, j), window) for every 0-based (k,l) window of the (R,C) prefix,
+    each a slice of its column band."""
+    for j, band in _bands(l, R, C):
         for i in range(R - k + 1):
             yield (i, j), band[i:i + k]
 
@@ -48,14 +57,10 @@ def _tall_subwords(k: int, l: int, R: int, C: int) -> tuple[Grid, ...]:
     text, so a name hashes in C instead of as k row references.  Rows have
     one length, so names sort as their windows do.  Each distinct name
     keeps its first offset, and only those windows are cut out of their
-    band; equal rows of every band are one shared string.
+    band.
     """
-    g = mu_prefix(R, C)
-    cut: dict[str, str] = {}
     bands, first = [], {}
-    for j in range(C - l + 1):
-        rows = {r: cut.setdefault(r[j:j + l], r[j:j + l]) for r in set(g)}
-        band = tuple([rows[r] for r in g])
+    for j, band in _bands(l, R, C):
         text = "".join(band)
         for i in range(R - k + 1):
             first.setdefault(text[i * l:(i + k) * l], (i, j))
@@ -67,8 +72,9 @@ def _tall_subwords(k: int, l: int, R: int, C: int) -> tuple[Grid, ...]:
 def oracle_subwords(k: int, l: int, R: int, C: int) -> tuple[Grid, ...]:
     """All distinct (k,l) windows of the (R,C) prefix, sorted.
 
-    Tall windows (k > l) are named by their text (_tall_subwords); the
-    others are harvested from the column bands and hashed as they are.
+    Tall windows (k > l) are named by their text (_tall_subwords).  The
+    others are hashed as their k row references: a name would copy all
+    k*l letters of every window, which at (2,1100) doubles the time.
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")

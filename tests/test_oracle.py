@@ -70,10 +70,16 @@ def test_oracle_subwords_matches_window_reference():
 
 
 def test_oracle_subwords_share_equal_rows():
-    # tall windows are cut from shared band rows
-    grids = oracle.oracle_subwords(300, 2, *oracle.sufficient_bounds(300, 2))
-    rows = [r for g in grids for r in g]
-    assert len({id(r) for r in rows}) == len(set(rows))
+    # windows are slices of column bands that cut each distinct prefix row
+    # once, so equal rows of a window are one object and the row objects
+    # do not grow with the number of windows
+    for k, l in [(300, 2), (2, 300), (2, 1100), (40, 40)]:
+        R, C = oracle.sufficient_bounds(k, l)
+        grids = oracle.oracle_subwords(k, l, R, C)
+        for g in grids:
+            assert len({id(r) for r in g}) == len(set(g)), (k, l)
+        objects = {id(r) for g in grids for r in g}
+        assert len(objects) <= (C - l + 1) * len(set(word2d.mu_prefix(R, C)))
 
 
 def test_oracle_occurrences_matches_letter_scan():
