@@ -73,8 +73,11 @@ def _cmd_conjugates(args) -> int:
         sys.stdout.write(word2d.to_text(
             conjugacy.special_conjugate2d(args.m, args.n)))
     else:
-        grids = conjugacy.conjugacy_class(word2d.fib_array(args.m, args.n))
-        sys.stdout.write("\n".join(map(word2d.to_text, grids)))
+        # the bytes of "\n".join(map(to_text, grids)), one grid at a time
+        sep = ""
+        for w in conjugacy.conjugacy_class(word2d.fib_array(args.m, args.n)):
+            sys.stdout.write(sep + word2d.to_text(w))
+            sep = "\n"
     return 0
 
 

@@ -27,12 +27,19 @@ def rotate2d(w: Grid, i: int, j: int) -> Grid:
 
 def conjugacy_class(w: Grid) -> tuple[Grid, ...]:
     """All distinct row/column rotations of w; rows*cols of them iff w is
-    primitive."""
+    primitive.
+
+    Each distinct row is rotated once per column exponent, and every grid
+    of the class is a row rotation of one column of those rotations, so
+    equal rows of the class are one string.
+    """
     if not w:
         raise ValueError("conjugacy class needs a non-empty grid")
     rows, cols = dims(w)
-    return tuple(sorted({rotate2d(w, i, j)
-                         for i in range(rows) for j in range(cols)}))
+    turns = {r: [r[j:] + r[:j] for j in range(cols)] for r in set(w)}
+    lanes = [turns[r] for r in w]
+    return tuple(sorted({col[i:] + col[:i]
+                         for col in zip(*lanes) for i in range(rows)}))
 
 
 def special_conjugate2d(m: int, n: int) -> Grid:

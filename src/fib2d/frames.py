@@ -36,27 +36,42 @@ def frame_tl(w: Grid) -> FrameTL:
     return FrameTL(w[0], column(w, 1), w[0][0])
 
 
-def _frame_extensions(f: FrameTL) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Right extensions of frame_t and frame_l, after checking that both
-    start with the joint letter; right_extensions raises NotAFactor for a
-    word that is not a factor."""
-    frame_t, frame_l, s = f
-    if not frame_t or not frame_l:
-        raise ValueError("frame words must be non-empty")
-    if not frame_t[0] == frame_l[0] == s:
-        raise InconsistentJoint(
-            f"frames start with {frame_t[0]!r} and {frame_l[0]!r}, joint {s!r}")
-    return (right_extensions(frame_t, row_alphabet_of(s)),
-            right_extensions(frame_l, col_alphabet_of(s)))
+def _extend(fs):
+    """The paper's extension rule, applied to every frame of the sequence
+    fs at once.
+
+    Checks each frame first: both words non-empty and starting with the
+    joint letter.  Then grows each distinct frame_t over its row alphabet
+    and each distinct frame_l over its column alphabet once, as u + x for
+    each right extension x; right_extensions raises NotAFactor for a word
+    that is not a factor.  Both run before this returns; the iterator it
+    returns yields the extensions of each frame, in input order, as the
+    product of its grown top and side words, so frames with an equal word
+    share one grown string.
+    """
+    for frame_t, frame_l, s in fs:
+        if not frame_t or not frame_l:
+            raise ValueError("frame words must be non-empty")
+        if not frame_t[0] == frame_l[0] == s:
+            raise InconsistentJoint(
+                f"frames start with {frame_t[0]!r} and {frame_l[0]!r}, "
+                f"joint {s!r}")
+    tops = {u: [u + x for x in right_extensions(u, row_alphabet_of(u[0]))]
+            for u in dict.fromkeys(f.frame_t for f in fs)}
+    sides = {u: [u + y for y in right_extensions(u, col_alphabet_of(u[0]))]
+             for u in dict.fromkeys(f.frame_l for f in fs)}
+    return (FrameTL(t, l, s) for top, side, s in fs
+            for t in tops[top] for l in sides[side])
 
 
 def fill_from_frame(f: FrameTL) -> Grid:
     """Reconstruct the whole grid from its top-left frame, after checking
-    that both frame words are factors of their line words.
+    it the way extension does: non-empty words, the joint letter, and both
+    words factors of their line words.
 
     Inverse of frame_tl.
     """
-    _frame_extensions(f)
+    _extend((f,))
     return fill(f.frame_t, f.frame_l)
 
 
@@ -85,15 +100,20 @@ def extensions_of(f: FrameTL) -> tuple[FrameTL, ...]:
     """The one-step diagonal extensions of the (k,l) factor with frame f.
 
     Count by type: I gives 1, II and III give 2, IV gives 4.
+    Checked and grown by the same rule as each step of extend_diagonal.
     """
-    xs, ys = _frame_extensions(f)
-    return tuple(FrameTL(f.frame_t + x, f.frame_l + y, f.s_joint)
-                 for x in xs for y in ys)
+    return tuple(_extend((f,)))
 
 
 def extend_diagonal(frames) -> tuple[FrameTL, ...]:
     """Frames of the complete size-(k,l) class in, frames of the complete
-    size-(k+1,l+1) class out; each frame is checked as it is extended."""
+    size-(k+1,l+1) class out, in the order their sources come in.
+
+    Every frame is checked before any is grown, and each distinct frame
+    word is grown once per step.  A line word has one right-special factor
+    of each length, hence l+1 factors of length l, so the (k+1)(l+1)
+    frames cost at most 2(k+l+2) right_extensions lookups.
+    """
     fs = tuple(frames)
     if not fs:
         raise IncompleteInput("got no subwords at all")
@@ -104,7 +124,7 @@ def extend_diagonal(frames) -> tuple[FrameTL, ...]:
         raise IncompleteInput(
             f"size ({k},{l}) has {(k + 1) * (l + 1)} subwords, "
             f"got {len(set(fs))}")
-    out = dict.fromkeys(g for f in fs for g in extensions_of(f))
+    out = dict.fromkeys(_extend(fs))
     if len(out) != (k + 2) * (l + 2):
         raise InternalError(
             f"size ({k + 1},{l + 1}) has {(k + 2) * (l + 2)} subwords, "

@@ -239,7 +239,7 @@ INVARIANT_BREAKS = {
                    "dawg", 2, 2, "path pairs gave 1 subwords"),
     "dawg-corner": ("dawg.fill = lambda top, side: (top,) * len(side)",
                     "dawg", 2, 2, "does not end in column"),
-    "extend-count": ("frames.extensions_of = lambda w: ()",
+    "extend-count": ("frames.right_extensions = lambda u, alphabet: ()",
                      "extend", 2, 2, "extension gave 0"),
     "one-line-count": ("frames.factors1d = lambda k, alph: ()",
                        "extend", 1, 3, "extension gave 0"),

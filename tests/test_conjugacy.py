@@ -64,6 +64,15 @@ def test_conjugacy_class_of_imprimitive_grid_is_smaller():
     assert conjugacy.conjugacy_class(("dc", "dc")) == (("cd", "cd"), ("dc", "dc"))
 
 
+def test_conjugacy_class_shares_equal_rows():
+    # each distinct row is rotated once per column exponent; a rotation per
+    # grid would give rows * cols row objects to each of the rows * cols grids
+    for m, n in ((6, 6), (5, 8), (8, 5)):
+        w = word2d.fib_array(m, n)
+        rows = {id(r) for g in conjugacy.conjugacy_class(w) for r in g}
+        assert len(rows) <= len(set(w)) * len(w[0])
+
+
 def test_conjugacy_class_rejects_empty():
     with pytest.raises(ValueError):
         conjugacy.conjugacy_class(word2d.EMPTY)

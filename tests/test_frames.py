@@ -6,7 +6,8 @@ import pytest
 
 from fib2d import frames
 from fib2d.errors import IncompleteInput, InconsistentJoint, NotAFactor
-from fib2d.word2d import fill, subblock
+from fib2d.word1d import right_extensions
+from fib2d.word2d import col_alphabet_of, fill, row_alphabet_of, subblock
 
 from tables import (EXTENSIONS_2_2, FRAME_TYPES_1_1, FRAME_TYPES_2_2,
                     WORDS_1_1, WORDS_2_2, WORDS_3_3)
@@ -121,6 +122,67 @@ def test_extend_diagonal_rejects_bad_frames():
             frames.extend_diagonal(good + [bad])
         with pytest.raises(error):
             frames.extend_diagonal([bad] + good)
+
+
+def _extend_reference(fs):
+    # the per-frame step: check and grow both words of each frame in turn
+    out = {}
+    for frame_t, frame_l, s in fs:
+        if not frame_t or not frame_l:
+            raise ValueError("frame words must be non-empty")
+        if not frame_t[0] == frame_l[0] == s:
+            raise InconsistentJoint(s)
+        for x in right_extensions(frame_t, row_alphabet_of(s)):
+            for y in right_extensions(frame_l, col_alphabet_of(s)):
+                out[frames.FrameTL(frame_t + x, frame_l + y, s)] = None
+    return tuple(out)
+
+
+def _chain(k, l):
+    """Input frames of each diagonal step from the one-line class up to
+    size (k,l): that class's frames in sorted order, then each step's
+    output in the order extend_diagonal makes it."""
+    m = min(k, l)
+    fs = tuple(frames_of(frames.enumerate_extension(k - m + 1, l - m + 1)))
+    for _ in range(m - 1):
+        yield fs
+        fs = frames.extend_diagonal(fs)
+
+
+def test_extend_diagonal_matches_per_frame_step():
+    # every step from each one-line class (1,d) or (d,1) until a side is 12
+    ends = [(k, 12) for k in range(1, 13)] + [(12, l) for l in range(1, 12)]
+    for k, l in ends + [(40, 40), (30, 70)]:
+        for fs in _chain(k, l):
+            assert frames.extend_diagonal(fs) == _extend_reference(fs)
+
+
+def test_extension_grows_each_distinct_word_once(monkeypatch):
+    # the (a+1)(b+1) frames of a class have at most 2(b+1) distinct top
+    # words and 2(a+1) distinct side words; the per-frame step looks up
+    # 44 278 at (40,40) and 56 028 at (30,70)
+    calls = []
+
+    def counted(u, alphabet):
+        calls.append(u)
+        return right_extensions(u, alphabet)
+
+    monkeypatch.setattr(frames, "right_extensions", counted)
+    for k, l, most in ((40, 40, 3276), (30, 70, 4176)):
+        m = min(k, l)
+        sizes = [(k - m + i, l - m + i) for i in range(1, m)]
+        assert sum(2 * (a + b + 2) for a, b in sizes) == most
+        calls.clear()
+        frames.enumerate_extension(k, l)
+        assert 0 < len(calls) <= most
+
+
+def test_extension_shares_equal_frame_words():
+    for k, l in ((12, 12), (8, 20), (20, 8)):
+        for fs in _chain(k, l):
+            out = frames.extend_diagonal(fs)
+            for words in ([f.frame_t for f in out], [f.frame_l for f in out]):
+                assert len({id(u) for u in words}) == len(set(words))
 
 
 # ------------------------------------------------------------- enumeration --
