@@ -15,9 +15,8 @@ from .errors import (BadBounds, EmptyWord, Fib2DError, IncompleteInput,
                      InconsistentJoint, InternalError, NotAFactor,
                      NotFibStructured, OutOfDomain, OutOfRange,
                      ShapeMismatch, TooShort)
-from .frames import (FrameTL, classify_frame, enumerate_extension,
-                     extend_diagonal, extensions_of, fill_from_frame,
-                     frame_tl)
+from .frames import (FrameTL, enumerate_extension, extend_diagonal,
+                     extensions_of, fill_from_frame, frame_tl)
 from .locator import first_occ2d, occ2d, occ_axes
 from .oracle import (oracle_occurrences, oracle_subwords, sufficient_bounds,
                      verify)
@@ -25,9 +24,8 @@ from .word1d import (factors1d, fib, fib_prefix, fib_word, first_occ1d,
                      occ1d, right_extensions, rotate1d,
                      shortest_truncated_index, special_conjugate1d,
                      special_factor, truncated, z_stream, zeck_repr)
-from .word2d import (EMPTY, Grid, LineTags, as_grid, classify_lines,
-                     col_alphabet_of, column, dims, fib_array, fill,
-                     mu_prefix, parse_text, row_alphabet_of, subblock,
-                     swap_row_alphabet, to_text)
+from .word2d import (EMPTY, Grid, as_grid, classify_lines, col_alphabet_of,
+                     column, dims, fib_array, fill, mu_prefix, parse_text,
+                     row_alphabet_of, subblock, swap_row_alphabet, to_text)
 
 __version__ = "0.1.0"

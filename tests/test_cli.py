@@ -241,6 +241,9 @@ INVARIANT_BREAKS = {
                     "dawg", 2, 2, "does not end in column"),
     "extend-count": ("frames.right_extensions = lambda u, alphabet: ()",
                      "extend", 2, 2, "extension gave 0"),
+    "extend-duplicate": ("frames.right_extensions = "
+                         "lambda u, alphabet: (alphabet[0],) * 2",
+                         "extend", 2, 2, "extension gave 4"),
     "one-line-count": ("frames.factors1d = lambda k, alph: ()",
                        "extend", 1, 3, "extension gave 0"),
     "conjugate": ("conjugacy.special_conjugate2d = lambda m, n: ('d',)",

@@ -6,9 +6,11 @@ import pytest
 
 from fib2d import frames
 from fib2d.errors import IncompleteInput, InconsistentJoint, NotAFactor
-from fib2d.word1d import right_extensions
-from fib2d.word2d import col_alphabet_of, fill, row_alphabet_of, subblock
+from fib2d.word1d import factors1d, right_extensions
+from fib2d.word2d import (COL_ALPHABETS, ROW_ALPHABETS, col_alphabet_of, fill,
+                          row_alphabet_of, subblock)
 
+from reference import classify_frame
 from tables import (EXTENSIONS_2_2, FRAME_TYPES_1_1, FRAME_TYPES_2_2,
                     WORDS_1_1, WORDS_2_2, WORDS_3_3)
 
@@ -48,14 +50,14 @@ def test_classify_frame_values():
     for words, types in ((WORDS_1_1, FRAME_TYPES_1_1),
                          (WORDS_2_2, FRAME_TYPES_2_2)):
         for w in words:
-            assert frames.classify_frame(frames.frame_tl(w)) == types[w]
+            assert classify_frame(frames.frame_tl(w)) == types[w]
 
 
 def test_type_distribution():
     # size (k,l) splits as kl type I, l type II, k type III, one type IV
     for k, l in ((2, 2), (3, 3), (2, 4), (5, 3)):
         words = frames.enumerate_extension(k, l)
-        kinds = [frames.classify_frame(frames.frame_tl(w)) for w in words]
+        kinds = [classify_frame(frames.frame_tl(w)) for w in words]
         assert kinds.count("I") == k * l
         assert kinds.count("II") == l
         assert kinds.count("III") == k
@@ -81,7 +83,7 @@ def test_extension_count_per_type():
     for k, l in ((1, 1), (2, 2), (3, 2)):
         for w in frames.enumerate_extension(k, l):
             f = frames.frame_tl(w)
-            kind = frames.classify_frame(f)
+            kind = classify_frame(f)
             assert len(frames.extensions_of(f)) == TYPE_EXTENSION_COUNT[kind]
 
 
@@ -177,20 +179,43 @@ def test_extension_grows_each_distinct_word_once(monkeypatch):
         assert 0 < len(calls) <= most
 
 
-def test_extension_shares_equal_frame_words():
-    for k, l in ((12, 12), (8, 20), (20, 8)):
-        for fs in _chain(k, l):
-            out = frames.extend_diagonal(fs)
-            for words in ([f.frame_t for f in out], [f.frame_l for f in out]):
-                assert len({id(u) for u in words}) == len(set(words))
-
-
 # ------------------------------------------------------------- enumeration --
 
 def test_enumerate_extension_small_catalogs():
     assert frames.enumerate_extension(1, 1) == WORDS_1_1
     assert frames.enumerate_extension(2, 2) == WORDS_2_2
     assert frames.enumerate_extension(3, 3) == WORDS_3_3
+
+
+def _per_frame_class(k, l):
+    """The (k,l) class reached frame by frame: the one-line frames made
+    from factors1d, stepped with extend_diagonal, filled and sorted."""
+    m = min(k, l)
+    if k <= l:
+        fs = [frames.FrameTL(u, u[0], u[0]) for alph in ROW_ALPHABETS
+              for u in factors1d(l - m + 1, alph)]
+    else:
+        fs = [frames.FrameTL(u[0], u, u[0]) for alph in COL_ALPHABETS
+              for u in factors1d(k - m + 1, alph)]
+    for _ in range(m - 1):
+        fs = frames.extend_diagonal(fs)
+    return grids(fs)
+
+
+def test_enumerate_extension_matches_per_frame_chain():
+    sizes = [(k, l) for k in range(1, 13) for l in range(1, 13)]
+    for k, l in sizes + [(40, 40), (30, 70), (70, 30), (2, 300), (300, 2)]:
+        assert frames.enumerate_extension(k, l) == _per_frame_class(k, l)
+
+
+def test_enumerate_extension_grows_blocks_not_frames(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerate_extension went frame by frame")
+
+    for name in ("extend_diagonal", "extensions_of", "FrameTL"):
+        monkeypatch.setattr(frames, name, refuse)
+    assert frames.enumerate_extension(3, 3) == WORDS_3_3
+    assert len(frames.enumerate_extension(5, 9)) == 6 * 10
 
 
 def test_enumerate_extension_counts():
