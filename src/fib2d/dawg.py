@@ -8,7 +8,11 @@ the column DAWG at every node of the row DAWG gives a graph whose root paths
 of shape (l across, then k down) are exactly the size-(k,l) subwords.  Every
 hung copy is the same graph, so those paths are the pairs of an across root
 path and a down root path: enumeration walks the two line DAWGs and pairs
-their paths, and the product itself is built only for display.
+their paths, and the product itself is built only for display.  Each path
+is spelled once, over one line alphabet.  An across path's last class and
+a down path's first class meet in one corner letter, so the pairs fall
+into four corner buckets, and each path of a bucket is translated once
+into that corner's line alphabet before its pairs are filled.
 
 Node arithmetic uses fib(n, "F12"): spine edges i-1 -> i carry the i-th
 abstract letter, and shortcut edges F(j)-2 -> F(j+1)-1 carry the dominant
@@ -20,24 +24,31 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import InconsistentJoint, InternalError
-from .word1d import fib, fib_index, fib_prefix
+from .word1d import LETTERS, fib, fib_index, fib_prefix
 from .word2d import (COL_ALPHABETS, ROW_ALPHABETS, Grid, col_alphabet_of,
                      column, fill, row_alphabet_of)
 
 # abstract classes per orientation, dominant first
 _CLASSES = {"rows": COL_ALPHABETS, "cols": ROW_ALPHABETS}
 
+# one frozenset object per non-empty letter set: Digraph.add_edge hands
+# these out, so the label lookups below hit by identity
+_LABELS = {lab: lab for lab in (frozenset(c) for r in range(1, 5)
+                                for c in combinations("abcd", r))}
+
 # line alphabet -> {label: the one letter of the label in that alphabet},
 # for every label that has exactly one; labels are letters or letter sets
 _LETTER = {alph: {lab: "".join(set(lab) & set(alph))
-                  for lab in [*"abcd", *(frozenset(c) for r in range(1, 5)
-                                         for c in combinations("abcd", r))]
+                  for lab in [*"abcd", *_LABELS]
                   if len(set(lab) & set(alph)) == 1}
            for alph in ROW_ALPHABETS + COL_ALPHABETS}
 
 
 class Digraph:
-    """Rooted digraph with frozenset edge labels and hashable node ids."""
+    """Rooted digraph with frozenset edge labels and hashable node ids.
+
+    Equal labels over 'abcd' are one shared object.
+    """
 
     def __init__(self, root):
         self.root = root
@@ -50,6 +61,7 @@ class Digraph:
 
     def add_edge(self, u, v, label) -> None:
         lab = frozenset(label)
+        lab = _LABELS.get(lab, lab)
         self.nodes.add(u)
         self.nodes.add(v)
         self.edges.append((u, v, lab))
@@ -97,38 +109,40 @@ def _run(g: Digraph, node, length: int):
     return chain, edges
 
 
-def root_paths(g: Digraph, length: int) -> tuple[tuple[frozenset, ...], ...]:
-    """Label sequences of all root paths with `length` edges, depth first.
+def _walk(g: Digraph, length: int, spell) -> tuple:
+    """Every root path with `length` edges, depth first, as a sequence that
+    `spell` makes from label sequences: spell(labels) + spell(more) must
+    spell labels + more.
 
     A line DAWG is a spine with O(log L) shortcut edges, so most nodes have
     one out-edge.  The run of single edges from each node the walk reaches
-    is found once and copied into the path as one slice, so the walk steps
-    once per branch point, not once per path prefix.  A run stops after
-    `length` labels, so a cycle of single edges ends too.
+    is found and spelled once and copied into the path as one piece, so the
+    walk steps once per branch point, not once per path prefix.  A run
+    stops after `length` labels, so a cycle of single edges ends too.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
     out = []
-    labels = [None] * length
     runs = {}
-    stack = [(g.root, 0, None)]
+    stack = [(g.root, spell(()))]
     while stack:
-        node, depth, lab = stack.pop()
-        if depth:
-            labels[depth - 1] = lab
+        node, path = stack.pop()
         run = runs.get(node)
         if run is None:
-            run = runs[node] = _run(g, node, length)
-        chain, edges = run
-        end = depth + len(chain)
-        if end >= length:
-            labels[depth:] = chain[:length - depth]
-            out.append(tuple(labels))
+            chain, edges = _run(g, node, length)
+            run = runs[node] = (spell(chain), [(dst, spell((lab,)))
+                                               for dst, lab in reversed(edges)])
+        path += run[0]
+        if len(path) >= length:
+            out.append(path[:length])
             continue
-        labels[depth:end] = chain
-        for dst, step in reversed(edges):
-            stack.append((dst, end + 1, step))
+        stack += [(dst, path + step) for dst, step in run[1]]
     return tuple(out)
+
+
+def root_paths(g: Digraph, length: int) -> tuple[tuple[frozenset, ...], ...]:
+    """Label sequences of all root paths with `length` edges, depth first."""
+    return _walk(g, length, tuple)
 
 
 # ----------------------------------------------------------------- product --
@@ -207,15 +221,48 @@ def subword_from_path(h_labels, v_labels) -> Grid:
 
 # ------------------------------------------------------------- enumeration --
 
+def _line_words(orientation: str, length: int, base: str) -> tuple[str, ...]:
+    """The line DAWG's root paths with `length` edges, each spelled once
+    over the line alphabet `base`, which has one letter in each of the
+    orientation's two classes."""
+    letter = _LETTER[base].__getitem__
+    return _walk(build_line_dawg(orientation, length), length,
+                 lambda labels: "".join(map(letter, labels)))
+
+
 def enumerate_dawg(k: int, l: int) -> tuple[Grid, ...]:
     """All (k+1)(l+1) subwords of size (k,l), sorted row-major: one per pair
     of a length-l root path of the row DAWG and a length-k root path of the
-    column DAWG."""
+    column DAWG, decoded per corner bucket as the module docstring says.
+
+    The last column of fill(top, side) depends on top[-1] and side alone,
+    so the corner check runs once per distinct pair of them, on an output
+    grid.
+    """
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
-    across = root_paths(build_line_dawg("rows", l), l)
-    down = root_paths(build_line_dawg("cols", k), k)
-    words = {subword_from_path(h, v) for h in across for v in down}
+    row0, col0 = ROW_ALPHABETS[0], COL_ALPHABETS[0]
+    across = _line_words("rows", l, row0)
+    down = _line_words("cols", k, col0)
+    words = set()
+    for s in LETTERS:
+        row, col = row_alphabet_of(s), col_alphabet_of(s)
+        # the across path ends in s's column class and the down path starts
+        # with its row class: these are their letters in the spelling
+        h_end = _LETTER[row0][frozenset(col)]
+        v_start = _LETTER[col0][frozenset(row)]
+        to_row, to_col = str.maketrans(row0, row), str.maketrans(col0, col)
+        tops = [h.translate(to_row) for h in across if h[-1] == h_end]
+        sides = [v.translate(to_col) for v in down if v[0] == v_start]
+        # the index of one top per distinct last letter
+        ends = {t[-1]: i for i, t in enumerate(tops)}.values()
+        for side in sides:
+            grids = [fill(top, side) for top in tops]
+            for i in ends:
+                if column(grids[i], len(tops[i])) != side:
+                    raise InternalError(
+                        f"grid {grids[i]} does not end in column {side!r}")
+            words.update(grids)
     if len(words) != (k + 1) * (l + 1):
         raise InternalError(
             f"{len(across) * len(down)} path pairs gave {len(words)} "

@@ -2,11 +2,13 @@
 
 The library grows frames without naming their type, so the paper's frame
 types live here, read straight off the definition, for the tests that
-check the type table.
+check the type table.  The per-pair DAWG decoding, which the library's
+enumeration replaced, stays here as its differential reference.
 """
 
 from __future__ import annotations
 
+from fib2d.dawg import build_line_dawg, root_paths, subword_from_path
 from fib2d.word1d import special_factor
 from fib2d.word2d import col_alphabet_of, row_alphabet_of
 
@@ -26,3 +28,12 @@ def classify_frame(f) -> str:
     l_special = f.frame_l == special_factor(
         len(f.frame_l), col_alphabet_of(f.frame_l[0]))
     return _TYPES[t_special, l_special]
+
+
+def enumerate_dawg_per_pair(k: int, l: int):
+    """All size-(k,l) subwords, each (across, down) root path pair of the
+    line DAWGs decoded on its own by subword_from_path, sorted."""
+    across = root_paths(build_line_dawg("rows", l), l)
+    down = root_paths(build_line_dawg("cols", k), k)
+    return tuple(sorted({subword_from_path(h, v)
+                         for h in across for v in down}))

@@ -235,8 +235,12 @@ def test_memory_error_exits_14(capsys, monkeypatch):
 # one broken invariant per case: the patch applied, the request, and the
 # complaint expected on stderr
 INVARIANT_BREAKS = {
-    "dawg-count": ("dawg.subword_from_path = lambda h, v: ('d',)",
-                   "dawg", 2, 2, "path pairs gave 1 subwords"),
+    "dawg-count": ("dawg._walk = lambda g, n, spell, walk=dawg._walk: "
+                   "walk(g, n, spell)[:1]",
+                   "dawg", 2, 2, "1 path pairs gave 1 subwords"),
+    "dawg-label": ("dawg._LETTER = {alph: dict.fromkeys(letters, alph[0]) "
+                   "for alph, letters in dawg._LETTER.items()}",
+                   "dawg", 2, 2, "does not end in column"),
     "dawg-corner": ("dawg.fill = lambda top, side: (top,) * len(side)",
                     "dawg", 2, 2, "does not end in column"),
     "extend-count": ("frames.right_extensions = lambda u, alphabet: ()",

@@ -11,6 +11,7 @@ import pytest
 from fib2d import cli, dawg, word1d
 from fib2d.errors import InconsistentJoint
 
+from reference import enumerate_dawg_per_pair
 from tables import PATH_PAIRS_2_2, WORDS_1_1, WORDS_2_2, WORDS_3_3
 
 DB = frozenset("db")
@@ -46,6 +47,19 @@ def test_line_dawg_orientation_classes():
     assert labels == {DC, BA}
     g = dawg.build_line_dawg("rows", 1)
     assert {lab for _, _, lab in g.edges} == {DB, CA}
+
+
+def test_line_dawg_labels_are_letter_table_keys():
+    # one frozenset per distinct label, the very keys of the letter tables,
+    # so label lookups hit by identity
+    keys = [key for table in dawg._LETTER.values() for key in table]
+    rows = dawg.build_line_dawg("rows", 50)
+    cols = dawg.build_line_dawg("cols", 50)
+    small = dawg.rooted_product(dawg.build_line_dawg("rows", 5),
+                                dawg.build_line_dawg("cols", 5))
+    for g in (rows, cols, small):
+        for _, _, lab in g.edges:
+            assert any(lab is key for key in keys), lab
 
 
 def test_line_dawg_rejects_bad_input():
@@ -273,6 +287,27 @@ def test_enumerate_dawg_counts():
     for k in range(1, 6):
         for l in range(1, 6):
             assert len(dawg.enumerate_dawg(k, l)) == (k + 1) * (l + 1)
+
+
+def test_enumerate_dawg_matches_per_pair_decoder():
+    # the per-corner translation gives exactly what decoding each path
+    # pair on its own gives
+    shapes = [(k, l) for k in range(1, 13) for l in range(1, 13)]
+    shapes += [(1, 1100), (1100, 1), (2, 1100), (1100, 2), (30, 70), (70, 30)]
+    for k, l in shapes:
+        assert dawg.enumerate_dawg(k, l) == enumerate_dawg_per_pair(k, l), \
+            (k, l)
+
+
+def test_enumerate_dawg_spells_paths_not_pairs(monkeypatch):
+    # each path is spelled once by the walk; nothing decodes per pair
+    def forbidden(*args):
+        raise AssertionError("per-pair decoding")
+
+    monkeypatch.setattr(dawg, "subword_from_path", forbidden)
+    monkeypatch.setattr(dawg, "_spell", forbidden)
+    assert len(dawg.enumerate_dawg(40, 40)) == 41 * 41
+    assert len(dawg.enumerate_dawg(1, 300)) == 2 * 301
 
 
 def test_enumerate_dawg_rejects_bad_input():
