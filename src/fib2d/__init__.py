@@ -25,7 +25,8 @@ from .word1d import (factors1d, fib, fib_prefix, fib_word, first_occ1d,
                      shortest_truncated_index, special_conjugate1d,
                      special_factor, truncated, z_stream, zeck_repr)
 from .word2d import (EMPTY, Grid, as_grid, classify_lines, col_alphabet_of,
-                     column, dims, fib_array, fill, mu_prefix, parse_text,
-                     row_alphabet_of, subblock, swap_row_alphabet, to_text)
+                     column, dims, fib_array, fill, fill_text, mu_prefix,
+                     parse_text, row_alphabet_of, subblock, swap_row_alphabet,
+                     to_text)
 
 __version__ = "0.1.0"

@@ -36,11 +36,22 @@ def _cmd_gen2d(args) -> int:
 
 
 def _cmd_enum(args) -> int:
-    words = _ENUM_METHODS[args.method](args.k, args.l)
+    texts = _ENUM_METHODS[args.method](args.k, args.l)
+    # the bytes of print(json.dumps([grid, ...])) or of "\n".join(texts),
+    # one factor at a time
+    out = sys.stdout
     if args.json:
-        print(json.dumps([_grid_json(w) for w in words]))
+        out.write("[")
+        sep = ""
+        for text in texts:
+            out.write(sep + json.dumps(_grid_json(text[:-1].split("\n"))))
+            sep = ", "
+        out.write("]\n")
     else:
-        sys.stdout.write("\n".join(map(word2d.to_text, words)))
+        sep = ""
+        for text in texts:
+            out.write(sep + text)
+            sep = "\n"
     return 0
 
 

@@ -4,7 +4,8 @@ Rotating rows and columns of a Fibonacci grid cyclically ranges over its
 conjugacy class.  One distinguished conjugate has the property that the
 top-left prefixes of its successive inverse rotations run through all
 factors of a given size; a second enumeration reads prefixes of positive
-rotations of the next larger grid.
+rotations of the next larger grid.  Both return the sorted texts of the
+factors, each corner one slice of a joined column of row windows.
 """
 
 from __future__ import annotations
@@ -63,30 +64,34 @@ def _cover_index(k: int) -> int:
 
 
 def _corners(base: Grid, row_starts, col_starts, k: int, l: int,
-             method: str) -> tuple[Grid, ...]:
-    """The sorted (k,l) top-left corners of the rotations of base that start
-    at each row in row_starts and each column in col_starts.
+             method: str) -> tuple[str, ...]:
+    """The sorted texts of the (k,l) top-left corners of the rotations of
+    base that start at each row in row_starts and each column in
+    col_starts.
 
     Corners are read off the cyclic grid without building any rotation:
-    each distinct row cuts its windows once, so equal rows of the corners
-    are one string, and each corner is a slice of one column of those
-    windows.  There must be (k+1)(l+1) distinct corners.
+    each distinct row cuts its newline-ended windows once, each lane (one
+    column of those windows, a window per row) is joined once, and each
+    corner is one slice of its lane's text.  There must be (k+1)(l+1)
+    distinct corners.
     """
     windows = {}
     for w in set(base):
         cyclic = w + w[:l - 1]
-        windows[w] = [cyclic[j:j + l] for j in col_starts]
-    lanes = [windows[w] for w in base + base[:k - 1]]
-    out = {col[i:i + k] for col in zip(*lanes) for i in row_starts}
+        windows[w] = [cyclic[j:j + l] + "\n" for j in col_starts]
+    lanes = zip(*[windows[w] for w in base + base[:k - 1]])
+    n = l + 1
+    out = {text[i * n:(i + k) * n]
+           for text in map("".join, lanes) for i in row_starts}
     if len(out) != (k + 1) * (l + 1):
         raise InternalError(f"size ({k},{l}) has {(k + 1) * (l + 1)} "
                             f"subwords, {method} gave {len(out)}")
     return tuple(sorted(out))
 
 
-def enumerate_conjugation(k: int, l: int) -> tuple[Grid, ...]:
-    """All (k+1)(l+1) subwords of size (k,l) as prefixes of the inverse
-    rotations of the special conjugate."""
+def enumerate_conjugation(k: int, l: int) -> tuple[str, ...]:
+    """The texts of all (k+1)(l+1) subwords of size (k,l), sorted, as
+    prefixes of the inverse rotations of the special conjugate."""
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
     q = special_conjugate2d(_cover_index(k), _cover_index(l))
@@ -105,7 +110,7 @@ def _prefix_rotations(k: int, m: int) -> tuple[int, ...]:
     return lo + hi
 
 
-def enumerate_prefix_conjugates(k: int, l: int) -> tuple[Grid, ...]:
+def enumerate_prefix_conjugates(k: int, l: int) -> tuple[str, ...]:
     """The same (k+1)(l+1) subwords, read from positive rotations of the
     one-larger grid; needs k, l >= 2."""
     if k < 2 or l < 2:

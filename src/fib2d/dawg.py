@@ -12,7 +12,8 @@ their paths, and the product itself is built only for display.  Each path
 is spelled once, over one line alphabet.  An across path's last class and
 a down path's first class meet in one corner letter, so the pairs fall
 into four corner buckets, and each path of a bucket is translated once
-into that corner's line alphabet before its pairs are filled.
+into that corner's line alphabet before its pairs are filled into their
+texts.
 
 Node arithmetic uses fib(n, "F12"): spine edges i-1 -> i carry the i-th
 abstract letter, and shortcut edges F(j)-2 -> F(j+1)-1 carry the dominant
@@ -26,7 +27,7 @@ from itertools import combinations
 from .errors import InconsistentJoint, InternalError
 from .word1d import LETTERS, fib, fib_index, fib_prefix
 from .word2d import (COL_ALPHABETS, ROW_ALPHABETS, Grid, col_alphabet_of,
-                     column, fill, row_alphabet_of)
+                     column, fill, fill_text, row_alphabet_of)
 
 # abstract classes per orientation, dominant first
 _CLASSES = {"rows": COL_ALPHABETS, "cols": ROW_ALPHABETS}
@@ -230,14 +231,15 @@ def _line_words(orientation: str, length: int, base: str) -> tuple[str, ...]:
                  lambda labels: "".join(map(letter, labels)))
 
 
-def enumerate_dawg(k: int, l: int) -> tuple[Grid, ...]:
-    """All (k+1)(l+1) subwords of size (k,l), sorted row-major: one per pair
-    of a length-l root path of the row DAWG and a length-k root path of the
-    column DAWG, decoded per corner bucket as the module docstring says.
+def enumerate_dawg(k: int, l: int) -> tuple[str, ...]:
+    """The texts of all (k+1)(l+1) subwords of size (k,l), sorted: one per
+    pair of a length-l root path of the row DAWG and a length-k root path
+    of the column DAWG, decoded per corner bucket as the module docstring
+    says.
 
-    The last column of fill(top, side) depends on top[-1] and side alone,
-    so the corner check runs once per distinct pair of them, on an output
-    grid.
+    The last column of fill_text(top, side) depends on top[-1] and side
+    alone, so the corner check runs once per distinct pair of them, on an
+    output text, whose last column is one strided slice.
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
@@ -257,12 +259,13 @@ def enumerate_dawg(k: int, l: int) -> tuple[Grid, ...]:
         # the index of one top per distinct last letter
         ends = {t[-1]: i for i, t in enumerate(tops)}.values()
         for side in sides:
-            grids = [fill(top, side) for top in tops]
+            texts = [fill_text(top, side) for top in tops]
             for i in ends:
-                if column(grids[i], len(tops[i])) != side:
+                n = len(tops[i])
+                if texts[i][n - 1::n + 1] != side:
                     raise InternalError(
-                        f"grid {grids[i]} does not end in column {side!r}")
-            words.update(grids)
+                        f"grid {texts[i]!r} does not end in column {side!r}")
+            words.update(texts)
     if len(words) != (k + 1) * (l + 1):
         raise InternalError(
             f"{len(across) * len(down)} path pairs gave {len(words)} "

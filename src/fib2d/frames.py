@@ -10,7 +10,7 @@ blocks of words, one per corner letter, and growing every word of every
 block once yields the next complete class.  Enumeration starts from the
 blocks of the complete one-line class, grows them diagonally until the
 shorter side reaches its size, and only then fills each pair of a block
-into its grid.
+into its text.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from typing import NamedTuple
 from .errors import IncompleteInput, InconsistentJoint, InternalError
 from .word1d import LETTERS, factors1d, right_extensions
 from .word2d import (COL_ALPHABETS, ROW_ALPHABETS, Grid, classify_lines,
-                     col_alphabet_of, column, fill, row_alphabet_of)
+                     col_alphabet_of, column, fill, fill_text,
+                     row_alphabet_of)
 # unused here; perfbench/selftest.py checks that the tracer wraps this binding
 from .word2d import subblock  # noqa: F401
 
@@ -105,8 +106,9 @@ def extend_diagonal(frames) -> tuple[FrameTL, ...]:
     return tuple(out)
 
 
-def enumerate_extension(k: int, l: int) -> tuple[Grid, ...]:
-    """All (k+1)(l+1) subwords of size (k,l), found by repeated extension.
+def enumerate_extension(k: int, l: int) -> tuple[str, ...]:
+    """The texts of all (k+1)(l+1) subwords of size (k,l), sorted, found by
+    repeated extension.
 
     The class is kept as one block (tops, sides) per corner letter x: the
     row and the column factors that start with x, each pair of which is the
@@ -115,7 +117,7 @@ def enumerate_extension(k: int, l: int) -> tuple[Grid, ...]:
     of length |k-l|+1 and single letters.  Each of the m-1 diagonal steps
     grows every word of every block once and checks that the blocks hold
     the count law's number of distinct frames.  Each pair of a final block
-    is filled once.
+    is filled into its text once.
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
@@ -131,9 +133,9 @@ def enumerate_extension(k: int, l: int) -> tuple[Grid, ...]:
         if n != (a + 1) * (b + 1):
             raise InternalError(f"size ({a},{b}) has {(a + 1) * (b + 1)} "
                                 f"subwords, extension gave {n}")
-    grids = [fill(t, s) for ts, ss in blocks for t in ts for s in ss]
-    if len(grids) != (k + 1) * (l + 1):
+    texts = [fill_text(t, s) for ts, ss in blocks for t in ts for s in ss]
+    if len(texts) != (k + 1) * (l + 1):
         raise InternalError(
             f"size ({k},{l}) has {(k + 1) * (l + 1)} subwords, "
-            f"extension gave {len(grids)}")
-    return tuple(sorted(grids))
+            f"extension gave {len(texts)}")
+    return tuple(sorted(texts))

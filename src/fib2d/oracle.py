@@ -2,9 +2,10 @@
 
 Everything here works by materializing an explicit prefix of the infinite
 grid and scanning windows, so it is independent of the DAWG, extension and
-conjugation machinery it is used to check.  A tall window is named by its
-text, so telling tall windows apart hashes one string per window, not one
-reference per row.
+conjugation machinery it is used to check.  Like every enumeration, the
+oracle returns the sorted texts of the factors.  A tall window is named by
+its text, so telling tall windows apart hashes one string per window, not
+one reference per row, and the names are the answer.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from . import conjugacy, dawg, frames
 from .errors import BadBounds
 from .word1d import fib, fib_index
-from .word2d import Grid, dims, mu_prefix
+from .word2d import Grid, dims, mu_prefix, to_text
 
 
 def sufficient_bounds(k: int, l: int) -> tuple[int, int]:
@@ -29,8 +30,9 @@ def sufficient_bounds(k: int, l: int) -> tuple[int, int]:
     return fib(m + 2, "F11"), fib(n + 2, "F11")
 
 
-def _bands(l: int, R: int, C: int):
-    """(j, band) for every width-l column band of the (R,C) prefix.
+def _bands(l: int, R: int, C: int, end: str = ""):
+    """(j, band) for every width-l column band of the (R,C) prefix, each
+    row of a band followed by `end`.
 
     Each distinct row of the prefix is cut once per band, so equal rows of
     a band, and of every window sliced from it, are one string.
@@ -38,7 +40,7 @@ def _bands(l: int, R: int, C: int):
     g = mu_prefix(R, C)
     distinct = set(g)
     for j in range(C - l + 1):
-        rows = {r: r[j:j + l] for r in distinct}
+        rows = {r: r[j:j + l] + end for r in distinct}
         yield j, tuple([rows[r] for r in g])
 
 
@@ -50,31 +52,30 @@ def _windows(k: int, l: int, R: int, C: int):
             yield (i, j), band[i:i + k]
 
 
-def _tall_subwords(k: int, l: int, R: int, C: int) -> tuple[Grid, ...]:
-    """All distinct (k,l) windows of the (R,C) prefix, sorted, for k > l.
+def _tall_subwords(k: int, l: int, R: int, C: int) -> tuple[str, ...]:
+    """The texts of all distinct (k,l) windows of the (R,C) prefix, sorted,
+    for k > l.
 
-    A window is named by its rows joined, one slice of its column band's
-    text, so a name hashes in C instead of as k row references.  Rows have
-    one length, so names sort as their windows do.  Each distinct name
-    keeps its first offset, and only those windows are cut out of their
-    band.
+    A window is named by its text, one slice of its column band's text
+    with every row newline-ended, so a name hashes in C instead of as k row
+    references, and the name is what is returned.
     """
-    bands, first = [], {}
-    for j, band in _bands(l, R, C):
+    n = l + 1
+    names = set()
+    for _, band in _bands(l, R, C, "\n"):
         text = "".join(band)
-        for i in range(R - k + 1):
-            first.setdefault(text[i * l:(i + k) * l], (i, j))
-        bands.append(band)
-    return tuple([bands[j][i:i + k]
-                  for i, j in map(first.__getitem__, sorted(first))])
+        names.update([text[i * n:(i + k) * n] for i in range(R - k + 1)])
+    return tuple(sorted(names))
 
 
-def oracle_subwords(k: int, l: int, R: int, C: int) -> tuple[Grid, ...]:
-    """All distinct (k,l) windows of the (R,C) prefix, sorted.
+def oracle_subwords(k: int, l: int, R: int, C: int) -> tuple[str, ...]:
+    """The texts of all distinct (k,l) windows of the (R,C) prefix, sorted.
 
     Tall windows (k > l) are named by their text (_tall_subwords).  The
     others are hashed as their k row references: a name would copy all
-    k*l letters of every window, which at (2,1100) doubles the time.
+    k*l letters of every window, which at (2,1100) doubles the time.  Only
+    the distinct ones are rendered.  Rows have one length, so texts sort
+    as their windows do.
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
@@ -82,7 +83,8 @@ def oracle_subwords(k: int, l: int, R: int, C: int) -> tuple[Grid, ...]:
         raise BadBounds(f"prefix ({R},{C}) smaller than window ({k},{l})")
     if k > l:
         return _tall_subwords(k, l, R, C)
-    return tuple(sorted({win for _, win in _windows(k, l, R, C)}))
+    return tuple(sorted([to_text(win) for win in
+                         {win for _, win in _windows(k, l, R, C)}]))
 
 
 def oracle_occurrences(w: Grid, R: int, C: int) -> tuple[tuple[int, int], ...]:
@@ -97,8 +99,8 @@ def oracle_occurrences(w: Grid, R: int, C: int) -> tuple[tuple[int, int], ...]:
                         if win == w))
 
 
-# every enumeration method by name, as (k, l) -> sorted subwords; the CLI's
-# `enum --method` choices and the methods verify() compares
+# every enumeration method by name, as (k, l) -> sorted subword texts; the
+# CLI's `enum --method` choices and the methods verify() compares
 METHODS = {
     "conjugate": conjugacy.enumerate_conjugation,
     "dawg": dawg.enumerate_dawg,
@@ -118,14 +120,20 @@ def verify(k: int, l: int) -> dict:
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
     # prefix conjugates exist only from size (2,2) on
-    sets = {name: enum(k, l) for name, enum in METHODS.items()
-            if name != "prefix" or min(k, l) >= 2}
-    names = sorted(sets)
-    expected = (k + 1) * (l + 1)
-    agree = all(sets[a] == sets[b] for a, b in zip(names, names[1:]))
+    names = [name for name in sorted(METHODS)
+             if name != "prefix" or min(k, l) >= 2]
+    # every method is compared with the oracle's texts, and each other
+    # method's texts are dropped before the next method builds its own
+    truth = METHODS["oracle"](k, l)
     R, C = sufficient_bounds(k, l)
-    stable = oracle_subwords(k, l, 2 * R, 2 * C) == sets["oracle"]
-    sizes = {name: len(sets[name]) for name in names}
+    stable = oracle_subwords(k, l, 2 * R, 2 * C) == truth
+    sizes, agree = {}, True
+    for name in names:
+        texts = truth if name == "oracle" else METHODS[name](k, l)
+        sizes[name] = len(texts)
+        agree = agree and texts == truth
+        del texts
+    expected = (k + 1) * (l + 1)
     return {
         "k": k,
         "l": l,

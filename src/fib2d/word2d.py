@@ -2,7 +2,8 @@
 
 A grid is a tuple of equal-length row strings, row-major.  The empty grid ()
 has size (0,0); sizes (m,0) and (0,m) with m > 0 do not exist.  API
-coordinates are 1-based.
+coordinates are 1-based.  A grid's text is its rows, each ending in a
+newline (to_text); parse_text reads the grid back.
 
 Rows of the infinite grid are over {d,c} or {b,a} (d, b dominant), columns
 over {d,b} or {c,a}.  Within any factor, lines sharing an alphabet are equal.
@@ -36,6 +37,20 @@ def fill(top: str, side: str) -> Grid:
     """
     first, other = side[0], swap_row_alphabet(top)
     return tuple([top if ch == first else other for ch in side])
+
+
+# first letter of a column -> table sending it to "0" and every other
+# letter to "1"
+_BITS = {x: str.maketrans({y: "0" if y == x else "1" for y in LETTERS})
+         for x in LETTERS}
+
+
+def fill_text(top: str, side: str) -> str:
+    """to_text(fill(top, side)), built without the grid: side becomes one
+    bit per row, and each bit becomes its row and a newline, all in C."""
+    return (side.translate(_BITS[side[0]])
+            .replace("0", top + "\n")
+            .replace("1", swap_row_alphabet(top) + "\n"))
 
 
 def row_alphabet_of(ch: str) -> str:

@@ -4,13 +4,28 @@ The library grows frames without naming their type, so the paper's frame
 types live here, read straight off the definition, for the tests that
 check the type table.  The per-pair DAWG decoding, which the library's
 enumeration replaced, stays here as its differential reference.
+
+The enumerations return factor texts.  The grid-returning forms they
+replaced stay here as their differential references: `*_grids` gives
+each method's sorted grids, built the way the method built them before,
+with equal rows shared and every pair filled by word2d.fill.
 """
 
 from __future__ import annotations
 
-from fib2d.dawg import build_line_dawg, root_paths, subword_from_path
-from fib2d.word1d import special_factor
-from fib2d.word2d import col_alphabet_of, row_alphabet_of
+from fib2d import conjugacy, frames, oracle
+from fib2d.dawg import (_LETTER, _line_words, build_line_dawg, root_paths,
+                        subword_from_path)
+from fib2d.errors import InternalError
+from fib2d.word1d import LETTERS, factors1d, special_factor
+from fib2d.word2d import (COL_ALPHABETS, ROW_ALPHABETS, col_alphabet_of,
+                          column, dims, fib_array, fill, row_alphabet_of,
+                          to_text)
+
+
+def texts(grids) -> tuple[str, ...]:
+    """The text of each grid, in order."""
+    return tuple(map(to_text, grids))
 
 # (frame_t special, frame_l special) -> the paper's frame type
 _TYPES = {(False, False): "I", (False, True): "II",
@@ -37,3 +52,101 @@ def enumerate_dawg_per_pair(k: int, l: int):
     down = root_paths(build_line_dawg("cols", k), k)
     return tuple(sorted({subword_from_path(h, v)
                          for h in across for v in down}))
+
+
+# ------------------------------------------- grid-returning enumerations --
+
+def _corners(base, row_starts, col_starts, k, l, method):
+    windows = {}
+    for w in set(base):
+        cyclic = w + w[:l - 1]
+        windows[w] = [cyclic[j:j + l] for j in col_starts]
+    lanes = [windows[w] for w in base + base[:k - 1]]
+    out = {col[i:i + k] for col in zip(*lanes) for i in row_starts}
+    if len(out) != (k + 1) * (l + 1):
+        raise InternalError(f"size ({k},{l}) has {(k + 1) * (l + 1)} "
+                            f"subwords, {method} gave {len(out)}")
+    return tuple(sorted(out))
+
+
+def conjugation_grids(k, l):
+    q = conjugacy.special_conjugate2d(conjugacy._cover_index(k),
+                                      conjugacy._cover_index(l))
+    rows, cols = dims(q)
+    return _corners(q, [-i % rows for i in range(k + 1)],
+                    [-j % cols for j in range(l + 1)], k, l, "conjugation")
+
+
+def prefix_conjugates_grids(k, l):
+    m = conjugacy._cover_index(k) - 1
+    n = conjugacy._cover_index(l) - 1
+    return _corners(fib_array(m + 1, n + 1),
+                    conjugacy._prefix_rotations(k, m),
+                    conjugacy._prefix_rotations(l, n), k, l,
+                    "prefix conjugates")
+
+
+def dawg_grids(k, l):
+    row0, col0 = ROW_ALPHABETS[0], COL_ALPHABETS[0]
+    across = _line_words("rows", l, row0)
+    down = _line_words("cols", k, col0)
+    words = set()
+    for s in LETTERS:
+        row, col = row_alphabet_of(s), col_alphabet_of(s)
+        h_end = _LETTER[row0][frozenset(col)]
+        v_start = _LETTER[col0][frozenset(row)]
+        to_row, to_col = str.maketrans(row0, row), str.maketrans(col0, col)
+        tops = [h.translate(to_row) for h in across if h[-1] == h_end]
+        sides = [v.translate(to_col) for v in down if v[0] == v_start]
+        ends = {t[-1]: i for i, t in enumerate(tops)}.values()
+        for side in sides:
+            grids = [fill(top, side) for top in tops]
+            for i in ends:
+                if column(grids[i], len(tops[i])) != side:
+                    raise InternalError(
+                        f"grid {grids[i]} does not end in column {side!r}")
+            words.update(grids)
+    if len(words) != (k + 1) * (l + 1):
+        raise InternalError(f"{len(across) * len(down)} path pairs gave "
+                            f"{len(words)} subwords")
+    return tuple(sorted(words))
+
+
+def extension_grids(k, l):
+    m = min(k, l)
+    tops = [u for alph in ROW_ALPHABETS for u in factors1d(l - m + 1, alph)]
+    sides = [u for alph in COL_ALPHABETS for u in factors1d(k - m + 1, alph)]
+    blocks = [([u for u in tops if u[0] == x], [u for u in sides if u[0] == x])
+              for x in LETTERS]
+    for _ in range(m - 1):
+        blocks = [(frames._grow(ts, row_alphabet_of),
+                   frames._grow(ss, col_alphabet_of)) for ts, ss in blocks]
+    grids = [fill(t, s) for ts, ss in blocks for t in ts for s in ss]
+    if len(grids) != (k + 1) * (l + 1):
+        raise InternalError(f"extension gave {len(grids)}")
+    return tuple(sorted(grids))
+
+
+def oracle_grids(k, l, R, C):
+    if k > l:
+        # tall windows named by their rows joined; each name keeps its
+        # first offset, and only those windows are cut out of their band
+        bands, first = [], {}
+        for j, band in oracle._bands(l, R, C):
+            text = "".join(band)
+            for i in range(R - k + 1):
+                first.setdefault(text[i * l:(i + k) * l], (i, j))
+            bands.append(band)
+        return tuple([bands[j][i:i + k]
+                      for i, j in map(first.__getitem__, sorted(first))])
+    return tuple(sorted({win for _, win in oracle._windows(k, l, R, C)}))
+
+
+# method name, as in oracle.METHODS -> (k, l) -> sorted grids
+GRID_METHODS = {
+    "conjugate": conjugation_grids,
+    "dawg": dawg_grids,
+    "extend": extension_grids,
+    "oracle": lambda k, l: oracle_grids(k, l, *oracle.sufficient_bounds(k, l)),
+    "prefix": prefix_conjugates_grids,
+}

@@ -15,6 +15,7 @@ import fib2d
 from fib2d import cli, oracle, word1d, word2d
 from fib2d.errors import EXIT_CODES
 
+from reference import GRID_METHODS
 from tables import OCC_BLOCK, OCC_BLOCK_AXIS, WORDS_2_2
 
 
@@ -60,6 +61,24 @@ def test_enum_json(capsys):
     data = json.loads(out)
     assert data[0] == {"rows": 2, "cols": 2, "data": ["ab", "cd"]}
     assert [tuple(item["data"]) for item in data] == list(WORDS_2_2)
+
+
+@pytest.mark.parametrize("method", sorted(oracle.METHODS))
+@pytest.mark.parametrize("k, l", [(3, 3), (10, 1), (1, 10), (2, 2)])
+def test_enum_bytes_equal_whole_output(capsys, method, k, l):
+    # the streamed writer must print exactly what rendering the whole list
+    # of grids at once would
+    argv = ("enum", "--method", method, "--k", str(k), "--l", str(l))
+    if method == "prefix" and min(k, l) < 2:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (11, "") and err.startswith("error:")
+        return
+    grids = GRID_METHODS[method](k, l)
+    assert run(capsys, *argv) == (
+        0, "\n".join(map(word2d.to_text, grids)), "")
+    assert run(capsys, *argv, "--json") == (
+        0, json.dumps([{"rows": k, "cols": l, "data": list(w)}
+                       for w in grids]) + "\n", "")
 
 
 # ----------------------------------------------------------------- locate --
@@ -241,7 +260,8 @@ INVARIANT_BREAKS = {
     "dawg-label": ("dawg._LETTER = {alph: dict.fromkeys(letters, alph[0]) "
                    "for alph, letters in dawg._LETTER.items()}",
                    "dawg", 2, 2, "does not end in column"),
-    "dawg-corner": ("dawg.fill = lambda top, side: (top,) * len(side)",
+    "dawg-corner": ("dawg.fill_text = lambda top, side: "
+                    "(top + '\\n') * len(side)",
                     "dawg", 2, 2, "does not end in column"),
     "extend-count": ("frames.right_extensions = lambda u, alphabet: ()",
                      "extend", 2, 2, "extension gave 0"),

@@ -11,7 +11,7 @@ import pytest
 from fib2d import cli, dawg, word1d
 from fib2d.errors import InconsistentJoint
 
-from reference import enumerate_dawg_per_pair
+from reference import enumerate_dawg_per_pair, texts
 from tables import PATH_PAIRS_2_2, WORDS_1_1, WORDS_2_2, WORDS_3_3
 
 DB = frozenset("db")
@@ -278,9 +278,9 @@ def test_subword_from_path_rejects_malformed_labels():
 # ------------------------------------------------------------- enumeration --
 
 def test_enumerate_dawg_small_catalogs():
-    assert dawg.enumerate_dawg(1, 1) == WORDS_1_1
-    assert dawg.enumerate_dawg(2, 2) == WORDS_2_2
-    assert dawg.enumerate_dawg(3, 3) == WORDS_3_3
+    assert dawg.enumerate_dawg(1, 1) == texts(WORDS_1_1)
+    assert dawg.enumerate_dawg(2, 2) == texts(WORDS_2_2)
+    assert dawg.enumerate_dawg(3, 3) == texts(WORDS_3_3)
 
 
 def test_enumerate_dawg_counts():
@@ -295,8 +295,8 @@ def test_enumerate_dawg_matches_per_pair_decoder():
     shapes = [(k, l) for k in range(1, 13) for l in range(1, 13)]
     shapes += [(1, 1100), (1100, 1), (2, 1100), (1100, 2), (30, 70), (70, 30)]
     for k, l in shapes:
-        assert dawg.enumerate_dawg(k, l) == enumerate_dawg_per_pair(k, l), \
-            (k, l)
+        assert (dawg.enumerate_dawg(k, l)
+                == texts(enumerate_dawg_per_pair(k, l))), (k, l)
 
 
 def test_enumerate_dawg_spells_paths_not_pairs(monkeypatch):

@@ -8,9 +8,9 @@ from fib2d import frames
 from fib2d.errors import IncompleteInput, InconsistentJoint, NotAFactor
 from fib2d.word1d import factors1d, right_extensions
 from fib2d.word2d import (COL_ALPHABETS, ROW_ALPHABETS, col_alphabet_of, fill,
-                          row_alphabet_of, subblock)
+                          parse_text, row_alphabet_of, subblock)
 
-from reference import classify_frame
+from reference import classify_frame, texts
 from tables import (EXTENSIONS_2_2, FRAME_TYPES_1_1, FRAME_TYPES_2_2,
                     WORDS_1_1, WORDS_2_2, WORDS_3_3)
 
@@ -56,7 +56,7 @@ def test_classify_frame_values():
 def test_type_distribution():
     # size (k,l) splits as kl type I, l type II, k type III, one type IV
     for k, l in ((2, 2), (3, 3), (2, 4), (5, 3)):
-        words = frames.enumerate_extension(k, l)
+        words = map(parse_text, frames.enumerate_extension(k, l))
         kinds = [classify_frame(frames.frame_tl(w)) for w in words]
         assert kinds.count("I") == k * l
         assert kinds.count("II") == l
@@ -81,7 +81,7 @@ def test_extensions_of_matches_catalog():
 
 def test_extension_count_per_type():
     for k, l in ((1, 1), (2, 2), (3, 2)):
-        for w in frames.enumerate_extension(k, l):
+        for w in map(parse_text, frames.enumerate_extension(k, l)):
             f = frames.frame_tl(w)
             kind = classify_frame(f)
             assert len(frames.extensions_of(f)) == TYPE_EXTENSION_COUNT[kind]
@@ -145,7 +145,8 @@ def _chain(k, l):
     size (k,l): that class's frames in sorted order, then each step's
     output in the order extend_diagonal makes it."""
     m = min(k, l)
-    fs = tuple(frames_of(frames.enumerate_extension(k - m + 1, l - m + 1)))
+    fs = tuple(frames_of(map(parse_text, frames.enumerate_extension(
+        k - m + 1, l - m + 1))))
     for _ in range(m - 1):
         yield fs
         fs = frames.extend_diagonal(fs)
@@ -182,9 +183,9 @@ def test_extension_grows_each_distinct_word_once(monkeypatch):
 # ------------------------------------------------------------- enumeration --
 
 def test_enumerate_extension_small_catalogs():
-    assert frames.enumerate_extension(1, 1) == WORDS_1_1
-    assert frames.enumerate_extension(2, 2) == WORDS_2_2
-    assert frames.enumerate_extension(3, 3) == WORDS_3_3
+    assert frames.enumerate_extension(1, 1) == texts(WORDS_1_1)
+    assert frames.enumerate_extension(2, 2) == texts(WORDS_2_2)
+    assert frames.enumerate_extension(3, 3) == texts(WORDS_3_3)
 
 
 def _per_frame_class(k, l):
@@ -205,7 +206,8 @@ def _per_frame_class(k, l):
 def test_enumerate_extension_matches_per_frame_chain():
     sizes = [(k, l) for k in range(1, 13) for l in range(1, 13)]
     for k, l in sizes + [(40, 40), (30, 70), (70, 30), (2, 300), (300, 2)]:
-        assert frames.enumerate_extension(k, l) == _per_frame_class(k, l)
+        assert (frames.enumerate_extension(k, l)
+                == texts(_per_frame_class(k, l))), (k, l)
 
 
 def test_enumerate_extension_grows_blocks_not_frames(monkeypatch):
@@ -214,7 +216,7 @@ def test_enumerate_extension_grows_blocks_not_frames(monkeypatch):
 
     for name in ("extend_diagonal", "extensions_of", "FrameTL"):
         monkeypatch.setattr(frames, name, refuse)
-    assert frames.enumerate_extension(3, 3) == WORDS_3_3
+    assert frames.enumerate_extension(3, 3) == texts(WORDS_3_3)
     assert len(frames.enumerate_extension(5, 9)) == 6 * 10
 
 

@@ -9,6 +9,7 @@ import pytest
 from fib2d import oracle, word2d
 from fib2d.errors import BadBounds
 
+from reference import texts
 from tables import OCC_BLOCK, WORDS_1_1, WORDS_2_2, WORDS_3_3
 
 
@@ -22,9 +23,9 @@ def test_sufficient_bounds_values():
 
 
 def test_oracle_subwords_small_catalogs():
-    assert oracle.oracle_subwords(1, 1, 2, 2) == WORDS_1_1
-    assert oracle.oracle_subwords(2, 2, 30, 30) == WORDS_2_2
-    assert oracle.oracle_subwords(3, 3, 50, 50) == WORDS_3_3
+    assert oracle.oracle_subwords(1, 1, 2, 2) == texts(WORDS_1_1)
+    assert oracle.oracle_subwords(2, 2, 30, 30) == texts(WORDS_2_2)
+    assert oracle.oracle_subwords(3, 3, 50, 50) == texts(WORDS_3_3)
 
 
 def test_oracle_subwords_is_monotone():
@@ -66,16 +67,16 @@ def test_oracle_subwords_matches_window_reference():
     for k, l in sizes:
         R, C = oracle.sufficient_bounds(k, l)
         assert oracle.oracle_subwords(k, l, R, C) == \
-            _windows_reference(k, l, R, C), (k, l)
+            texts(_windows_reference(k, l, R, C)), (k, l)
 
 
-def test_oracle_subwords_share_equal_rows():
+def test_oracle_windows_share_equal_rows():
     # windows are slices of column bands that cut each distinct prefix row
     # once, so equal rows of a window are one object and the row objects
     # do not grow with the number of windows
     for k, l in [(300, 2), (2, 300), (2, 1100), (40, 40)]:
         R, C = oracle.sufficient_bounds(k, l)
-        grids = oracle.oracle_subwords(k, l, R, C)
+        grids = [win for _, win in oracle._windows(k, l, R, C)]
         for g in grids:
             assert len({id(r) for r in g}) == len(set(g)), (k, l)
         objects = {id(r) for g in grids for r in g}

@@ -1,0 +1,52 @@
+"""Every enumeration returns the sorted texts of its factors.
+
+A factor's text is its rows, each ending in a newline, as word2d.to_text
+prints them.  Each method is checked against the grid-returning form it
+replaced (tests/reference.py), and tall shapes are checked to build no
+row tuples at all.
+"""
+
+from __future__ import annotations
+
+import importlib
+import pkgutil
+
+import pytest
+
+import fib2d
+from fib2d import oracle
+
+from reference import GRID_METHODS, texts
+
+SIZES = [(k, l) for k in range(1, 13) for l in range(1, 13)]
+SIZES += [(40, 40), (30, 70), (70, 30),
+          (1100, 1), (1, 1100), (1100, 2), (2, 1100)]
+
+
+@pytest.mark.parametrize("method", sorted(oracle.METHODS))
+def test_texts_are_the_texts_of_the_parent_grids(method):
+    enum, grids = oracle.METHODS[method], GRID_METHODS[method]
+    for k, l in SIZES:
+        if method == "prefix" and min(k, l) < 2:
+            continue
+        assert enum(k, l) == texts(grids(k, l)), (method, k, l)
+
+
+def test_tall_enumeration_builds_no_row_tuples(monkeypatch):
+    # every binding of the grid builders in the package raises, so a tall
+    # factor is never held as a tuple of k rows
+    def refuse(*args):
+        raise AssertionError("a grid was built")
+
+    for info in pkgutil.iter_modules(fib2d.__path__):
+        module = importlib.import_module(f"fib2d.{info.name}")
+        for name in ("fill", "to_text"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    # prefix conjugates exist only from size (2,2) on
+    cases = [(method, l) for method in sorted(oracle.METHODS) for l in (1, 2)
+             if method != "prefix" or l == 2]
+    for method, l in cases:
+        words = oracle.METHODS[method](300, l)
+        assert len(words) == 301 * (l + 1), (method, l)
+        assert all(w.count("\n") == 300 for w in words), (method, l)

@@ -73,6 +73,27 @@ def test_fill():
     assert word2d.fill("d", "d") == ("d",)
 
 
+def _consistent_frames(k, l):
+    # every row factor of length l with every column factor of length k
+    # that starts with the same letter
+    sides = [v for alph in word2d.COL_ALPHABETS
+             for v in word1d.factors1d(k, alph)]
+    return [(t, v) for alph in word2d.ROW_ALPHABETS
+            for t in word1d.factors1d(l, alph) for v in sides if v[0] == t[0]]
+
+
+def test_fill_text_is_the_text_of_fill():
+    assert word2d.fill_text("dcd", "dbd") == "dcd\nbab\ndcd\n"
+    assert word2d.fill_text("ab", "ac") == "ab\ncd\n"
+    sizes = [(k, l) for k in range(1, 13) for l in range(1, 13)]
+    for k, l in sizes + [(1100, 1), (1, 1100), (1100, 2)]:
+        frames = _consistent_frames(k, l)
+        assert len(frames) == (k + 1) * (l + 1), (k, l)
+        for top, side in frames:
+            assert (word2d.fill_text(top, side)
+                    == word2d.to_text(word2d.fill(top, side))), (top, side)
+
+
 @given(st.text(alphabet="abcd", max_size=40))
 def test_swap_row_alphabet_is_involution(w):
     assert word2d.swap_row_alphabet(word2d.swap_row_alphabet(w)) == w
