@@ -1,14 +1,16 @@
 """Command line surface.
 
 Every command is deterministic: identical flags and input give
-byte-identical output.  Data errors exit with per-error codes (see
-errors.EXIT_CODES), argparse usage errors exit 2, a failed verify exits 1.
+byte-identical output, written in pieces as it is made.  Data errors exit
+with per-error codes (see errors.EXIT_CODES), argparse usage errors and
+I/O errors (a stdout closed early among them) exit 2, a failed verify
+exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 
 from . import conjugacy, dawg, locator, oracle, word1d, word2d
@@ -18,20 +20,28 @@ from .errors import EXIT_CODES, Fib2DError
 _ENUM_METHODS = oracle.METHODS
 
 
-def _grid_json(w) -> dict:
-    rows, cols = word2d.dims(w)
-    return {"rows": rows, "cols": cols, "data": list(w)}
-
-
 # --------------------------------------------------------------- commands --
 
+# characters per write of a long word
+_SLICE = 1 << 16
+
+
+def _write_rows(grid) -> None:
+    # the bytes of to_text(grid), one row at a time
+    for row in grid:
+        sys.stdout.write(row + "\n")
+
+
 def _cmd_gen1d(args) -> int:
-    print(word1d.fib_prefix(args.alphabet, args.len))
+    word = word1d.fib_prefix(args.alphabet, args.len)
+    for i in range(0, len(word), _SLICE):
+        sys.stdout.write(word[i:i + _SLICE])
+    sys.stdout.write("\n")
     return 0
 
 
 def _cmd_gen2d(args) -> int:
-    sys.stdout.write(word2d.to_text(word2d.mu_prefix(args.rows, args.cols)))
+    _write_rows(word2d.mu_prefix(args.rows, args.cols))
     return 0
 
 
@@ -41,10 +51,12 @@ def _cmd_enum(args) -> int:
     # one factor at a time
     out = sys.stdout
     if args.json:
+        # a text holds only letters and newlines, so no row needs escaping
+        head = f'{{"rows": {args.k}, "cols": {args.l}, "data": ["'
         out.write("[")
         sep = ""
         for text in texts:
-            out.write(sep + json.dumps(_grid_json(text[:-1].split("\n"))))
+            out.write(sep + head + text[:-1].replace("\n", '", "') + '"]}')
             sep = ", "
         out.write("]\n")
     else:
@@ -81,8 +93,7 @@ def _cmd_locate(args) -> int:
 
 def _cmd_conjugates(args) -> int:
     if args.special:
-        sys.stdout.write(word2d.to_text(
-            conjugacy.special_conjugate2d(args.m, args.n)))
+        _write_rows(conjugacy.special_conjugate2d(args.m, args.n))
     else:
         # the bytes of "\n".join(map(to_text, grids)), one grid at a time
         sep = ""
@@ -98,13 +109,15 @@ def _cmd_dawg_dot(args) -> int:
                                 dawg.build_line_dawg("cols", args.max_len))
     else:
         g = dawg.build_line_dawg(args.orientation, args.max_len)
-    sys.stdout.write(dawg.export_dot(g))
+    sys.stdout.writelines(dawg.export_dot(g))
     return 0
 
 
 def _cmd_verify(args) -> int:
     report = oracle.verify(args.k, args.l)
     if args.json:
+        import json  # here only: every other request would pay its import
+
         print(json.dumps(report))
     else:
         print(f"size ({report['k']},{report['l']}): "
@@ -172,13 +185,32 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _drop_stdout() -> None:
+    """Point stdout's descriptor at the null device, so that the flush at
+    exit drops what is still buffered instead of failing again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader gone early shows here at the latest, not at exit
+        sys.stdout.flush()
+        return code
     except Fib2DError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CODES[type(exc)]
+    except BrokenPipeError as exc:
+        _drop_stdout()
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,12 +8,13 @@ the column DAWG at every node of the row DAWG gives a graph whose root paths
 of shape (l across, then k down) are exactly the size-(k,l) subwords.  Every
 hung copy is the same graph, so those paths are the pairs of an across root
 path and a down root path: enumeration walks the two line DAWGs and pairs
-their paths, and the product itself is built only for display.  Each path
-is spelled once, over one line alphabet.  An across path's last class and
-a down path's first class meet in one corner letter, so the pairs fall
-into four corner buckets, and each path of a bucket is translated once
-into that corner's line alphabet before its pairs are filled into their
-texts.
+their paths.  The product itself is built only for display: `dawg-dot`
+lists its nodes and edges, and it holds no adjacency until something walks
+it.  Each path is spelled once, over one line alphabet.  An across path's
+last class and a down path's first class meet in one corner letter, so the
+pairs fall into four corner buckets, and each path of a bucket is
+translated once into that corner's line alphabet before its pairs are
+filled into their texts.
 
 Node arithmetic uses fib(n, "F12"): spine edges i-1 -> i carry the i-th
 abstract letter, and shortcut edges F(j)-2 -> F(j+1)-1 carry the dominant
@@ -48,7 +49,9 @@ _LETTER = {alph: {lab: "".join(set(lab) & set(alph))
 class Digraph:
     """Rooted digraph with frozenset edge labels and hashable node ids.
 
-    Equal labels over 'abcd' are one shared object.
+    Equal labels over 'abcd' are one shared object.  The out-adjacency is
+    built on the first out() call, and catches up with edges added since,
+    so a graph that is only listed never holds it.
     """
 
     def __init__(self, root):
@@ -56,6 +59,7 @@ class Digraph:
         self.nodes = {root}
         self.edges = []
         self._out = {}
+        self._indexed = 0
 
     def add_node(self, v) -> None:
         self.nodes.add(v)
@@ -66,9 +70,13 @@ class Digraph:
         self.nodes.add(u)
         self.nodes.add(v)
         self.edges.append((u, v, lab))
-        self._out.setdefault(u, []).append((v, lab))
 
     def out(self, u):
+        """The (target, label) pairs of u's out-edges, in the order added."""
+        if self._indexed < len(self.edges):
+            for src, dst, lab in self.edges[self._indexed:]:
+                self._out.setdefault(src, []).append((dst, lab))
+            self._indexed = len(self.edges)
         return self._out.get(u, [])
 
 
@@ -281,17 +289,23 @@ def _fmt_node(v) -> str:
     return str(v)
 
 
-def _fmt_label(lab) -> str:
-    return ",".join(sorted(lab, reverse=True))
+def export_dot(g: Digraph):
+    """Deterministic DOT text, yielded line by line, each line ending in a
+    newline; class labels are comma joined, dominant first.
 
-
-def export_dot(g: Digraph) -> str:
-    """Deterministic DOT text; class labels are comma joined, dominant first."""
-    lines = ["digraph {", "  rankdir=LR;"]
-    for v in sorted(g.nodes):
+    The nodes and edges are sorted before the first line is yielded, so
+    whatever fails does so before a caller writes a byte; each distinct
+    label is formatted once.
+    """
+    names = {lab: ",".join(sorted(lab, reverse=True))
+             for lab in {e[2] for e in g.edges}}
+    nodes = sorted(g.nodes)
+    edges = sorted(g.edges, key=lambda e: (e[0], e[1], names[e[2]]))
+    yield "digraph {\n"
+    yield "  rankdir=LR;\n"
+    for v in nodes:
         shape = "doublecircle" if v == g.root else "circle"
-        lines.append(f'  "{_fmt_node(v)}" [shape={shape}];')
-    for u, v, lab in sorted(g.edges, key=lambda e: (e[0], e[1], _fmt_label(e[2]))):
-        lines.append(f'  "{_fmt_node(u)}" -> "{_fmt_node(v)}" [label="{_fmt_label(lab)}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  "{_fmt_node(v)}" [shape={shape}];\n'
+    for u, v, lab in edges:
+        yield f'  "{_fmt_node(u)}" -> "{_fmt_node(v)}" [label="{names[lab]}"];\n'
+    yield "}\n"

@@ -5,6 +5,9 @@ types live here, read straight off the definition, for the tests that
 check the type table.  The per-pair DAWG decoding, which the library's
 enumeration replaced, stays here as its differential reference.
 
+The DOT export yields its text line by line; the whole-string formatter it
+replaced stays here as its differential reference.
+
 The enumerations return factor texts.  The grid-returning forms they
 replaced stay here as their differential references: `*_grids` gives
 each method's sorted grids, built the way the method built them before,
@@ -14,8 +17,8 @@ with equal rows shared and every pair filled by word2d.fill.
 from __future__ import annotations
 
 from fib2d import conjugacy, frames, oracle
-from fib2d.dawg import (_LETTER, _line_words, build_line_dawg, root_paths,
-                        subword_from_path)
+from fib2d.dawg import (_LETTER, _fmt_node, _line_words, build_line_dawg,
+                        root_paths, rooted_product, subword_from_path)
 from fib2d.errors import InternalError
 from fib2d.word1d import LETTERS, factors1d, special_factor
 from fib2d.word2d import (COL_ALPHABETS, ROW_ALPHABETS, col_alphabet_of,
@@ -52,6 +55,31 @@ def enumerate_dawg_per_pair(k: int, l: int):
     down = root_paths(build_line_dawg("cols", k), k)
     return tuple(sorted({subword_from_path(h, v)
                          for h in across for v in down}))
+
+
+def dot_graph(orientation: str, max_len: int):
+    """The graph `dawg-dot --orientation` prints."""
+    if orientation == "product":
+        return rooted_product(build_line_dawg("rows", max_len),
+                              build_line_dawg("cols", max_len))
+    return build_line_dawg(orientation, max_len)
+
+
+def _fmt_label(lab) -> str:
+    return ",".join(sorted(lab, reverse=True))
+
+
+def export_dot_text(g) -> str:
+    """Deterministic DOT text of g as one string, each label formatted per
+    edge."""
+    lines = ["digraph {", "  rankdir=LR;"]
+    for v in sorted(g.nodes):
+        shape = "doublecircle" if v == g.root else "circle"
+        lines.append(f'  "{_fmt_node(v)}" [shape={shape}];')
+    for u, v, lab in sorted(g.edges, key=lambda e: (e[0], e[1], _fmt_label(e[2]))):
+        lines.append(f'  "{_fmt_node(u)}" -> "{_fmt_node(v)}" [label="{_fmt_label(lab)}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 # ------------------------------------------- grid-returning enumerations --

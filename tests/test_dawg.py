@@ -11,7 +11,8 @@ import pytest
 from fib2d import cli, dawg, word1d
 from fib2d.errors import InconsistentJoint
 
-from reference import enumerate_dawg_per_pair, texts
+from reference import (dot_graph, enumerate_dawg_per_pair, export_dot_text,
+                       texts)
 from tables import PATH_PAIRS_2_2, WORDS_1_1, WORDS_2_2, WORDS_3_3
 
 DB = frozenset("db")
@@ -320,11 +321,40 @@ def test_enumerate_dawg_rejects_bad_input():
 # ----------------------------------------------------------------- export --
 
 def test_export_dot_is_deterministic():
-    one = dawg.export_dot(dawg.build_line_dawg("rows", 2))
-    two = dawg.export_dot(dawg.build_line_dawg("rows", 2))
+    one = "".join(dawg.export_dot(dawg.build_line_dawg("rows", 2)))
+    two = "".join(dawg.export_dot(dawg.build_line_dawg("rows", 2)))
     assert one == two
     assert one.startswith("digraph {")
     assert '"0" [shape=doublecircle];' in one
     assert '"0" -> "1" [label="d,b"];' in one
     assert '"0" -> "2" [label="c,a"];' in one
 
+
+@pytest.mark.parametrize("orientation", ["rows", "cols", "product"])
+def test_export_dot_lines_join_to_whole_text_reference(orientation):
+    for max_len in [*range(1, 13), 40]:
+        g = dot_graph(orientation, max_len)
+        lines = list(dawg.export_dot(g))
+        assert all(line.endswith("\n") and line.count("\n") == 1
+                   for line in lines)
+        assert "".join(lines) == export_dot_text(g)
+
+
+def test_export_dot_fails_before_its_first_line():
+    # node ids that do not sort fail while sorting, before any line is out
+    g = dawg.Digraph(0)
+    g.add_edge(0, "x", "d")
+    with pytest.raises(TypeError):
+        next(dawg.export_dot(g))
+
+
+def test_out_catches_up_with_edges_added_after_it():
+    g = dawg.Digraph(0)
+    assert g.out(0) == []
+    g.add_edge(0, 1, "d")
+    assert g.out(0) == [(1, frozenset("d"))]
+    g.add_edge(0, 2, "cd")
+    g.add_edge(2, 0, "a")
+    assert g.out(0) == [(1, frozenset("d")), (2, frozenset("cd"))]
+    assert g.out(2) == [(0, frozenset("a"))]
+    assert g.out(1) == []
