@@ -2,16 +2,16 @@
 
 Every command is deterministic: identical flags and input give
 byte-identical output, written in pieces as it is made.  Data errors exit
-with per-error codes (see errors.EXIT_CODES), argparse usage errors and
+with per-error codes (see errors.EXIT_CODES), usage errors and
 I/O errors (a stdout closed early among them) exit 2, a failed verify
 exits 1.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import conjugacy, dawg, locator, oracle, word1d, word2d
 from .errors import EXIT_CODES, Fib2DError
@@ -132,57 +132,96 @@ def _cmd_verify(args) -> int:
 
 # ----------------------------------------------------------------- parser --
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fib2d",
-        description="Factors of the two-dimensional infinite Fibonacci word.")
-    sub = parser.add_subparsers(dest="command", required=True)
+# command -> (function, help, {option: (type, default)}): int, str, bool for a
+# flag or a tuple of choices; None if required; "--row-bound" sets row_bound
+_COMMANDS = {
+    "gen1d": (_cmd_gen1d, "prefix of a 1D infinite Fibonacci word",
+              {"--alphabet": (str, "ba"), "--len": (int, None)}),
+    "gen2d": (_cmd_gen2d, "prefix of the infinite grid",
+              {"--rows": (int, None), "--cols": (int, None)}),
+    "enum": (_cmd_enum, "all subwords of a size", {"--k": (int, None),
+             "--l": (int, None), "--json": (bool, False),
+             "--method": (tuple(sorted(_ENUM_METHODS)), "dawg")}),
+    "locate": (_cmd_locate, "occurrence set of a factor ('--file -': stdin)",
+               {"--file": (str, None), "--row-bound": (int, None),
+                "--col-bound": (int, None)}),
+    "conjugates": (_cmd_conjugates, "conjugacy class of a Fibonacci grid",
+                   {"--m": (int, None), "--n": (int, None),
+                    "--special": (bool, False)}),
+    "dawg-dot": (_cmd_dawg_dot, "DOT dump of a line DAWG or product",
+                 {"--orientation": (("rows", "cols", "product"), None),
+                  "--max-len": (int, None)}),
+    "verify": (_cmd_verify, "cross-method agreement report",
+               {"--k": (int, None), "--l": (int, None),
+                "--json": (bool, False)}),
+}
 
-    p = sub.add_parser("gen1d", help="prefix of a 1D infinite Fibonacci word")
-    p.add_argument("--alphabet", default="ba",
-                   help="two letters, dominant first (default: ba)")
-    p.add_argument("--len", type=int, required=True)
-    p.set_defaults(func=_cmd_gen1d)
 
-    p = sub.add_parser("gen2d", help="prefix of the infinite grid")
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--cols", type=int, required=True)
-    p.set_defaults(func=_cmd_gen2d)
+def _usage(cmd) -> str:
+    if cmd is None:
+        return "usage: fib2d [-h] {" + ",".join(_COMMANDS) + "} ..."
+    words = [f"usage: fib2d {cmd} [-h]"]
+    for opt, (kind, default) in _COMMANDS[cmd][2].items():
+        if kind is not bool:
+            opt += " " + ("{" + ",".join(kind) + "}" if isinstance(kind, tuple)
+                          else opt[2:].upper().replace("-", "_"))
+        words.append(opt if default is None else f"[{opt}]")
+    return " ".join(words)
 
-    p = sub.add_parser("enum", help="all subwords of a size")
-    p.add_argument("--k", type=int, required=True, help="rows of the subwords")
-    p.add_argument("--l", type=int, required=True, help="cols of the subwords")
-    p.add_argument("--method", choices=sorted(_ENUM_METHODS), default="dawg")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_enum)
 
-    p = sub.add_parser("locate", help="occurrence set of a factor")
-    p.add_argument("--file", required=True,
-                   help="2D word in text format ('-' for stdin)")
-    p.add_argument("--row-bound", type=int, required=True)
-    p.add_argument("--col-bound", type=int, required=True)
-    p.set_defaults(func=_cmd_locate)
+def _fail(cmd, msg: str):
+    prog = f"fib2d {cmd}" if cmd else "fib2d"
+    sys.stderr.write(f"{_usage(cmd)}\n{prog}: error: {msg}\n")
+    raise SystemExit(2)
 
-    p = sub.add_parser("conjugates", help="conjugacy class of a Fibonacci grid")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--special", action="store_true",
-                   help="print only the distinguished conjugate")
-    p.set_defaults(func=_cmd_conjugates)
 
-    p = sub.add_parser("dawg-dot", help="DOT dump of a line DAWG or product")
-    p.add_argument("--orientation", choices=["rows", "cols", "product"],
-                   required=True)
-    p.add_argument("--max-len", type=int, required=True)
-    p.set_defaults(func=_cmd_dawg_dot)
+def _options(arg: str, table) -> list | None:
+    # the options arg names, [] for an unknown option, None for a value; as
+    # in argparse, "-", negative numbers and words with a space are values
+    head, names = arg.partition("=")[0], ("-h", "--help", *table)
+    hits = [head] if head in names else [
+        name for name in names if head[2:] and name.startswith(head)]
+    whole, dot, frac = arg[1:].removesuffix("\n").partition(".")
+    number = (whole + frac).isdecimal() and (frac or not dot)
+    value = arg[:1] != "-" or arg == "-" or number or " " in arg
+    return None if value and not hits else hits
 
-    p = sub.add_parser("verify", help="cross-method agreement report")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify)
 
-    return parser
+def _parse(argv):
+    """(command, options) read from argv as argparse read it.  Help raises
+    SystemExit(0), a usage error SystemExit(2) after one error line."""
+    cmd = argv[0] if argv and argv[0] in _COMMANDS else None
+    table = _COMMANDS[cmd][2] if cmd else {}
+    values = {opt: default for opt, (_, default) in table.items()}
+    args = iter(argv[1:] if cmd else argv)
+    for arg in args:
+        hits = _options(arg, table)
+        if not hits or len(hits) > 1:
+            _fail(cmd, f"unrecognized or ambiguous argument: {arg}")
+        opt, eq, value = hits[0], "=" in arg, arg.partition("=")[2]
+        kind = table[opt][0] if opt in table else bool
+        if kind is bool and eq:
+            _fail(cmd, f"argument {opt}: takes no value")
+        if opt not in table:  # -h or --help
+            print(_usage(cmd), "", *([_COMMANDS[cmd][1]] if cmd else (
+                f"  {c:<11} {e[1]}" for c, e in _COMMANDS.items())), sep="\n")
+            raise SystemExit(0)
+        if kind is not bool and not eq:
+            value = next(args, "--")  # "--" is never a value
+            if _options(value, table) is not None:
+                _fail(cmd, f"argument {opt}: expected one argument")
+        try:
+            if isinstance(kind, tuple) and value not in kind:
+                raise ValueError(value)
+            value = int(value) if kind is int else value
+        except ValueError:
+            _fail(cmd, f"argument {opt}: invalid value {value!r}")
+        values[opt] = True if kind is bool else value
+    missing = [opt for opt, value in values.items() if value is None]
+    if cmd is None or missing:
+        _fail(cmd, "missing " + (" ".join(missing) if cmd else "command"))
+    return cmd, SimpleNamespace(**{opt[2:].replace("-", "_"): value
+                                   for opt, value in values.items()})
 
 
 def _drop_stdout() -> None:
@@ -198,9 +237,9 @@ def _drop_stdout() -> None:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    cmd, args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        code = args.func(args)
+        code = _COMMANDS[cmd][0](args)
         # a reader gone early shows here at the latest, not at exit
         sys.stdout.flush()
         return code

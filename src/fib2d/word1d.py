@@ -159,8 +159,9 @@ def _factors(k: int, first: str, second: str) -> tuple[str, ...]:
     if len(seen) != k + 1:
         raise InternalError(f"{len(seen)} factors of length {k} in the first "
                             f"{len(w)} letters, not the Sturmian count {k + 1}")
-    order = {first: 0, second: 1}
-    return tuple(sorted(seen, key=lambda u: [order[c] for c in u]))
+    # the keys are equal-length 0/1 strings, so they sort as first < second
+    bits = str.maketrans(first + second, "01")
+    return tuple(sorted(seen, key=lambda u: u.translate(bits)))
 
 
 def factors1d(k: int, alphabet) -> tuple[str, ...]:

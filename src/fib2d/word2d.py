@@ -23,6 +23,8 @@ COL_ALPHABETS = ("db", "ca")
 
 # a<->c, b<->d: maps a row word to the word of the companion row alphabet
 _SWAP = str.maketrans("abcd", "cdab")
+# deletes the letters, leaving what is not one
+_NOT_LETTERS = str.maketrans("", "", "abcd")
 
 
 def swap_row_alphabet(w: str) -> str:
@@ -86,9 +88,9 @@ def as_grid(rows) -> Grid:
     for row in g:
         if len(row) != width:
             raise ShapeMismatch("rows have unequal lengths")
-        for ch in row:
-            if ch not in "abcd":
-                raise ValueError(f"letter {ch!r} outside 'abcd'")
+        bad = row.translate(_NOT_LETTERS)
+        if bad:
+            raise ValueError(f"letter {bad[0]!r} outside 'abcd'")
     return g
 
 

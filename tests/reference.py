@@ -8,6 +8,11 @@ enumeration replaced, stays here as its differential reference.
 The DOT export yields its text line by line; the whole-string formatter it
 replaced stays here as its differential reference.
 
+The 1D factor tables sort by a translated 0/1 key, grids check their
+letters with one translate per row, and the command line is read from one
+table; the per-letter sort key, the per-letter check and the argparse
+parser they replaced stay here as their differential references.
+
 The enumerations return factor texts.  The grid-returning forms they
 replaced stay here as their differential references: `*_grids` gives
 each method's sorted grids, built the way the method built them before,
@@ -16,14 +21,17 @@ with equal rows shared and every pair filled by word2d.fill.
 
 from __future__ import annotations
 
-from fib2d import conjugacy, frames, oracle
+import argparse
+
+from fib2d import cli, conjugacy, frames, oracle
 from fib2d.dawg import (_LETTER, _fmt_node, _line_words, build_line_dawg,
                         root_paths, rooted_product, subword_from_path)
-from fib2d.errors import InternalError
-from fib2d.word1d import LETTERS, factors1d, special_factor
-from fib2d.word2d import (COL_ALPHABETS, ROW_ALPHABETS, col_alphabet_of,
-                          column, dims, fib_array, fill, row_alphabet_of,
-                          to_text)
+from fib2d.errors import InternalError, ShapeMismatch
+from fib2d.word1d import (LETTERS, _pair, factors1d, fib_prefix,
+                          special_factor)
+from fib2d.word2d import (COL_ALPHABETS, EMPTY, ROW_ALPHABETS,
+                          col_alphabet_of, column, dims, fib_array, fill,
+                          row_alphabet_of, to_text)
 
 
 def texts(grids) -> tuple[str, ...]:
@@ -80,6 +88,92 @@ def export_dot_text(g) -> str:
         lines.append(f'  "{_fmt_node(u)}" -> "{_fmt_node(v)}" [label="{_fmt_label(lab)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# ------------------------------------------------------ replaced checks --
+
+def factors1d_listkey(k: int, alphabet) -> tuple[str, ...]:
+    """The k+1 length-k factors, sorted by a list of per-letter ranks."""
+    first, second = _pair(alphabet)
+    w = fib_prefix((first, second), 4 * k + 8)
+    seen = {w[i:i + k] for i in range(len(w) - k + 1)}
+    if len(seen) != k + 1:
+        raise InternalError(f"{len(seen)} factors of length {k}")
+    order = {first: 0, second: 1}
+    return tuple(sorted(seen, key=lambda u: [order[c] for c in u]))
+
+
+def as_grid_loop(rows):
+    """word2d.as_grid with its letters checked one at a time."""
+    g = tuple(rows)
+    if not g:
+        return EMPTY
+    width = len(g[0])
+    if width == 0:
+        raise ShapeMismatch("grids with empty rows do not exist")
+    for row in g:
+        if len(row) != width:
+            raise ShapeMismatch("rows have unequal lengths")
+        for ch in row:
+            if ch not in "abcd":
+                raise ValueError(f"letter {ch!r} outside 'abcd'")
+    return g
+
+
+def argparse_parser() -> argparse.ArgumentParser:
+    """The argparse parser of the fib2d command line; func is the command's
+    function, as in cli._COMMANDS."""
+    parser = argparse.ArgumentParser(
+        prog="fib2d",
+        description="Factors of the two-dimensional infinite Fibonacci word.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("gen1d", help="prefix of a 1D infinite Fibonacci word")
+    p.add_argument("--alphabet", default="ba",
+                   help="two letters, dominant first (default: ba)")
+    p.add_argument("--len", type=int, required=True)
+    p.set_defaults(func=cli._cmd_gen1d)
+
+    p = sub.add_parser("gen2d", help="prefix of the infinite grid")
+    p.add_argument("--rows", type=int, required=True)
+    p.add_argument("--cols", type=int, required=True)
+    p.set_defaults(func=cli._cmd_gen2d)
+
+    p = sub.add_parser("enum", help="all subwords of a size")
+    p.add_argument("--k", type=int, required=True, help="rows of the subwords")
+    p.add_argument("--l", type=int, required=True, help="cols of the subwords")
+    p.add_argument("--method", choices=sorted(cli._ENUM_METHODS),
+                   default="dawg")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cli._cmd_enum)
+
+    p = sub.add_parser("locate", help="occurrence set of a factor")
+    p.add_argument("--file", required=True,
+                   help="2D word in text format ('-' for stdin)")
+    p.add_argument("--row-bound", type=int, required=True)
+    p.add_argument("--col-bound", type=int, required=True)
+    p.set_defaults(func=cli._cmd_locate)
+
+    p = sub.add_parser("conjugates", help="conjugacy class of a Fibonacci grid")
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--special", action="store_true",
+                   help="print only the distinguished conjugate")
+    p.set_defaults(func=cli._cmd_conjugates)
+
+    p = sub.add_parser("dawg-dot", help="DOT dump of a line DAWG or product")
+    p.add_argument("--orientation", choices=["rows", "cols", "product"],
+                   required=True)
+    p.add_argument("--max-len", type=int, required=True)
+    p.set_defaults(func=cli._cmd_dawg_dot)
+
+    p = sub.add_parser("verify", help="cross-method agreement report")
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--l", type=int, required=True)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=cli._cmd_verify)
+
+    return parser
 
 
 # ------------------------------------------- grid-returning enumerations --

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import argparse
+import contextlib
 import io
 import json
 import os
@@ -15,7 +15,7 @@ import fib2d
 from fib2d import cli, oracle, word1d, word2d
 from fib2d.errors import EXIT_CODES
 
-from reference import GRID_METHODS
+from reference import GRID_METHODS, argparse_parser
 from tables import OCC_BLOCK, OCC_BLOCK_AXIS, WORDS_2_2
 
 
@@ -206,11 +206,8 @@ def test_verify_json(capsys):
 
 
 def test_enum_methods_are_the_methods_verify_runs():
-    commands = next(a for a in cli._parser()._actions
-                    if isinstance(a, argparse._SubParsersAction))
-    method = next(a for a in commands.choices["enum"]._actions
-                  if a.dest == "method")
-    assert method.choices == list(oracle.verify(2, 2)["sizes"])
+    choices, _ = cli._COMMANDS["enum"][2]["--method"]
+    assert list(choices) == list(oracle.verify(2, 2)["sizes"])
 
 
 def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):
@@ -328,3 +325,181 @@ def test_repeated_runs_are_byte_identical(capsys):
     first = run(capsys, "enum", "--k", "3", "--l", "2", "--method", "conjugate")
     second = run(capsys, "enum", "--k", "3", "--l", "2", "--method", "conjugate")
     assert first == second
+
+
+# ----------------------------------------------------------------- parser --
+
+# argv the table parser must read as the argparse parser did
+VALID = [
+    ("gen1d", "--len", "8"),
+    ("gen1d", "--alphabet", "dc", "--len", "8"),
+    ("gen1d", "--alphabet=db", "--len=0"),
+    ("gen2d", "--rows", "3", "--cols", "5"),
+    ("gen2d", "--cols=5", "--rows=3"),
+    ("enum", "--k", "2", "--l", "3"),
+    ("enum", "--k=2", "--l=3", "--method=oracle", "--json"),
+    *(("enum", "--method", method, "--k", "1", "--l", "1")
+      for method in sorted(oracle.METHODS)),
+    ("locate", "--file", "-", "--row-bound", "21", "--col-bound", "21"),
+    ("locate", "--file=block.txt", "--row-bound=0", "--col-bound", "5"),
+    ("conjugates", "--m", "3", "--n", "3"),
+    ("conjugates", "--special", "--m", "3", "--n", "3"),
+    *(("dawg-dot", "--orientation", orientation, "--max-len", "5")
+      for orientation in ("rows", "cols", "product")),
+    ("dawg-dot", "--orientation=product", "--max-len=-1"),
+    ("verify", "--k", "2", "--l", "2"),
+    ("verify", "--k", "2", "--l", "2", "--json"),
+    # unique prefixes
+    ("gen1d", "--le", "5"),
+    ("gen1d", "--l", "5", "--al", "ba"),
+    ("gen1d", "--le=5", "--alph=dc"),
+    ("enum", "--k", "2", "--l", "2", "--meth", "conjugate", "--j"),
+    ("locate", "--f", "-", "--r", "1", "--c=2"),
+    ("dawg-dot", "--o", "rows", "--max", "3"),
+    ("conjugates", "--m", "2", "--n", "2", "--sp"),
+    ("verify", "--k", "1", "--l", "1", "--js"),
+    # "-", negative numbers and words with a space are values
+    ("gen1d", "--len", "-1"),
+    ("gen1d", "--len=-1"),
+    ("gen2d", "--rows", "-3", "--cols", "-0"),
+    ("gen1d", "--alphabet", "-", "--len", "2"),
+    ("locate", "--file", "-1.5", "--row-bound", "-1", "--col-bound", "1"),
+    ("locate", "--file", "-.5", "--row-bound", "1", "--col-bound", "1"),
+    ("locate", "--file", "--x y", "--row-bound", "1", "--col-bound", "1"),
+    ("gen1d", "--alphabet", "-x y", "--len", "1"),
+    ("gen1d", "--len", "-5\n"),
+    # the last occurrence wins
+    ("gen1d", "--len", "3", "--len", "5"),
+    ("gen1d", "--len", "-3", "--len", "2"),
+    ("enum", "--k", "1", "--l", "1", "--json", "--json", "--method", "dawg",
+     "--method", "prefix"),
+    # values int() reads, and values that are words
+    ("gen1d", "--alphabet", "", "--len", " 5 "),
+    ("gen1d", "--alphabet", "a=b", "--len", "+1_0"),
+    ("gen1d", "--alphabet=--len", "--len", "2"),
+    ("gen1d", "--alphabet=", "--len", "2"),
+]
+
+USAGE_ERRORS = [
+    # a missing or unknown command
+    (), ("nope",), ("gen",), ("GEN1D", "--len", "3"), ("--len", "3"),
+    ("-x",), ("--", "gen1d", "--len", "3"), ("--bogus", "gen1d", "--len", "3"),
+    # an unknown option
+    ("gen1d", "--len", "3", "--bogus"),
+    ("gen1d", "--len", "3", "--bogus=1"),
+    ("gen1d", "-len", "3"),
+    ("enum", "--k", "1", "--l", "1", "-j"),
+    ("gen1d", "--=3"),
+    ("gen1d", "--", "-h"),
+    # a missing value
+    ("gen1d", "--len"),
+    ("gen1d", "--len", "--alphabet", "ba"),
+    ("gen1d", "--alphabet", "--l", "3"),
+    ("gen1d", "--alphabet", "-x", "--len", "1"),
+    ("gen1d", "--len", "--"),
+    ("gen1d", "--len", "-h"),
+    ("locate", "--file", "--row-bound", "1", "--col-bound", "1"),
+    # a value given to a flag
+    ("enum", "--k", "1", "--l", "1", "--json=yes"),
+    ("enum", "--k", "1", "--l", "1", "--json="),
+    ("verify", "--k", "1", "--l", "1", "--js=1"),
+    ("gen1d", "--len", "3", "--help=1"),
+    ("--help=x",),
+    # a bad int
+    ("gen1d", "--len", "x"),
+    ("gen1d", "--len", "1.5"),
+    ("gen1d", "--len", "-1.5"),
+    ("gen1d", "--len", "-"),
+    ("gen1d", "--len="),
+    ("gen1d", "--len=3=4"),
+    ("gen2d", "--rows", "3", "--cols", "three"),
+    ("gen1d", "--len", "x", "-h"),
+    # a bad choice
+    ("enum", "--k", "1", "--l", "1", "--method", "DAWG"),
+    ("enum", "--k", "1", "--l", "1", "--method", "da"),
+    ("dawg-dot", "--orientation", "diag", "--max-len", "3"),
+    ("dawg-dot", "--orientation=", "--max-len", "3"),
+    # a missing required option
+    ("gen1d",), ("gen1d", "--alphabet", "ba"), ("gen2d", "--rows", "3"),
+    ("locate", "--row-bound", "1", "--col-bound", "1"),
+    ("dawg-dot", "--max-len", "3"), ("verify", "--k", "1"),
+    # a stray positional
+    ("gen1d", "--len", "3", "x"),
+    ("gen1d", "x", "--len", "3"),
+    ("gen1d", "--len", "3", "5"),
+    ("gen1d", "--len", "3", "-"),
+    ("gen1d", "--len", "3", "--"),
+    ("gen1d", "--len", "3", "--", "x"),
+    ("gen1d", "gen2d", "--len", "3"),
+]
+
+HELP = [
+    ("-h",), ("--help",), ("--he",), ("-h", "bogus"), ("--help", "gen1d"),
+    *((command, flag) for command in cli._COMMANDS for flag in ("-h", "--help")),
+    ("gen1d", "--len", "3", "-h"),
+    ("gen1d", "-h", "--len"),
+    ("gen1d", "-h", "--bogus"),
+    ("enum", "--k", "1", "--hel"),
+    ("locate", "--h"),
+]
+
+# argparse read an unknown option or a stray word, then -h, as a request
+# for help; the table parser stops at the first unknown argument
+STOPS_BEFORE_HELP = [
+    ("gen1d", "--bogus", "-h"),
+    ("--bogus", "gen1d", "-h"),
+    ("gen1d", "x", "--help"),
+]
+
+
+def parse_with(parse, argv):
+    """What parse made of argv: (command, function, options), or the exit
+    code, stdout and stderr of the SystemExit it raised."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parse(list(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def by_argparse(argv):
+    options = vars(argparse_parser().parse_args(argv))
+    return options.pop("command"), options.pop("func"), options
+
+
+def by_table(argv):
+    command, options = cli._parse(argv)
+    return command, cli._COMMANDS[command][0], vars(options)
+
+
+@pytest.mark.parametrize("argv", VALID)
+def test_parser_reads_valid_argv_as_argparse(argv):
+    assert parse_with(by_table, argv) == parse_with(by_argparse, argv)
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
+def test_parser_usage_errors_exit_2_as_argparse(argv):
+    assert parse_with(by_argparse, argv)[:2] == (2, "")
+    code, out, err = parse_with(by_table, argv)
+    assert (code, out) == (2, "")
+    usage, error = err.splitlines()
+    prog = ("fib2d " + argv[0] if argv and argv[0] in cli._COMMANDS
+            else "fib2d")
+    assert usage.startswith(f"usage: {prog} [-h]")
+    assert error.startswith(f"{prog}: error: ")
+
+
+@pytest.mark.parametrize("argv", HELP)
+def test_parser_help_exits_0_as_argparse(argv):
+    code, out, err = parse_with(by_argparse, argv)
+    assert (code, err) == (0, "") and out
+    code, out, err = parse_with(by_table, argv)
+    assert (code, err) == (0, "") and out.startswith("usage: fib2d")
+
+
+@pytest.mark.parametrize("argv", STOPS_BEFORE_HELP)
+def test_parser_stops_at_the_first_unknown_argument(argv):
+    code, out, _ = parse_with(by_argparse, argv)
+    assert code == 0 and out
+    assert parse_with(by_table, argv)[:2] == (2, "")

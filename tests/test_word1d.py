@@ -15,6 +15,7 @@ import fib2d
 from fib2d import word1d
 from fib2d.errors import EmptyWord, NotAFactor, TooShort
 
+from reference import factors1d_listkey
 from tables import (FACTORS_4_AB, OCC_ABAB_BELOW_33, Q_4_AB, Z1_BELOW_6,
                     Z2_BELOW_12, Z4_BELOW_30)
 
@@ -242,6 +243,15 @@ def test_factors1d_matches_window_scan():
         for k in [*range(1, 61), 610, 987, 1596, 1597, 1598]:
             windows = {w[i:i + k] for i in range(len(w) - k + 1)}
             assert set(word1d.factors1d(k, alphabet)) == windows, k
+
+
+def test_factors1d_order_matches_per_letter_key():
+    # the translated 0/1 sort key orders factors as the per-letter rank
+    # list did, in each line alphabet
+    for alphabet in ("dc", "ba", "db", "ca"):
+        for k in range(1, 101):
+            assert word1d.factors1d(k, alphabet) == factors1d_listkey(
+                k, alphabet), (alphabet, k)
 
 
 def test_factors1d_rejects_bad_k():

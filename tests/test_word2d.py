@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from fib2d import word1d, word2d
 from fib2d.errors import NotFibStructured, OutOfDomain, ShapeMismatch
 
+from reference import as_grid_loop
+
 F33 = ("dcd", "bab", "dcd")
 
 
@@ -30,6 +32,25 @@ def test_as_grid_validation():
         word2d.as_grid([""])
     with pytest.raises(ValueError):
         word2d.as_grid(["dx"])
+
+
+@pytest.mark.parametrize("rows", [
+    ["dx", "ba"],              # a bad letter in the first row
+    ["xd", "bb"],
+    ["dc", "bé", "ab"],        # in a later row
+    ["dc", "b-x"],             # a ragged row holding bad letters
+    ["dc", "ab", "b", "xy"],   # a ragged row before a bad letter
+    ["d c", "ba"],
+    ["dc", "BA"],
+    ["dcb\n", "dca\n"],
+])
+def test_as_grid_rejects_as_the_letter_loop(rows):
+    with pytest.raises((ValueError, ShapeMismatch)) as loop:
+        as_grid_loop(rows)
+    with pytest.raises((ValueError, ShapeMismatch)) as table:
+        word2d.as_grid(rows)
+    assert (type(table.value), str(table.value)) == (
+        type(loop.value), str(loop.value))
 
 
 def test_column_is_one_based():
