@@ -4,8 +4,12 @@ Rotating rows and columns of a Fibonacci grid cyclically ranges over its
 conjugacy class.  One distinguished conjugate has the property that the
 top-left prefixes of its successive inverse rotations run through all
 factors of a given size; a second enumeration reads prefixes of positive
-rotations of the next larger grid.  Both return the sorted texts of the
-factors, each corner one slice of a joined column of row windows.
+rotations of the next larger grid.  Both stream the texts of the factors
+in sorted order (stream_*) or return them as a sorted tuple
+(enumerate_*).  Each distinct row window of the cyclic grid is named by
+one character, in sorted order, so corners are told apart and sorted by
+their k-character names, and only the distinct ones are spelled out, one
+at a time.
 """
 
 from __future__ import annotations
@@ -63,41 +67,74 @@ def _cover_index(k: int) -> int:
     return max(2, fib_index(k, "F11"))
 
 
-def _corners(base: Grid, row_starts, col_starts, k: int, l: int,
-             method: str) -> tuple[str, ...]:
-    """The sorted texts of the (k,l) top-left corners of the rotations of
-    base that start at each row in row_starts and each column in
-    col_starts.
+def _names(windows) -> dict[str, str]:
+    """A one-character name for each window of the sorted list windows.
 
-    Corners are read off the cyclic grid without building any rotation:
-    each distinct row cuts its newline-ended windows once, each lane (one
-    column of those windows, a window per row) is joined once, and each
-    corner is one slice of its lane's text.  There must be (k+1)(l+1)
-    distinct corners.
+    The names follow the windows' order, so a string of names sorts and
+    compares as the texts of the windows it spells, when all windows have
+    one length.
     """
-    windows = {}
+    return {win: chr(i) for i, win in enumerate(windows)}
+
+
+def _corners(base: Grid, row_starts, col_starts, k: int, l: int,
+             method: str):
+    """The texts of the (k,l) top-left corners of the rotations of base
+    that start at each row in row_starts and each column in col_starts, as
+    a stream in sorted order.
+
+    Corners are read off the cyclic grid without building any rotation.
+    Each distinct row cuts its newline-ended windows once, and each
+    distinct window is named by one character (_names).  A lane, one
+    column of windows with a window per row, is then a string of names,
+    and a corner's name is k characters of it.  The names are counted,
+    since there must be (k+1)(l+1) distinct corners, and sorted before the
+    stream starts.  Where the joined lanes are no larger than the names
+    (tall, thin corners), a corner is one slice of its lane's text;
+    otherwise it is the join of its k windows.
+    """
+    cut = {}
     for w in set(base):
         cyclic = w + w[:l - 1]
-        windows[w] = [cyclic[j:j + l] + "\n" for j in col_starts]
-    lanes = zip(*[windows[w] for w in base + base[:k - 1]])
-    n = l + 1
-    out = {text[i * n:(i + k) * n]
-           for text in map("".join, lanes) for i in row_starts}
-    if len(out) != (k + 1) * (l + 1):
+        cut[w] = [cyclic[j:j + l] + "\n" for j in col_starts]
+    names = _names(sorted({win for wins in cut.values() for win in wins}))
+    spelled = {w: "".join([names[win] for win in wins])
+               for w, wins in cut.items()}
+    rows = base + base[:k - 1]
+    # each lane as its windows, and as the string of their names, of which
+    # one (lane, row) position is kept per distinct corner
+    lanes = list(zip(*[cut[w] for w in rows]))
+    first = {name[i:i + k]: (j, i) for j, name in
+             enumerate(map("".join, zip(*[spelled[w] for w in rows])))
+             for i in row_starts}
+    if len(first) != (k + 1) * (l + 1):
         raise InternalError(f"size ({k},{l}) has {(k + 1) * (l + 1)} "
-                            f"subwords, {method} gave {len(out)}")
-    return tuple(sorted(out))
+                            f"subwords, {method} gave {len(first)}")
+    order = map(first.__getitem__, sorted(first))
+    n = l + 1
+    # a slice of a joined lane is the fastest cut, taken where the joined
+    # lanes are no larger than the names
+    if len(lanes) * len(lanes[0]) * n <= len(first) * k:
+        texts = list(map("".join, lanes))
+        return (texts[j][i * n:(i + k) * n] for j, i in order)
+    return ("".join(lanes[j][i:i + k]) for j, i in order)
 
 
-def enumerate_conjugation(k: int, l: int) -> tuple[str, ...]:
-    """The texts of all (k+1)(l+1) subwords of size (k,l), sorted, as
-    prefixes of the inverse rotations of the special conjugate."""
+def stream_conjugation(k: int, l: int):
+    """The texts of all (k+1)(l+1) subwords of size (k,l), as a stream in
+    sorted order, read as prefixes of the inverse rotations of the special
+    conjugate.  Every check runs before the stream starts."""
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
     q = special_conjugate2d(_cover_index(k), _cover_index(l))
     rows, cols = dims(q)
     return _corners(q, [-i % rows for i in range(k + 1)],
                     [-j % cols for j in range(l + 1)], k, l, "conjugation")
+
+
+def enumerate_conjugation(k: int, l: int) -> tuple[str, ...]:
+    """The texts of all (k+1)(l+1) subwords of size (k,l), sorted."""
+    return tuple(stream_conjugation(k, l))
 
 
 def _prefix_rotations(k: int, m: int) -> tuple[int, ...]:
@@ -110,9 +147,10 @@ def _prefix_rotations(k: int, m: int) -> tuple[int, ...]:
     return lo + hi
 
 
-def enumerate_prefix_conjugates(k: int, l: int) -> tuple[str, ...]:
-    """The same (k+1)(l+1) subwords, read from positive rotations of the
-    one-larger grid; needs k, l >= 2."""
+def stream_prefix_conjugates(k: int, l: int):
+    """The same (k+1)(l+1) subwords as a stream in sorted order, read from
+    positive rotations of the one-larger grid; needs k, l >= 2.  Every
+    check runs before the stream starts."""
     if k < 2 or l < 2:
         raise OutOfRange("prefix-conjugate enumeration needs k, l >= 2")
     # for k >= 2, fib(m) <= k < fib(m+1)
@@ -120,3 +158,9 @@ def enumerate_prefix_conjugates(k: int, l: int) -> tuple[str, ...]:
     n = _cover_index(l) - 1
     return _corners(fib_array(m + 1, n + 1), _prefix_rotations(k, m),
                     _prefix_rotations(l, n), k, l, "prefix conjugates")
+
+
+def enumerate_prefix_conjugates(k: int, l: int) -> tuple[str, ...]:
+    """The texts of the (k+1)(l+1) subwords of size (k,l), sorted, from
+    the prefix conjugates."""
+    return tuple(stream_prefix_conjugates(k, l))

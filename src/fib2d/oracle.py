@@ -3,9 +3,12 @@
 Everything here works by materializing an explicit prefix of the infinite
 grid and scanning windows, so it is independent of the DAWG, extension and
 conjugation machinery it is used to check.  Like every enumeration, the
-oracle returns the sorted texts of the factors.  A tall window is named by
-its text, so telling tall windows apart hashes one string per window, not
-one reference per row, and the names are the answer.
+oracle gives the texts of the factors in sorted order, as a stream
+(stream_subwords) or a tuple (oracle_subwords).  Each distinct row window
+of the prefix is named by one character in sorted order, so a window is
+told apart, and sorted, by a name of k characters, and only the distinct
+windows are spelled out, one at a time.  verify() holds the oracle's
+texts and reads every other method's stream against them.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from . import conjugacy, dawg, frames
 from .errors import BadBounds
 from .word1d import fib, fib_index
-from .word2d import Grid, dims, mu_prefix, to_text
+from .word2d import Grid, dims, mu_prefix
 
 
 def sufficient_bounds(k: int, l: int) -> tuple[int, int]:
@@ -30,9 +33,8 @@ def sufficient_bounds(k: int, l: int) -> tuple[int, int]:
     return fib(m + 2, "F11"), fib(n + 2, "F11")
 
 
-def _bands(l: int, R: int, C: int, end: str = ""):
-    """(j, band) for every width-l column band of the (R,C) prefix, each
-    row of a band followed by `end`.
+def _bands(l: int, R: int, C: int):
+    """(j, band) for every width-l column band of the (R,C) prefix.
 
     Each distinct row of the prefix is cut once per band, so equal rows of
     a band, and of every window sliced from it, are one string.
@@ -40,7 +42,7 @@ def _bands(l: int, R: int, C: int, end: str = ""):
     g = mu_prefix(R, C)
     distinct = set(g)
     for j in range(C - l + 1):
-        rows = {r: r[j:j + l] + end for r in distinct}
+        rows = {r: r[j:j + l] for r in distinct}
         yield j, tuple([rows[r] for r in g])
 
 
@@ -52,39 +54,55 @@ def _windows(k: int, l: int, R: int, C: int):
             yield (i, j), band[i:i + k]
 
 
-def _tall_subwords(k: int, l: int, R: int, C: int) -> tuple[str, ...]:
-    """The texts of all distinct (k,l) windows of the (R,C) prefix, sorted,
-    for k > l.
+def stream_subwords(k: int, l: int, R: int, C: int):
+    """The texts of all distinct (k,l) windows of the (R,C) prefix, as a
+    stream in sorted order.
 
-    A window is named by its text, one slice of its column band's text
-    with every row newline-ended, so a name hashes in C instead of as k row
-    references, and the name is what is returned.
-    """
-    n = l + 1
-    names = set()
-    for _, band in _bands(l, R, C, "\n"):
-        text = "".join(band)
-        names.update([text[i * n:(i + k) * n] for i in range(R - k + 1)])
-    return tuple(sorted(names))
-
-
-def oracle_subwords(k: int, l: int, R: int, C: int) -> tuple[str, ...]:
-    """The texts of all distinct (k,l) windows of the (R,C) prefix, sorted.
-
-    Tall windows (k > l) are named by their text (_tall_subwords).  The
-    others are hashed as their k row references: a name would copy all
-    k*l letters of every window, which at (2,1100) doubles the time.  Only
-    the distinct ones are rendered.  Rows have one length, so texts sort
-    as their windows do.
+    Each distinct row of the prefix cuts each of its newline-ended width-l
+    windows once, and each distinct row window is named by one character,
+    in sorted order.  A column band is then a string of names, one per
+    row, and a window's name is k characters of it, so windows are told
+    apart and sorted by their names before the stream starts.  Where the
+    joined bands are no larger than the names (tall, thin windows), a
+    window is one slice of its band's text; otherwise it is the join of
+    its k rows.
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
     if R < k or C < l:
         raise BadBounds(f"prefix ({R},{C}) smaller than window ({k},{l})")
-    if k > l:
-        return _tall_subwords(k, l, R, C)
-    return tuple(sorted([to_text(win) for win in
-                         {win for _, win in _windows(k, l, R, C)}]))
+    g = mu_prefix(R, C)
+    # each newline-ended row window is cut once and numbered when first
+    # seen, then named by its rank in sorted order
+    seen = {}
+    codes = {r: [seen.setdefault(r[j:j + l] + "\n", len(seen))
+                 for j in range(C - l + 1)] for r in set(g)}
+    names = [""] * len(seen)
+    for i, win in enumerate(sorted(seen)):
+        names[seen[win]] = chr(i)
+    windows = list(seen)
+    cut = {r: list(map(windows.__getitem__, cs)) for r, cs in codes.items()}
+    spelled = {r: "".join(map(names.__getitem__, cs))
+               for r, cs in codes.items()}
+    # each band as its windows, and as the string of their names, of which
+    # one (band, row) position is kept per distinct window
+    bands = list(zip(*[cut[r] for r in g]))
+    first = {name[i:i + k]: (j, i) for j, name in
+             enumerate(map("".join, zip(*[spelled[r] for r in g])))
+             for i in range(R - k + 1)}
+    order = map(first.__getitem__, sorted(first))
+    n = l + 1
+    # a slice of a joined band is the fastest cut, taken where the joined
+    # bands are no larger than the names
+    if len(bands) * len(bands[0]) * n <= len(first) * k:
+        texts = list(map("".join, bands))
+        return (texts[j][i * n:(i + k) * n] for j, i in order)
+    return ("".join(bands[j][i:i + k]) for j, i in order)
+
+
+def oracle_subwords(k: int, l: int, R: int, C: int) -> tuple[str, ...]:
+    """The texts of all distinct (k,l) windows of the (R,C) prefix, sorted."""
+    return tuple(stream_subwords(k, l, R, C))
 
 
 def oracle_occurrences(w: Grid, R: int, C: int) -> tuple[tuple[int, int], ...]:
@@ -99,15 +117,25 @@ def oracle_occurrences(w: Grid, R: int, C: int) -> tuple[tuple[int, int], ...]:
                         if win == w))
 
 
-# every enumeration method by name, as (k, l) -> sorted subword texts; the
-# CLI's `enum --method` choices and the methods verify() compares
+# every enumeration method by name, as (k, l) -> the subword texts in sorted
+# order, a stream or a tuple, with every check run before the first text;
+# the CLI's `enum --method` choices and the methods verify() compares
 METHODS = {
-    "conjugate": conjugacy.enumerate_conjugation,
+    "conjugate": conjugacy.stream_conjugation,
     "dawg": dawg.enumerate_dawg,
     "extend": frames.enumerate_extension,
-    "oracle": lambda k, l: oracle_subwords(k, l, *sufficient_bounds(k, l)),
-    "prefix": conjugacy.enumerate_prefix_conjugates,
+    "oracle": lambda k, l: stream_subwords(k, l, *sufficient_bounds(k, l)),
+    "prefix": conjugacy.stream_prefix_conjugates,
 }
+
+
+def _match(texts, truth: tuple[str, ...]) -> tuple[int, bool]:
+    """(the number of texts, whether they are truth), reading texts once,
+    one text at a time."""
+    size, same = 0, True
+    for size, text in enumerate(texts, 1):
+        same = same and size <= len(truth) and text == truth[size - 1]
+    return size, same and size == len(truth)
 
 
 def verify(k: int, l: int) -> dict:
@@ -122,17 +150,17 @@ def verify(k: int, l: int) -> dict:
     # prefix conjugates exist only from size (2,2) on
     names = [name for name in sorted(METHODS)
              if name != "prefix" or min(k, l) >= 2]
-    # every method is compared with the oracle's texts, and each other
-    # method's texts are dropped before the next method builds its own
-    truth = METHODS["oracle"](k, l)
+    # every other output is compared with the oracle's texts one text at a
+    # time, so the truth is the only whole output a stream leaves held
+    truth = tuple(METHODS["oracle"](k, l))
     R, C = sufficient_bounds(k, l)
-    stable = oracle_subwords(k, l, 2 * R, 2 * C) == truth
+    stable = _match(stream_subwords(k, l, 2 * R, 2 * C), truth)[1]
     sizes, agree = {}, True
     for name in names:
-        texts = truth if name == "oracle" else METHODS[name](k, l)
-        sizes[name] = len(texts)
-        agree = agree and texts == truth
-        del texts
+        size, same = ((len(truth), True) if name == "oracle"
+                      else _match(METHODS[name](k, l), truth))
+        sizes[name] = size
+        agree = agree and same
     expected = (k + 1) * (l + 1)
     return {
         "k": k,

@@ -11,6 +11,8 @@ over {d,b} or {c,a}.  Within any factor, lines sharing an alphabet are equal.
 
 from __future__ import annotations
 
+from itertools import chain, islice
+
 from .errors import NotFibStructured, OutOfDomain, ShapeMismatch
 from .word1d import LETTERS, fib_word
 
@@ -133,12 +135,22 @@ _MU_TOP = str.maketrans({"d": "dc", "c": "d", "b": "dc", "a": "d"})
 _MU_BOTTOM = str.maketrans({"d": "ba", "c": "b", "b": None, "a": None})
 
 
-def _square_step(g: Grid) -> Grid:
-    # each distinct row is substituted once; equal rows share their images
-    images = {row: tuple(filter(None, (row.translate(_MU_TOP),
-                                       row.translate(_MU_BOTTOM))))
+def _square_step(g: Grid, rows: int | None = None,
+                 cols: int | None = None) -> Grid:
+    """The image of g under the square substitution, keeping only its
+    first `rows` rows and `cols` columns (all of them by default).
+
+    Each distinct row is substituted and cropped once, and equal image
+    rows are one string, so the image is built already cropped and holds
+    each distinct row once.
+    """
+    one = {}
+    images = {row: tuple([one.setdefault(r, r) for r in (
+                  row.translate(_MU_TOP)[:cols],
+                  row.translate(_MU_BOTTOM)[:cols]) if r])
               for row in set(g)}
-    return tuple([r for row in g for r in images[row]])
+    return tuple(islice(chain.from_iterable(map(images.__getitem__, g)),
+                        rows))
 
 
 def mu_prefix(rows: int, cols: int) -> Grid:
@@ -152,10 +164,7 @@ def mu_prefix(rows: int, cols: int) -> Grid:
         raise ValueError("size must be at least (1,1)")
     g: Grid = ("d",)
     while len(g) < rows or len(g[0]) < cols:
-        g = _square_step(g)[:rows]
-        # each distinct row is cropped once, so equal rows stay one string
-        cut = {r: r[:cols] for r in set(g)}
-        g = tuple([cut[r] for r in g])
+        g = _square_step(g, rows, cols)
     return g
 
 

@@ -271,6 +271,14 @@ INVARIANT_BREAKS = {
                   "conjugate", 2, 2, "conjugation gave 1"),
     "prefix": ("conjugacy._cover_index = lambda k: 3",
                "prefix", 5, 5, "4 rotation exponents for length 5"),
+    # each two row windows next to each other in sorted order share one
+    # name, so the corners dc/dc and dd/dd are told apart no more
+    "conjugate-name": ("conjugacy._names = lambda ws: "
+                       "{w: chr(i // 2) for i, w in enumerate(ws)}",
+                       "conjugate", 2, 2, "conjugation gave 8"),
+    "prefix-name": ("conjugacy._names = lambda ws: "
+                    "{w: chr(i // 2) for i, w in enumerate(ws)}",
+                    "prefix", 2, 2, "prefix conjugates gave 8"),
 }
 
 

@@ -113,7 +113,7 @@ def traced_peak(monkeypatch, *argv):
     return code, sink.chars, peak
 
 
-# measured peaks, Python 3.11: 0.28 MB at 2000x2000, 0.83 MB at 20000x200
+# measured peaks, Python 3.11: 0.04 MB at 2000x2000, 0.34 MB at 20000x200
 # (the prefix's tuple of row references, not its text); holding the text
 # took 4.3 and 4.6 MB
 @pytest.mark.parametrize("rows, cols", [(2000, 2000), (20000, 200)])
@@ -122,6 +122,35 @@ def test_gen2d_holds_rows_not_text(monkeypatch, rows, cols):
                                     "--cols", str(cols))
     assert (code, chars) == (0, rows * (cols + 1))
     assert peak < 1_000_000
+
+
+def test_gen2d_builds_each_step_cropped(monkeypatch):
+    # each substitution step builds one tuple of cropped rows; building the
+    # whole image, slicing it and cropping it again took 0.62 MB
+    code, chars, peak = traced_peak(monkeypatch, "gen2d", "--rows", "20000",
+                                    "--cols", "200")
+    assert (code, chars) == (0, 20000 * 201)
+    assert peak < 400_000
+
+
+# measured peaks, Python 3.11: 2.7-4.7 MB at the thin shapes and 2.7-3.6 MB
+# at (100,100), mostly the k-letter names of the distinct factors; holding
+# the sorted texts took 5.3-21.6 MB and 104-113 MB
+SHAPE_BOUNDS = [((1100, 2), 6_000_000), ((2, 1100), 6_000_000),
+                ((1100, 1), 6_000_000), ((1, 1100), 6_000_000),
+                ((100, 100), 8_000_000)]
+
+
+# prefix conjugates exist only from size (2,2) on
+@pytest.mark.parametrize("method, k, l, bound", [
+    (method, k, l, bound) for method in ("conjugate", "oracle", "prefix")
+    for (k, l), bound in SHAPE_BOUNDS if method != "prefix" or min(k, l) > 1])
+def test_enum_holds_names_not_text(monkeypatch, method, k, l, bound):
+    code, chars, peak = traced_peak(monkeypatch, "enum", "--method", method,
+                                    "--k", str(k), "--l", str(l))
+    n = (k + 1) * (l + 1)
+    assert (code, chars) == (0, n * k * (l + 1) + n - 1)
+    assert peak < bound
 
 
 def test_dawg_dot_product_holds_graph_not_text(monkeypatch):

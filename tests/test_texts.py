@@ -1,4 +1,4 @@
-"""Every enumeration returns the sorted texts of its factors.
+"""Every enumeration gives the sorted texts of its factors.
 
 A factor's text is its rows, each ending in a newline, as word2d.to_text
 prints them.  Each method is checked against the grid-returning form it
@@ -29,7 +29,7 @@ def test_texts_are_the_texts_of_the_parent_grids(method):
     for k, l in SIZES:
         if method == "prefix" and min(k, l) < 2:
             continue
-        assert enum(k, l) == texts(grids(k, l)), (method, k, l)
+        assert tuple(enum(k, l)) == texts(grids(k, l)), (method, k, l)
 
 
 def test_tall_enumeration_builds_no_row_tuples(monkeypatch):
@@ -47,6 +47,6 @@ def test_tall_enumeration_builds_no_row_tuples(monkeypatch):
     cases = [(method, l) for method in sorted(oracle.METHODS) for l in (1, 2)
              if method != "prefix" or l == 2]
     for method, l in cases:
-        words = oracle.METHODS[method](300, l)
+        words = tuple(oracle.METHODS[method](300, l))
         assert len(words) == 301 * (l + 1), (method, l)
         assert all(w.count("\n") == 300 for w in words), (method, l)
