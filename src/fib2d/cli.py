@@ -33,9 +33,8 @@ def _write_rows(grid) -> None:
 
 
 def _cmd_gen1d(args) -> int:
-    word = word1d.fib_prefix(args.alphabet, args.len)
-    for i in range(0, len(word), _SLICE):
-        sys.stdout.write(word[i:i + _SLICE])
+    sys.stdout.writelines(word1d.prefix_pieces(args.alphabet, args.len,
+                                               _SLICE))
     sys.stdout.write("\n")
     return 0
 
@@ -105,11 +104,13 @@ def _cmd_conjugates(args) -> int:
 
 def _cmd_dawg_dot(args) -> int:
     if args.orientation == "product":
-        g = dawg.rooted_product(dawg.build_line_dawg("rows", args.max_len),
-                                dawg.build_line_dawg("cols", args.max_len))
+        lines = dawg.export_product_dot(
+            dawg.build_line_dawg("rows", args.max_len),
+            dawg.build_line_dawg("cols", args.max_len))
     else:
-        g = dawg.build_line_dawg(args.orientation, args.max_len)
-    sys.stdout.writelines(dawg.export_dot(g))
+        lines = dawg.export_dot(
+            dawg.build_line_dawg(args.orientation, args.max_len))
+    sys.stdout.writelines(lines)
     return 0
 
 

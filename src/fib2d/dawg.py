@@ -8,13 +8,15 @@ the column DAWG at every node of the row DAWG gives a graph whose root paths
 of shape (l across, then k down) are exactly the size-(k,l) subwords.  Every
 hung copy is the same graph, so those paths are the pairs of an across root
 path and a down root path: enumeration walks the two line DAWGs and pairs
-their paths.  The product itself is built only for display: `dawg-dot`
-lists its nodes and edges, and it holds no adjacency until something walks
-it.  Each path is spelled once, over one line alphabet.  An across path's
-last class and a down path's first class meet in one corner letter, so the
-pairs fall into four corner buckets, and each path of a bucket is
-translated once into that corner's line alphabet before its pairs are
-filled into their texts.
+their paths.  The product is only displayed: `dawg-dot` lists its nodes
+and edges in DOT order straight from the two line DAWGs, and
+rooted_product builds a graph from that same listing.  Each path is
+spelled once, over one line alphabet.  An across path's last class and a
+down path's first class meet in one corner letter, so the pairs fall into
+four corner buckets, and each path of a bucket is translated once into
+that corner's line alphabet.  The buckets' pairs are then filled into
+their texts as a stream in sorted order (word2d.stream_fills), so only the
+paths, the texts of the corner check and one text are ever held.
 
 Node arithmetic uses fib(n, "F12"): spine edges i-1 -> i carry the i-th
 abstract letter, and shortcut edges F(j)-2 -> F(j+1)-1 carry the dominant
@@ -28,7 +30,8 @@ from itertools import combinations
 from .errors import InconsistentJoint, InternalError
 from .word1d import LETTERS, fib, fib_index, fib_prefix
 from .word2d import (COL_ALPHABETS, ROW_ALPHABETS, Grid, col_alphabet_of,
-                     column, fill, fill_text, row_alphabet_of)
+                     column, fill, fill_text, row_alphabet_of,
+                     stream_fills)
 
 # abstract classes per orientation, dominant first
 _CLASSES = {"rows": COL_ALPHABETS, "cols": ROW_ALPHABETS}
@@ -156,22 +159,59 @@ def root_paths(g: Digraph, length: int) -> tuple[tuple[frozenset, ...], ...]:
 
 # ----------------------------------------------------------------- product --
 
-def rooted_product(base: Digraph, hung: Digraph) -> Digraph:
-    """Hang a copy of `hung` at every node of `base` but its root.
+def _product_listing(base: Digraph, hung: Digraph):
+    """(names, nodes, edges) of the rooted product of base and hung: the
+    DOT text of each distinct label, and the nodes and the edges, each an
+    iterator in export_dot's order, listed from the two graphs alone.
 
-    Base edges run between the copy roots; within a copy only hung edges
-    exist, so root paths take all their base steps first.  No root path of
+    A copy of `hung` hangs at every node of `base` but its root.  Base
+    edges run between the copy roots; within a copy only hung edges exist,
+    so root paths take all their base steps first.  No root path of
     positive base length enters a copy at the base root, so none is hung
-    there.
+    there.  Node (u, v) is node v of the copy at u, so the nodes sort copy
+    by copy, and the few out-edges of each node are sorted on their own.
     """
-    g = Digraph((base.root, hung.root))
-    for u in base.nodes:
-        g.add_node((u, hung.root))
+    names = _names([*base.edges, *hung.edges])
+    r = hung.root
+
+    def order(edge):  # (target, label)
+        return edge[0], names[edge[1]]
+
+    across, down = {}, {}
     for u, u2, lab in base.edges:
-        g.add_edge((u, hung.root), (u2, hung.root), lab)
-    for u in base.nodes - {base.root}:
-        for v, v2, lab in hung.edges:
-            g.add_edge((u, v), (u, v2), lab)
+        across.setdefault(u, []).append(((u2, r), lab))
+    for v, v2, lab in hung.edges:
+        down.setdefault(v, []).append((v2, lab))
+    copy = sorted({r, *down,
+                   *(v2 for outs in down.values() for v2, _ in outs)})
+    down = {v: sorted(outs, key=order) for v, outs in down.items()}
+
+    def nodes():
+        for u in sorted(base.nodes):
+            for v in ((r,) if u == base.root else copy):
+                yield u, v
+
+    def edges():
+        for u, v in nodes():
+            outs = [] if u == base.root else [((u, v2), lab) for v2, lab
+                                              in down.get(v, ())]
+            if v == r:
+                outs = sorted(outs + across.get(u, []), key=order)
+            for dst, lab in outs:
+                yield (u, v), dst, lab
+
+    return names, nodes(), edges()
+
+
+def rooted_product(base: Digraph, hung: Digraph) -> Digraph:
+    """Hang a copy of `hung` at every node of `base` but its root, as
+    _product_listing lists it."""
+    g = Digraph((base.root, hung.root))
+    _, nodes, edges = _product_listing(base, hung)
+    for v in nodes:
+        g.add_node(v)
+    for u, v, lab in edges:
+        g.add_edge(u, v, lab)
     return g
 
 
@@ -239,46 +279,63 @@ def _line_words(orientation: str, length: int, base: str) -> tuple[str, ...]:
                  lambda labels: "".join(map(letter, labels)))
 
 
-def enumerate_dawg(k: int, l: int) -> tuple[str, ...]:
-    """The texts of all (k+1)(l+1) subwords of size (k,l), sorted: one per
-    pair of a length-l root path of the row DAWG and a length-k root path
-    of the column DAWG, decoded per corner bucket as the module docstring
-    says.
+def stream_dawg(k: int, l: int):
+    """The texts of all (k+1)(l+1) subwords of size (k,l), as a stream in
+    sorted order: one per pair of a length-l root path of the row DAWG and
+    a length-k root path of the column DAWG, decoded per corner bucket as
+    the module docstring says.
 
-    The last column of fill_text(top, side) depends on top[-1] and side
-    alone, so the corner check runs once per distinct pair of them, on an
-    output text, whose last column is one strided slice.
+    A bucket is a block (tops, sides) whose sides are last columns, and
+    word2d.stream_fills gives its pairs' texts in sorted order.  Before
+    the first text, the count law is checked on the buckets' distinct
+    words, and the corner check runs once per distinct pair of top[-1] and
+    side: the last column of fill_text(top, side) depends on them alone,
+    and it is one strided slice of the text.  The texts filled for the
+    check are held and yielded when their top comes, so none is filled
+    twice.
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
     row0, col0 = ROW_ALPHABETS[0], COL_ALPHABETS[0]
     across = _line_words("rows", l, row0)
     down = _line_words("cols", k, col0)
-    words = set()
+    blocks, held = [], {}
     for s in LETTERS:
         row, col = row_alphabet_of(s), col_alphabet_of(s)
         # the across path ends in s's column class and the down path starts
         # with its row class: these are their letters in the spelling
         h_end = _LETTER[row0][frozenset(col)]
         v_start = _LETTER[col0][frozenset(row)]
-        to_row, to_col = str.maketrans(row0, row), str.maketrans(col0, col)
-        tops = [h.translate(to_row) for h in across if h[-1] == h_end]
-        sides = [v.translate(to_col) for v in down if v[0] == v_start]
-        # the index of one top per distinct last letter
-        ends = {t[-1]: i for i, t in enumerate(tops)}.values()
-        for side in sides:
-            texts = [fill_text(top, side) for top in tops]
-            for i in ends:
-                n = len(tops[i])
-                if texts[i][n - 1::n + 1] != side:
+        tops = [h for h in across if h[-1] == h_end]
+        sides = [v for v in down if v[0] == v_start]
+        # paths already over the corner's alphabets are not copied
+        if row != row0:
+            to_row = str.maketrans(row0, row)
+            tops = [h.translate(to_row) for h in tops]
+        if col != col0:
+            to_col = str.maketrans(col0, col)
+            sides = [v.translate(to_col) for v in sides]
+        blocks.append((tops, sides))
+        # one top of the bucket per distinct last letter
+        for top in {t[-1]: t for t in tops}.values():
+            texts = held[top] = {side: fill_text(top, side) for side in sides}
+            n = len(top)
+            for side, text in texts.items():
+                if text[n - 1::n + 1] != side:
                     raise InternalError(
-                        f"grid {texts[i]!r} does not end in column {side!r}")
-            words.update(texts)
-    if len(words) != (k + 1) * (l + 1):
+                        f"grid {text!r} does not end in column {side!r}")
+    n = sum(len(set(tops)) * len(set(sides)) for tops, sides in blocks)
+    if n != (k + 1) * (l + 1):
         raise InternalError(
-            f"{len(across) * len(down)} path pairs gave {len(words)} "
+            f"{len(across) * len(down)} path pairs gave {n} "
             f"subwords, expected {(k + 1) * (l + 1)}")
-    return tuple(sorted(words))
+    return stream_fills(blocks, held)
+
+
+def enumerate_dawg(k: int, l: int) -> tuple[str, ...]:
+    """The texts of all (k+1)(l+1) subwords of size (k,l), sorted:
+    stream_dawg as a tuple."""
+    return tuple(stream_dawg(k, l))
 
 
 # ----------------------------------------------------------------- export --
@@ -289,23 +346,42 @@ def _fmt_node(v) -> str:
     return str(v)
 
 
-def export_dot(g: Digraph):
-    """Deterministic DOT text, yielded line by line, each line ending in a
-    newline; class labels are comma joined, dominant first.
+def _names(edges) -> dict:
+    """Each distinct label of the edges -> its DOT text, the letters comma
+    joined, dominant first."""
+    return {lab: ",".join(sorted(lab, reverse=True))
+            for lab in {e[2] for e in edges}}
 
-    The nodes and edges are sorted before the first line is yielded, so
-    whatever fails does so before a caller writes a byte; each distinct
-    label is formatted once.
-    """
-    names = {lab: ",".join(sorted(lab, reverse=True))
-             for lab in {e[2] for e in g.edges}}
-    nodes = sorted(g.nodes)
-    edges = sorted(g.edges, key=lambda e: (e[0], e[1], names[e[2]]))
+
+def _dot(root, names, nodes, edges):
+    """DOT text, line by line, of nodes and edges already in order, with
+    the label texts `names`."""
     yield "digraph {\n"
     yield "  rankdir=LR;\n"
     for v in nodes:
-        shape = "doublecircle" if v == g.root else "circle"
+        shape = "doublecircle" if v == root else "circle"
         yield f'  "{_fmt_node(v)}" [shape={shape}];\n'
     for u, v, lab in edges:
         yield f'  "{_fmt_node(u)}" -> "{_fmt_node(v)}" [label="{names[lab]}"];\n'
     yield "}\n"
+
+
+def export_dot(g: Digraph):
+    """Deterministic DOT text, yielded line by line, each line ending in a
+    newline; nodes and edges sorted, class labels comma joined, dominant
+    first.
+
+    The nodes and edges are sorted before the generator is returned, so
+    whatever fails does so before a caller writes a byte; each distinct
+    label is formatted once.
+    """
+    names = _names(g.edges)
+    nodes = sorted(g.nodes)
+    edges = sorted(g.edges, key=lambda e: (e[0], e[1], names[e[2]]))
+    return _dot(g.root, names, nodes, edges)
+
+
+def export_product_dot(base: Digraph, hung: Digraph):
+    """export_dot(rooted_product(base, hung)), listed straight from the two
+    graphs without building the product."""
+    return _dot((base.root, hung.root), *_product_listing(base, hung))

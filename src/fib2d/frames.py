@@ -10,7 +10,8 @@ blocks of words, one per corner letter, and growing every word of every
 block once yields the next complete class.  Enumeration starts from the
 blocks of the complete one-line class, grows them diagonally until the
 shorter side reaches its size, and only then fills each pair of a block
-into its text.
+into its text, as a stream in sorted order (word2d.stream_fills), so only
+the blocks and one text are ever held.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import NamedTuple
 from .errors import IncompleteInput, InconsistentJoint, InternalError
 from .word1d import LETTERS, factors1d, right_extensions
 from .word2d import (COL_ALPHABETS, ROW_ALPHABETS, Grid, classify_lines,
-                     col_alphabet_of, column, fill, fill_text,
-                     row_alphabet_of)
+                     col_alphabet_of, column, fill, row_alphabet_of,
+                     stream_fills)
 # unused here; perfbench/selftest.py checks that the tracer wraps this binding
 from .word2d import subblock  # noqa: F401
 
@@ -106,36 +107,46 @@ def extend_diagonal(frames) -> tuple[FrameTL, ...]:
     return tuple(out)
 
 
-def enumerate_extension(k: int, l: int) -> tuple[str, ...]:
-    """The texts of all (k+1)(l+1) subwords of size (k,l), sorted, found by
-    repeated extension.
+def _counted(blocks, a: int, b: int) -> list:
+    """The blocks, once their distinct words make the count law's
+    (a+1)(b+1) frames of size (a,b); InternalError if they do not."""
+    n = sum(len(set(ts)) * len(set(ss)) for ts, ss in blocks)
+    if n != (a + 1) * (b + 1):
+        raise InternalError(f"size ({a},{b}) has {(a + 1) * (b + 1)} "
+                            f"subwords, extension gave {n}")
+    return blocks
+
+
+def stream_extension(k: int, l: int):
+    """The texts of all (k+1)(l+1) subwords of size (k,l), found by
+    repeated extension, as a stream in sorted order.
 
     The class is kept as one block (tops, sides) per corner letter x: the
     row and the column factors that start with x, each pair of which is the
     frame of one subword.  With m = min(k,l), the blocks start from the
     complete one-line class (k-m+1, l-m+1), whose words are the 1D factors
     of length |k-l|+1 and single letters.  Each of the m-1 diagonal steps
-    grows every word of every block once and checks that the blocks hold
-    the count law's number of distinct frames.  Each pair of a final block
-    is filled into its text once.
+    grows every word of every block once.  The count law is checked on the
+    distinct words of the blocks of every size on the way, before the
+    first text; word2d.stream_fills then fills each pair of a final block
+    into its text, in sorted order.
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
     m = min(k, l)
     tops = [u for alph in ROW_ALPHABETS for u in factors1d(l - m + 1, alph)]
     sides = [u for alph in COL_ALPHABETS for u in factors1d(k - m + 1, alph)]
-    blocks = [([u for u in tops if u[0] == x], [u for u in sides if u[0] == x])
-              for x in LETTERS]
+    blocks = _counted([([u for u in tops if u[0] == x],
+                        [u for u in sides if u[0] == x]) for x in LETTERS],
+                      k - m + 1, l - m + 1)
     for a, b in zip(range(k - m + 2, k + 1), range(l - m + 2, l + 1)):
-        blocks = [(_grow(ts, row_alphabet_of), _grow(ss, col_alphabet_of))
-                  for ts, ss in blocks]
-        n = sum(len(set(ts)) * len(set(ss)) for ts, ss in blocks)
-        if n != (a + 1) * (b + 1):
-            raise InternalError(f"size ({a},{b}) has {(a + 1) * (b + 1)} "
-                                f"subwords, extension gave {n}")
-    texts = [fill_text(t, s) for ts, ss in blocks for t in ts for s in ss]
-    if len(texts) != (k + 1) * (l + 1):
-        raise InternalError(
-            f"size ({k},{l}) has {(k + 1) * (l + 1)} subwords, "
-            f"extension gave {len(texts)}")
-    return tuple(sorted(texts))
+        blocks = _counted([(_grow(ts, row_alphabet_of),
+                            _grow(ss, col_alphabet_of)) for ts, ss in blocks],
+                          a, b)
+    return stream_fills(blocks)
+
+
+def enumerate_extension(k: int, l: int) -> tuple[str, ...]:
+    """The texts of all (k+1)(l+1) subwords of size (k,l), sorted, found by
+    repeated extension: stream_extension as a tuple."""
+    return tuple(stream_extension(k, l))

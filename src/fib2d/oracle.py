@@ -8,7 +8,8 @@ oracle gives the texts of the factors in sorted order, as a stream
 of the prefix is named by one character in sorted order, so a window is
 told apart, and sorted, by a name of k characters, and only the distinct
 windows are spelled out, one at a time.  verify() holds the oracle's
-texts and reads every other method's stream against them.
+texts and reads every other method's stream against them, so they are the
+only whole output it holds.
 """
 
 from __future__ import annotations
@@ -117,13 +118,14 @@ def oracle_occurrences(w: Grid, R: int, C: int) -> tuple[tuple[int, int], ...]:
                         if win == w))
 
 
-# every enumeration method by name, as (k, l) -> the subword texts in sorted
-# order, a stream or a tuple, with every check run before the first text;
-# the CLI's `enum --method` choices and the methods verify() compares
+# every enumeration method by name, as (k, l) -> a stream of the subword
+# texts in sorted order, with every check but dawg's and extend's order
+# check run before the first text; the CLI's `enum --method` choices and the
+# methods verify() compares
 METHODS = {
     "conjugate": conjugacy.stream_conjugation,
-    "dawg": dawg.enumerate_dawg,
-    "extend": frames.enumerate_extension,
+    "dawg": dawg.stream_dawg,
+    "extend": frames.stream_extension,
     "oracle": lambda k, l: stream_subwords(k, l, *sufficient_bounds(k, l)),
     "prefix": conjugacy.stream_prefix_conjugates,
 }

@@ -139,6 +139,36 @@ def fib_prefix(alphabet, length: int) -> str:
                     first + second)[:length]
 
 
+def prefix_pieces(alphabet, length: int, most: int):
+    """fib_prefix(alphabet, length) as a stream of pieces of at most
+    `most` >= 2 letters, holding no more than one such piece.
+
+    With w_n = fib_word(n, first, first + second), every w_n is a prefix of
+    the infinite word and w_{n+1} = w_n w_{n-1}, so a prefix of length
+    fib(n) <= N < fib(n+1) is w_n followed by the prefix of length
+    N - fib(n): the greedy Zeckendorf pieces of N (F12).  A piece longer
+    than `most` is written as w_{n-1} w_{n-2}, and each short piece is a
+    prefix of the one longest short piece.
+    """
+    first, second = _pair(alphabet)
+    if length < 0:
+        raise ValueError("length must be >= 0")
+    # the longest piece ever yielded
+    top = fib_index(min(length, most), "F12") - 1
+    word = fib_word(top, first, first + second) if top >= 0 else ""
+    rest = length
+    while rest:
+        n = fib_index(rest, "F12") - 1
+        rest -= fib(n, "F12")
+        stack = [n]
+        while stack:
+            n = stack.pop()
+            if n > top:
+                stack += (n - 2, n - 1)
+            else:
+                yield word[:fib(n, "F12")]
+
+
 def truncated(n: int, alphabet) -> str:
     """The prefix word of length fib(n, "F12") - 2: w_n minus its last two letters."""
     first, second = _pair(alphabet)

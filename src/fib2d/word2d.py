@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from itertools import chain, islice
 
-from .errors import NotFibStructured, OutOfDomain, ShapeMismatch
+from .errors import (InternalError, NotFibStructured, OutOfDomain,
+                     ShapeMismatch)
 from .word1d import LETTERS, fib_word
 
 Grid = tuple[str, ...]
@@ -55,6 +56,55 @@ def fill_text(top: str, side: str) -> str:
     return (side.translate(_BITS[side[0]])
             .replace("0", top + "\n")
             .replace("1", swap_row_alphabet(top) + "\n"))
+
+
+# first letter of a row word -> whether the word comes before its swap, so
+# that the texts under it sort as the 0/1 patterns of their sides (a 0 is a
+# row of the word, a 1 a row of its swap); the swap changes every letter,
+# so the first decides
+_ASCENDING = {x: x < swap_row_alphabet(x) for x in LETTERS}
+
+
+def stream_fills(blocks, held=None):
+    """fill_text(top, side) for each top and side of each block
+    (tops, sides), as a stream in sorted order.
+
+    A text starts with its top, and each later row is top or its swap as
+    its side's 0/1 pattern says.  So the texts come top by top in sorted
+    order, and under one top by the patterns of its block's sides, which
+    share their first letter: ascending if top < swap_row_alphabet(top),
+    else descending.  `held` maps a top to {side: its text} for texts already
+    filled, which are taken instead of filled again; each top's entry is
+    popped when the stream reaches it, so held texts are let go as they go.
+
+    Each text is checked to be greater than the one before, which gives
+    both order and distinctness, and is yielded only once the text after
+    it has passed, so a break raises InternalError before either text of
+    the broken pair is yielded.
+    """
+    held = held or {}
+    orders = []
+    for _, sides in blocks:
+        # sides that share their first letter x first differ where one has
+        # x, a 0, and the other the other letter of x's column alphabet, a
+        # 1, so their patterns ascend as they do when x is the smaller
+        x = sides[0][0] if sides else "a"
+        up = sorted(sides, reverse=x > col_alphabet_of(x).replace(x, ""))
+        orders.append((up[::-1], up))  # indexed by _ASCENDING
+    prev, none = "", {}
+    for top, i in sorted((top, i) for i, (tops, _) in enumerate(blocks)
+                         for top in tops):
+        texts = held.pop(top, none)
+        for side in orders[i][_ASCENDING[top[0]]]:
+            text = texts.get(side) or fill_text(top, side)
+            if text <= prev:
+                raise InternalError(
+                    f"the texts under top {top!r} are out of sorted order")
+            if prev:
+                yield prev
+            prev = text
+    if prev:
+        yield prev
 
 
 def row_alphabet_of(ch: str) -> str:

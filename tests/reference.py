@@ -6,7 +6,9 @@ check the type table.  The per-pair DAWG decoding, which the library's
 enumeration replaced, stays here as its differential reference.
 
 The DOT export yields its text line by line; the whole-string formatter it
-replaced stays here as its differential reference.
+replaced stays here as its differential reference.  The rooted product is
+listed in DOT order straight from the two line DAWGs; the edge-list
+construction it replaced stays here as its differential reference.
 
 The 1D factor tables sort by a translated 0/1 key, grids check their
 letters with one translate per row, and the command line is read from one
@@ -24,8 +26,8 @@ from __future__ import annotations
 import argparse
 
 from fib2d import cli, conjugacy, frames, oracle
-from fib2d.dawg import (_LETTER, _fmt_node, _line_words, build_line_dawg,
-                        root_paths, rooted_product, subword_from_path)
+from fib2d.dawg import (_LETTER, Digraph, _fmt_node, _line_words,
+                        build_line_dawg, root_paths, subword_from_path)
 from fib2d.errors import InternalError, ShapeMismatch
 from fib2d.word1d import (LETTERS, _pair, factors1d, fib_prefix,
                           special_factor)
@@ -65,11 +67,26 @@ def enumerate_dawg_per_pair(k: int, l: int):
                          for h in across for v in down}))
 
 
+def product_graph(base, hung):
+    """The rooted product of base and hung, built edge by edge: a copy of
+    hung at every node of base but its root, base edges between the copy
+    roots."""
+    g = Digraph((base.root, hung.root))
+    for u in base.nodes:
+        g.add_node((u, hung.root))
+    for u, u2, lab in base.edges:
+        g.add_edge((u, hung.root), (u2, hung.root), lab)
+    for u in base.nodes - {base.root}:
+        for v, v2, lab in hung.edges:
+            g.add_edge((u, v), (u, v2), lab)
+    return g
+
+
 def dot_graph(orientation: str, max_len: int):
     """The graph `dawg-dot --orientation` prints."""
     if orientation == "product":
-        return rooted_product(build_line_dawg("rows", max_len),
-                              build_line_dawg("cols", max_len))
+        return product_graph(build_line_dawg("rows", max_len),
+                             build_line_dawg("cols", max_len))
     return build_line_dawg(orientation, max_len)
 
 

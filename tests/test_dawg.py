@@ -12,7 +12,7 @@ from fib2d import cli, dawg, word1d
 from fib2d.errors import InconsistentJoint
 
 from reference import (dot_graph, enumerate_dawg_per_pair, export_dot_text,
-                       texts)
+                       product_graph, texts)
 from tables import PATH_PAIRS_2_2, WORDS_1_1, WORDS_2_2, WORDS_3_3
 
 DB = frozenset("db")
@@ -338,6 +338,22 @@ def test_export_dot_lines_join_to_whole_text_reference(orientation):
         assert all(line.endswith("\n") and line.count("\n") == 1
                    for line in lines)
         assert "".join(lines) == export_dot_text(g)
+
+
+def test_product_listing_is_the_product_in_dot_order():
+    # rooted_product is built from the listing that dawg-dot prints, so
+    # both are checked against the product built edge by edge
+    for max_rows, max_cols in [*((n, n) for n in range(1, 13)), (3, 8),
+                               (8, 3), (40, 40)]:
+        rows = dawg.build_line_dawg("rows", max_rows)
+        cols = dawg.build_line_dawg("cols", max_cols)
+        ref = product_graph(rows, cols)
+        prod = dawg.rooted_product(rows, cols)
+        assert prod.root == ref.root
+        assert prod.nodes == ref.nodes
+        assert sorted(prod.edges, key=repr) == sorted(ref.edges, key=repr)
+        assert "".join(dawg.export_product_dot(rows, cols)) == \
+            export_dot_text(ref), (max_rows, max_cols)
 
 
 def test_export_dot_fails_before_its_first_line():

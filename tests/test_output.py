@@ -40,10 +40,16 @@ def test_gen2d_prints_the_text_of_the_prefix(capsys, rows, cols):
         0, word2d.to_text(word2d.mu_prefix(rows, cols)), "")
 
 
-@pytest.mark.parametrize("length", [0, 1, cli._SLICE, cli._SLICE + 1, 10**6])
+# F12 numbers: 46 368 is the longest piece that fits one slice, and
+# 75 025 and 121 393 the next two
+@pytest.mark.parametrize("length", [
+    0, 1, cli._SLICE, cli._SLICE + 1, 10**6,
+    *(n + d for n in (46368, 75025, 121393) for d in (-1, 0, 1))])
 def test_gen1d_prints_the_word_and_a_newline(capsys, length):
-    assert run(capsys, "gen1d", "--len", str(length)) == (
-        0, word1d.fib_prefix("ba", length) + "\n", "")
+    for alphabet in (x + y for x in "abcd" for y in "abcd" if x != y):
+        assert run(capsys, "gen1d", "--alphabet", alphabet,
+                   "--len", str(length)) == (
+            0, word1d.fib_prefix(alphabet, length) + "\n", ""), alphabet
 
 
 def test_conjugates_special_prints_the_text_of_the_conjugate(capsys):
@@ -60,7 +66,7 @@ def test_conjugates_special_prints_the_text_of_the_conjugate(capsys):
 
 @pytest.mark.parametrize("orientation", ["rows", "cols", "product"])
 def test_dawg_dot_prints_the_whole_text_reference(capsys, orientation):
-    for max_len in (1, 7, 40):
+    for max_len in (*range(1, 13), 40, 80):
         assert run(capsys, "dawg-dot", "--orientation", orientation,
                    "--max-len", str(max_len)) == (
             0, export_dot_text(dot_graph(orientation, max_len)), "")
@@ -168,6 +174,48 @@ def test_dawg_dot_product_holds_graph_not_text(monkeypatch):
     assert (len(g.nodes), len(g.edges)) == (8931, 9690)
     assert (code, chars) == (0, len(export_dot_text(g)))
     assert peak < 4_000_000
+
+
+def test_dawg_dot_product_holds_neither_product_nor_text(monkeypatch):
+    # measured peak, Python 3.11: 0.09 MB, the two line DAWGs and the sorted
+    # out-edges of one node; building the product and sorting its 8 931
+    # nodes and 9 690 edges took 3.2 MB
+    code, chars, peak = traced_peak(monkeypatch, "dawg-dot", "--orientation",
+                                    "product", "--max-len", "40")
+    assert (code, chars) == (0, len(export_dot_text(dot_graph("product",
+                                                              40))))
+    assert peak < 500_000
+
+
+def test_gen1d_holds_one_piece(monkeypatch):
+    # measured peak, Python 3.11: 0.10 MB, the longest piece of at most
+    # one slice and its cached shorter words; holding the word took 2.7 MB
+    code, chars, peak = traced_peak(monkeypatch, "gen1d", "--len", "1000000")
+    assert (code, chars) == (0, 10**6 + 1)
+    assert peak < 500_000
+
+
+# measured peaks, Python 3.11: 0.60 MB (extend) and 0.19 MB (dawg) at
+# (40,40), 2.4 and 2.2 MB at (100,100): the corner-letter blocks, dawg's
+# corner-check texts and one text; sorting every text first took 3.5 and
+# 3.0 MB, and 106 and 104 MB
+@pytest.mark.parametrize("method", ["dawg", "extend"])
+@pytest.mark.parametrize("k, bound", [(40, 1_000_000), (100, 8_000_000)])
+def test_enum_holds_blocks_not_texts(monkeypatch, method, k, bound):
+    code, chars, peak = traced_peak(monkeypatch, "enum", "--method", method,
+                                    "--k", str(k), "--l", str(k))
+    n = (k + 1) * (k + 1)
+    assert (code, chars) == (0, n * k * (k + 1) + n - 1)
+    assert peak < bound
+
+
+def test_verify_holds_only_the_truth(monkeypatch):
+    # measured peak, Python 3.11: 16.3 MB at (60,60), the oracle's texts;
+    # holding a sorted dawg or extend output beside them took 28.9 MB
+    code, chars, peak = traced_peak(monkeypatch, "verify", "--k", "60",
+                                    "--l", "60")
+    assert code == 0 and chars > 0
+    assert peak < 20_000_000
 
 
 # ----------------------------------------------------------- closed stdout --

@@ -14,7 +14,7 @@ import pkgutil
 import pytest
 
 import fib2d
-from fib2d import oracle
+from fib2d import dawg, frames, oracle
 
 from reference import GRID_METHODS, texts
 
@@ -30,6 +30,18 @@ def test_texts_are_the_texts_of_the_parent_grids(method):
         if method == "prefix" and min(k, l) < 2:
             continue
         assert tuple(enum(k, l)) == texts(grids(k, l)), (method, k, l)
+
+
+@pytest.mark.parametrize("method, stream", [
+    ("dawg", dawg.stream_dawg), ("extend", frames.stream_extension)])
+def test_frame_streams_are_the_texts_of_the_parent_grids(method, stream):
+    # dawg and extend fill their blocks in sorted order and never sort
+    assert oracle.METHODS[method] is stream
+    for k, l in SIZES + [(100, 100)]:
+        texts_ = stream(k, l)
+        assert iter(texts_) is texts_, (method, k, l)
+        assert tuple(texts_) == texts(GRID_METHODS[method](k, l)), (
+            method, k, l)
 
 
 def test_tall_enumeration_builds_no_row_tuples(monkeypatch):

@@ -196,6 +196,14 @@ def test_fib_prefix_chain(alphabet, m, n):
     assert word1d.fib_prefix(alphabet, n)[:m] == word1d.fib_prefix(alphabet, m)
 
 
+@given(st.sampled_from(ALPHABETS), st.integers(0, 400), st.integers(2, 40))
+def test_prefix_pieces_join_to_the_prefix(alphabet, length, most):
+    # greedy Zeckendorf pieces, each longer one split until it fits `most`
+    pieces = list(word1d.prefix_pieces(alphabet, length, most))
+    assert "".join(pieces) == word1d.fib_prefix(alphabet, length)
+    assert all(0 < len(piece) <= most for piece in pieces)
+
+
 def test_alphabet_validation():
     with pytest.raises(ValueError):
         word1d.fib_prefix("bb", 3)
