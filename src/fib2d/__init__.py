@@ -10,7 +10,7 @@ from .conjugacy import (conjugacy_class, enumerate_conjugation,
                         enumerate_prefix_conjugates, rotate2d,
                         special_conjugate2d)
 from .dawg import (Digraph, build_line_dawg, enumerate_dawg, export_dot,
-                   root_paths, rooted_product, subword_from_path)
+                   rooted_product, subword_from_path)
 from .errors import (BadBounds, EmptyWord, Fib2DError, IncompleteInput,
                      InconsistentJoint, InternalError, NotAFactor,
                      NotFibStructured, OutOfDomain, OutOfRange,
@@ -23,7 +23,7 @@ from .oracle import (oracle_occurrences, oracle_subwords, sufficient_bounds,
 from .word1d import (factors1d, fib, fib_prefix, fib_word, first_occ1d,
                      occ1d, right_extensions, rotate1d,
                      shortest_truncated_index, special_conjugate1d,
-                     special_factor, truncated, z_stream, zeck_repr)
+                     truncated, z_stream, zeck_repr)
 from .word2d import (EMPTY, Grid, as_grid, classify_lines, col_alphabet_of,
                      column, dims, fib_array, fill, fill_text, mu_prefix,
                      parse_text, row_alphabet_of, subblock, swap_row_alphabet,

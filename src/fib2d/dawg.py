@@ -152,11 +152,6 @@ def _walk(g: Digraph, length: int, spell) -> tuple:
     return tuple(out)
 
 
-def root_paths(g: Digraph, length: int) -> tuple[tuple[frozenset, ...], ...]:
-    """Label sequences of all root paths with `length` edges, depth first."""
-    return _walk(g, length, tuple)
-
-
 # ----------------------------------------------------------------- product --
 
 def _product_listing(base: Digraph, hung: Digraph):

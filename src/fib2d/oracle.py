@@ -1,15 +1,16 @@
 """Brute-force ground truth and the cross-method verification report.
 
 Everything here works by materializing an explicit prefix of the infinite
-grid and scanning windows, so it is independent of the DAWG, extension and
+grid and scanning it, so it is independent of the DAWG, extension and
 conjugation machinery it is used to check.  Like every enumeration, the
 oracle gives the texts of the factors in sorted order, as a stream
 (stream_subwords) or a tuple (oracle_subwords).  Each distinct row window
 of the prefix is named by one character in sorted order, so a window is
 told apart, and sorted, by a name of k characters, and only the distinct
-windows are spelled out, one at a time.  verify() holds the oracle's
-texts and reads every other method's stream against them, so they are the
-only whole output it holds.
+windows are spelled out, one at a time.  oracle_occurrences finds a
+pattern's first row in each prefix row and reads its other rows at the
+same column.  verify() holds the oracle's texts and reads every other
+method's stream against them, so they are the only whole output it holds.
 """
 
 from __future__ import annotations
@@ -32,27 +33,6 @@ def sufficient_bounds(k: int, l: int) -> tuple[int, int]:
     # k, l >= 1 = fib(1), so m, n >= 2
     m, n = fib_index(k, "F11"), fib_index(l, "F11")
     return fib(m + 2, "F11"), fib(n + 2, "F11")
-
-
-def _bands(l: int, R: int, C: int):
-    """(j, band) for every width-l column band of the (R,C) prefix.
-
-    Each distinct row of the prefix is cut once per band, so equal rows of
-    a band, and of every window sliced from it, are one string.
-    """
-    g = mu_prefix(R, C)
-    distinct = set(g)
-    for j in range(C - l + 1):
-        rows = {r: r[j:j + l] for r in distinct}
-        yield j, tuple([rows[r] for r in g])
-
-
-def _windows(k: int, l: int, R: int, C: int):
-    """((i, j), window) for every 0-based (k,l) window of the (R,C) prefix,
-    each a slice of its column band."""
-    for j, band in _bands(l, R, C):
-        for i in range(R - k + 1):
-            yield (i, j), band[i:i + k]
 
 
 def stream_subwords(k: int, l: int, R: int, C: int):
@@ -108,14 +88,25 @@ def oracle_subwords(k: int, l: int, R: int, C: int) -> tuple[str, ...]:
 
 def oracle_occurrences(w: Grid, R: int, C: int) -> tuple[tuple[int, int], ...]:
     """All 0-based offsets where w matches inside the (R,C) prefix,
-    row-major ascending."""
+    row-major ascending: each (i, j) where str.find meets w's first row
+    in prefix row i at column j and each row r of w starts there in row
+    i + r."""
     rows, cols = dims(w)
     if not w:
         raise ValueError("pattern must be non-empty")
     if R < rows or C < cols:
         raise BadBounds(f"prefix ({R},{C}) smaller than pattern ({rows},{cols})")
-    return tuple(sorted(at for at, win in _windows(rows, cols, R, C)
-                        if win == w))
+    g = mu_prefix(R, C)
+    top, rest = w[0], tuple(enumerate(w[1:], 1))
+    hits = []
+    for i in range(R - rows + 1):
+        row = g[i]
+        j = row.find(top)
+        while j >= 0:
+            if all(g[i + r].startswith(u, j) for r, u in rest):
+                hits.append((i, j))
+            j = row.find(top, j + 1)
+    return tuple(hits)
 
 
 # every enumeration method by name, as (k, l) -> a stream of the subword

@@ -223,19 +223,6 @@ def right_extensions(u: str, alphabet) -> tuple[str, ...]:
     return exts
 
 
-def special_factor(k: int, alphabet) -> str:
-    """The unique length-k factor extendable on the right by both letters."""
-    first, second = _pair(alphabet)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    hits = [u for u, xs in _right_table(k, first, second).items()
-            if len(xs) == 2]
-    if len(hits) != 1:
-        raise InternalError(f"{len(hits)} right-special factors of length "
-                            f"{k}, expected exactly 1")
-    return hits[0]
-
-
 # ------------------------------------------------------------- conjugates --
 
 def rotate1d(w: str, p: int) -> str:

@@ -232,13 +232,6 @@ def subblock(w: Grid, top_left, bottom_right) -> Grid:
     return tuple(r[j - 1:j2] for r in w[i - 1:i2])
 
 
-def _tag(line: str, alphabets) -> str:
-    for alph in alphabets:
-        if set(line) <= set(alph):
-            return alph
-    raise NotFibStructured(f"line {line!r} mixes alphabets")
-
-
 def classify_lines(w: Grid) -> None:
     """Check that w is line-structured, raising NotFibStructured if not.
 
@@ -251,6 +244,7 @@ def classify_lines(w: Grid) -> None:
     if not w:
         raise ValueError("cannot classify the empty grid")
     top, side = w[0], column(w, 1)
-    _tag(top, ROW_ALPHABETS)
+    if not any(set(top) <= set(alph) for alph in ROW_ALPHABETS):
+        raise NotFibStructured(f"line {top!r} mixes alphabets")
     if fill(top, side) != w:
         raise NotFibStructured("grid is not the fill of its first row and column")

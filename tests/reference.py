@@ -15,10 +15,18 @@ letters with one translate per row, and the command line is read from one
 table; the per-letter sort key, the per-letter check and the argparse
 parser they replaced stay here as their differential references.
 
+The oracle locates a pattern by scanning the prefix rows with str.find.
+Its earlier window scan, the column-band cutter (`bands`, `windows`,
+`band_occurrences`), stays here as the new scan's differential reference.  Only the
+tests list whole root paths or name the right-special factor, so
+`root_paths`, a view of dawg._walk, and `special_factor`, read off
+word1d's right-extension table, live here.
+
 The enumerations return factor texts.  The grid-returning forms they
 replaced stay here as their differential references: `*_grids` gives
 each method's sorted grids, built the way the method built them before,
-with equal rows shared and every pair filled by word2d.fill.
+with equal rows shared and every pair filled by word2d.fill; the oracle's
+windows come from the band cutter.
 """
 
 from __future__ import annotations
@@ -26,19 +34,33 @@ from __future__ import annotations
 import argparse
 
 from fib2d import cli, conjugacy, frames, oracle
-from fib2d.dawg import (_LETTER, Digraph, _fmt_node, _line_words,
-                        build_line_dawg, root_paths, subword_from_path)
+from fib2d.dawg import (_LETTER, Digraph, _fmt_node, _line_words, _walk,
+                        build_line_dawg, subword_from_path)
 from fib2d.errors import InternalError, ShapeMismatch
-from fib2d.word1d import (LETTERS, _pair, factors1d, fib_prefix,
-                          special_factor)
+from fib2d.word1d import (LETTERS, _pair, _right_table, factors1d,
+                          fib_prefix)
 from fib2d.word2d import (COL_ALPHABETS, EMPTY, ROW_ALPHABETS,
                           col_alphabet_of, column, dims, fib_array, fill,
-                          row_alphabet_of, to_text)
+                          mu_prefix, row_alphabet_of, to_text)
 
 
 def texts(grids) -> tuple[str, ...]:
     """The text of each grid, in order."""
     return tuple(map(to_text, grids))
+
+
+def special_factor(k: int, alphabet) -> str:
+    """The unique length-k factor extendable on the right by both letters."""
+    first, second = _pair(alphabet)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    hits = [u for u, xs in _right_table(k, first, second).items()
+            if len(xs) == 2]
+    if len(hits) != 1:
+        raise InternalError(f"{len(hits)} right-special factors of length "
+                            f"{k}, expected exactly 1")
+    return hits[0]
+
 
 # (frame_t special, frame_l special) -> the paper's frame type
 _TYPES = {(False, False): "I", (False, True): "II",
@@ -56,6 +78,11 @@ def classify_frame(f) -> str:
     l_special = f.frame_l == special_factor(
         len(f.frame_l), col_alphabet_of(f.frame_l[0]))
     return _TYPES[t_special, l_special]
+
+
+def root_paths(g: Digraph, length: int) -> tuple[tuple[frozenset, ...], ...]:
+    """Label sequences of all root paths with `length` edges, depth first."""
+    return _walk(g, length, tuple)
 
 
 def enumerate_dawg_per_pair(k: int, l: int):
@@ -266,19 +293,48 @@ def extension_grids(k, l):
     return tuple(sorted(grids))
 
 
+def bands(l: int, R: int, C: int):
+    """(j, band) for every width-l column band of the (R,C) prefix.
+
+    Each distinct row of the prefix is cut once per band, so equal rows of
+    a band, and of every window sliced from it, are one string.
+    """
+    g = mu_prefix(R, C)
+    distinct = set(g)
+    for j in range(C - l + 1):
+        rows = {r: r[j:j + l] for r in distinct}
+        yield j, tuple([rows[r] for r in g])
+
+
+def windows(k: int, l: int, R: int, C: int):
+    """((i, j), window) for every 0-based (k,l) window of the (R,C) prefix,
+    each a slice of its column band."""
+    for j, band in bands(l, R, C):
+        for i in range(R - k + 1):
+            yield (i, j), band[i:i + k]
+
+
+def band_occurrences(w, R: int, C: int) -> tuple[tuple[int, int], ...]:
+    """All 0-based offsets where w matches inside the (R,C) prefix,
+    row-major ascending, found among the windows of the band cutter."""
+    rows, cols = dims(w)
+    return tuple(sorted(at for at, win in windows(rows, cols, R, C)
+                        if win == w))
+
+
 def oracle_grids(k, l, R, C):
     if k > l:
         # tall windows named by their rows joined; each name keeps its
         # first offset, and only those windows are cut out of their band
-        bands, first = [], {}
-        for j, band in oracle._bands(l, R, C):
+        cut, first = [], {}
+        for j, band in bands(l, R, C):
             text = "".join(band)
             for i in range(R - k + 1):
                 first.setdefault(text[i * l:(i + k) * l], (i, j))
-            bands.append(band)
-        return tuple([bands[j][i:i + k]
+            cut.append(band)
+        return tuple([cut[j][i:i + k]
                       for i, j in map(first.__getitem__, sorted(first))])
-    return tuple(sorted({win for _, win in oracle._windows(k, l, R, C)}))
+    return tuple(sorted({win for _, win in windows(k, l, R, C)}))
 
 
 # method name, as in oracle.METHODS -> (k, l) -> sorted grids

@@ -1,0 +1,63 @@
+"""Every name the package exports has a caller outside the tests.
+
+A name fib2d/__init__.py exports must be used by the library's own code
+(other than its definition), shown in the README's library tour, checked
+by an acceptance criterion, or bound by the benchmark's tracer.  A name
+only unit tests call belongs in tests/reference.py, not in the API.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib.util
+import re
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "fib2d"
+
+
+def _used_names(path: Path) -> set[str]:
+    """Names read and attributes taken in the module at path, each outside
+    the top-level definition of that name."""
+    used = set()
+    for stmt in ast.parse(path.read_text()).body:
+        names = {node.id if isinstance(node, ast.Name) else node.attr
+                 for node in ast.walk(stmt)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                 or isinstance(node, ast.Attribute)}
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(stmt.name)
+        used |= names
+    return used
+
+
+def _exports() -> set[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def _traced_names() -> set[str]:
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    written = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave no cache file in perfbench/
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = written
+    return {qualname.split(".")[1] for qualname in module.TRACED}
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    tour = re.search(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                     re.MULTILINE | re.DOTALL).group(1)
+    used = set(re.findall(r"\w+", tour)) | _traced_names()
+    used |= _used_names(ROOT / "tests" / "test_acceptance.py")
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "__init__.py":
+            used |= _used_names(path)
+    assert sorted(_exports() - used) == []

@@ -12,7 +12,7 @@ from fib2d import cli, dawg, word1d
 from fib2d.errors import InconsistentJoint
 
 from reference import (dot_graph, enumerate_dawg_per_pair, export_dot_text,
-                       product_graph, texts)
+                       product_graph, root_paths, texts)
 from tables import PATH_PAIRS_2_2, WORDS_1_1, WORDS_2_2, WORDS_3_3
 
 DB = frozenset("db")
@@ -74,14 +74,14 @@ def test_root_path_counts():
     for orientation in ("rows", "cols"):
         g = dawg.build_line_dawg(orientation, 20)
         for length in range(1, 21):
-            assert len(dawg.root_paths(g, length)) == length + 1
+            assert len(root_paths(g, length)) == length + 1
 
 
 def test_root_path_counts_at_exact_truncation():
     # the truncation for max_len L must not lose any length-L path
     for length in range(1, 21):
         g = dawg.build_line_dawg("rows", length)
-        assert len(dawg.root_paths(g, length)) == length + 1
+        assert len(root_paths(g, length)) == length + 1
 
 
 def test_root_paths_spell_line_factors():
@@ -89,7 +89,7 @@ def test_root_paths_spell_line_factors():
     for orientation, alphabets in (("rows", ("dc", "ba")), ("cols", ("db", "ca"))):
         g = dawg.build_line_dawg(orientation, 8)
         for length in range(1, 9):
-            paths = dawg.root_paths(g, length)
+            paths = root_paths(g, length)
             for alphabet in alphabets:
                 spelled = {_spell(p, alphabet) for p in paths}
                 assert spelled == set(word1d.factors1d(length, alphabet))
@@ -118,11 +118,11 @@ def test_root_paths_match_walk_reference():
         for length in range(1, 61):
             for max_len in (length, 2 * length):
                 g = dawg.build_line_dawg(orientation, max_len)
-                assert dawg.root_paths(g, length) == \
+                assert root_paths(g, length) == \
                     _walk_reference(g, length), (orientation, length, max_len)
         for length in (500, 1100):
             g = dawg.build_line_dawg(orientation, length)
-            assert dawg.root_paths(g, length) == _walk_reference(g, length)
+            assert root_paths(g, length) == _walk_reference(g, length)
 
 
 def test_root_paths_step_per_branch_point():
@@ -140,7 +140,7 @@ def test_root_paths_step_per_branch_point():
                 return out(u)
 
             g.out = counted
-            assert len(dawg.root_paths(g, length)) == length + 1
+            assert len(root_paths(g, length)) == length + 1
             assert calls <= 10 * length, (orientation, length, calls)
 
 
@@ -164,18 +164,18 @@ def test_root_paths_stop_on_single_edge_cycles():
     previous = signal.signal(signal.SIGALRM, _expire)
     signal.alarm(3)
     try:
-        assert dawg.root_paths(loop, 5) == ((A,) * 5,)
-        assert dawg.root_paths(g, 3) == ((A, A, A), (A, A, B), (A, A, C),
-                                         (A, B, C), (A, C, A), (B, C, D))
+        assert root_paths(loop, 5) == ((A,) * 5,)
+        assert root_paths(g, 3) == ((A, A, A), (A, A, B), (A, A, C),
+                                    (A, B, C), (A, C, A), (B, C, D))
         for length in range(9):
             for h in (loop, g):
-                assert dawg.root_paths(h, length) == _walk_reference(h, length)
-        assert dawg.root_paths(g, 200)[-1] == (B,) + (C, D) * 99 + (C,)
+                assert root_paths(h, length) == _walk_reference(h, length)
+        assert root_paths(g, 200)[-1] == (B,) + (C, D) * 99 + (C,)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     with pytest.raises(ValueError):
-        dawg.root_paths(g, -1)
+        root_paths(g, -1)
 
 
 def test_deep_paths_need_no_recursion(capsys):
@@ -185,7 +185,7 @@ def test_deep_paths_need_no_recursion(capsys):
     sys.setrecursionlimit(1000)
     try:
         g = dawg.build_line_dawg("cols", 1100)
-        assert len(dawg.root_paths(g, 1100)) == 1101
+        assert len(root_paths(g, 1100)) == 1101
         code = cli.main(["enum", "--method", "dawg", "--k", "1", "--l", "1001"])
     finally:
         sys.setrecursionlimit(limit)
@@ -234,8 +234,7 @@ def test_product_paths_pair_line_paths():
             rows = dawg.build_line_dawg("rows", l)
             cols = dawg.build_line_dawg("cols", k)
             pairs = _product_path_pairs(dawg.rooted_product(rows, cols), l, k)
-            expected = set(product(dawg.root_paths(rows, l),
-                                   dawg.root_paths(cols, k)))
+            expected = set(product(root_paths(rows, l), root_paths(cols, k)))
             assert len(pairs) == len(set(pairs)) == (k + 1) * (l + 1)
             assert set(pairs) == expected
 

@@ -5,11 +5,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fib2d import oracle, word2d
 from fib2d.errors import BadBounds
 
-from reference import texts
+from reference import band_occurrences, texts, windows
 from tables import OCC_BLOCK, WORDS_1_1, WORDS_2_2, WORDS_3_3
 
 
@@ -76,7 +78,7 @@ def test_oracle_windows_share_equal_rows():
     # do not grow with the number of windows
     for k, l in [(300, 2), (2, 300), (2, 1100), (40, 40)]:
         R, C = oracle.sufficient_bounds(k, l)
-        grids = [win for _, win in oracle._windows(k, l, R, C)]
+        grids = [win for _, win in windows(k, l, R, C)]
         for g in grids:
             assert len({id(r) for r in g}) == len(set(g)), (k, l)
         objects = {id(r) for g in grids for r in g}
@@ -96,6 +98,27 @@ def test_oracle_occurrences_matches_letter_scan():
         R, C = rng.randint(k, 80), rng.randint(l, 80)
         assert oracle.oracle_occurrences(w, R, C) == \
             _occurrences_reference(w, R, C), (w, R, C)
+
+
+def test_oracle_occurrences_match_band_scan():
+    # the row scan finds what the column-band window cutter found
+    for k in range(1, 5):
+        for l in range(1, 5):
+            for text in oracle.oracle_subwords(k, l, 40, 40):
+                w = word2d.parse_text(text)
+                assert oracle.oracle_occurrences(w, 40, 40) == \
+                    band_occurrences(w, 40, 40), w
+    assert oracle.oracle_occurrences(("cc", "aa"), 40, 40) == () == \
+        band_occurrences(("cc", "aa"), 40, 40)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 300), st.integers(1, 300), st.data())
+def test_oracle_occurrences_match_band_scan_on_cuts(R, C, data):
+    k, l = data.draw(st.integers(1, R)), data.draw(st.integers(1, C))
+    i, j = data.draw(st.integers(0, R - k)), data.draw(st.integers(0, C - l))
+    w = tuple(row[j:j + l] for row in word2d.mu_prefix(R, C)[i:i + k])
+    assert oracle.oracle_occurrences(w, R, C) == band_occurrences(w, R, C)
 
 
 def test_oracle_occurrences_values():

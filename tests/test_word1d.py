@@ -6,6 +6,7 @@ import bisect
 import os
 import subprocess
 import sys
+from itertools import permutations
 
 import pytest
 from hypothesis import given
@@ -15,7 +16,7 @@ import fib2d
 from fib2d import word1d
 from fib2d.errors import EmptyWord, NotAFactor, TooShort
 
-from reference import factors1d_listkey
+from reference import factors1d_listkey, special_factor
 from tables import (FACTORS_4_AB, OCC_ABAB_BELOW_33, Q_4_AB, Z1_BELOW_6,
                     Z2_BELOW_12, Z4_BELOW_30)
 
@@ -271,7 +272,7 @@ def test_right_extensions():
     assert word1d.right_extensions("", "ba") == ("b", "a")
     # the special factor extends both ways, every other factor one way
     for k in range(1, 10):
-        special = word1d.special_factor(k, "ab")
+        special = special_factor(k, "ab")
         for u in word1d.factors1d(k, "ab"):
             exts = word1d.right_extensions(u, "ab")
             assert len(exts) == (2 if u == special else 1)
@@ -293,13 +294,22 @@ def test_right_extension_table_matches_set_rule():
             for u in factors:
                 assert word1d.right_extensions(u, alphabet) == rule[u]
             special = [u for u in factors if len(rule[u]) == 2]
-            assert [word1d.special_factor(k, alphabet)] == special
+            assert [special_factor(k, alphabet)] == special
+
+
+def test_right_table_has_one_special_factor():
+    # a Sturmian word has exactly one right-special factor of each length
+    for first, second in permutations("abcd", 2):
+        for k in range(1, 201):
+            table = word1d._right_table(k, first, second)
+            assert sum(len(xs) == 2 for xs in table.values()) == 1, \
+                (first + second, k)
 
 
 def test_special_factor_is_reversed_prefix():
     for alphabet in ("ab", "dc", "db"):
         for k in range(1, 31):
-            assert (word1d.special_factor(k, alphabet)
+            assert (special_factor(k, alphabet)
                     == word1d.fib_prefix(alphabet, k)[::-1])
 
 
@@ -395,10 +405,6 @@ INVARIANT_BREAKS = {
     "sturmian-complexity": (
         "word1d.fib_prefix = lambda alph, length: ('aabb' * length)[:length]",
         "word1d.factors1d(2, 'ab')", "4 factors of length 2"),
-    "one-special-factor": (
-        "word1d._factors = lambda k, first, second: tuple("
-        "''.join(p) for p in itertools.product(first + second, repeat=k))",
-        "word1d.special_factor(2, 'ab')", "4 right-special factors"),
     "first-occurrence-scan": (
         "word1d.shortest_truncated_index = lambda u, alph: 2",
         "word1d.first_occ1d('abaababaab', 'ab')", "scan bound"),
@@ -410,7 +416,7 @@ def test_invariant_checks_survive_optimize(case):
     # python -O strips assert statements; these paper invariants must still
     # raise InternalError, whose exit code is 13
     patch, call, complaint = INVARIANT_BREAKS[case]
-    script = ("import itertools, sys\n"
+    script = ("import sys\n"
               "if __debug__:\n"
               "    sys.exit('not optimized')\n"
               "from fib2d import word1d\n"
