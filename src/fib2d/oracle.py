@@ -9,11 +9,14 @@ of the prefix is named by one character in sorted order, so a window is
 told apart, and sorted, by a name of k characters, and only the distinct
 windows are spelled out, one at a time.  oracle_occurrences finds a
 pattern's first row in each prefix row and reads its other rows at the
-same column.  verify() holds the oracle's texts and reads every other
-method's stream against them, so they are the only whole output it holds.
+same column.  verify() reads every method's stream and the oracle's at
+double the bound side by side, one text at a time, so it holds no whole
+output.
 """
 
 from __future__ import annotations
+
+from itertools import zip_longest
 
 from . import conjugacy, dawg, frames
 from .errors import BadBounds
@@ -122,38 +125,30 @@ METHODS = {
 }
 
 
-def _match(texts, truth: tuple[str, ...]) -> tuple[int, bool]:
-    """(the number of texts, whether they are truth), reading texts once,
-    one text at a time."""
-    size, same = 0, True
-    for size, text in enumerate(texts, 1):
-        same = same and size <= len(truth) and text == truth[size - 1]
-    return size, same and size == len(truth)
-
-
 def verify(k: int, l: int) -> dict:
     """Run every enumeration method for size (k,l) and compare.
 
-    The report carries per-method sizes, set agreement, the (k+1)(l+1)
-    count check and the double-bound oracle stability check; "ok" is True
-    iff everything passes.
+    The methods' streams and the oracle's at double the bound are read
+    side by side; each is strictly increasing, so text-by-text agreement
+    is set agreement.  The report carries per-method sizes, that
+    agreement, the (k+1)(l+1) count check and the double-bound oracle
+    stability check; "ok" is True iff everything passes.
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
     # prefix conjugates exist only from size (2,2) on
     names = [name for name in sorted(METHODS)
              if name != "prefix" or min(k, l) >= 2]
-    # every other output is compared with the oracle's texts one text at a
-    # time, so the truth is the only whole output a stream leaves held
-    truth = tuple(METHODS["oracle"](k, l))
     R, C = sufficient_bounds(k, l)
-    stable = _match(stream_subwords(k, l, 2 * R, 2 * C), truth)[1]
-    sizes, agree = {}, True
-    for name in names:
-        size, same = ((len(truth), True) if name == "oracle"
-                      else _match(METHODS[name](k, l), truth))
-        sizes[name] = size
-        agree = agree and same
+    at, sizes = names.index("oracle"), dict.fromkeys(names, 0)
+    agree = stable = True
+    # a stream that has ended reads None, which no text equals
+    for *texts, double in zip_longest(*[METHODS[name](k, l) for name in names],
+                                      stream_subwords(k, l, 2 * R, 2 * C)):
+        for name, text in zip(names, texts):
+            sizes[name] += text is not None
+            agree = agree and text == texts[at]
+        stable = stable and double == texts[at]
     expected = (k + 1) * (l + 1)
     return {
         "k": k,

@@ -308,13 +308,9 @@ def test_invariant_checks_survive_optimize(case):
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("method", ["dawg", "extend"])
-def test_order_check_survives_optimize(method):
-    # the one check that fires mid-stream: dawg and extend fill their texts
-    # in sorted order and check each against the one before.  Reversing the
-    # side order under the tops that start with d breaks the order under
-    # the first of them, and the stream stops before either text of the
-    # broken pair, so stdout is the correct output up to that top
+def _run_with_d_tops_ascending(*argv):
+    # python -O, with the side order reversed under the tops that start
+    # with d, which breaks the order of dawg and extend under the first
     assert word2d._ASCENDING["d"] is False
     script = ("import sys\n"
               "if __debug__:\n"
@@ -324,16 +320,34 @@ def test_order_check_survives_optimize(method):
               "sys.exit(cli.main(sys.argv[1:]))\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(fib2d.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script, "enum", "--method", method,
-         "--k", "3", "--l", "3"],
-        capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-O", "-c", script, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("method", ["dawg", "extend"])
+def test_order_check_survives_optimize(method):
+    # the one check that fires mid-stream: dawg and extend fill their texts
+    # in sorted order and check each against the one before, and the stream
+    # stops before either text of the broken pair, so stdout is the correct
+    # output up to the first top that starts with d
+    proc = _run_with_d_tops_ascending("enum", "--method", method,
+                                      "--k", "3", "--l", "3")
     assert proc.returncode == 13, proc.stderr
     assert proc.stderr.startswith("error:")
     assert "out of sorted order" in proc.stderr
     correct = "\n".join(word2d.to_text(w) for w in GRID_METHODS[method](3, 3))
     assert proc.stdout and correct.startswith(proc.stdout)
     assert proc.stdout != correct
+
+
+def test_order_check_survives_optimize_in_verify():
+    # verify reads the streams side by side, so the break comes in the
+    # middle of the comparison, and no report is printed
+    proc = _run_with_d_tops_ascending("verify", "--k", "3", "--l", "3")
+    assert proc.returncode == 13, proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert "out of sorted order" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_usage_errors_exit_2(capsys, tmp_path):

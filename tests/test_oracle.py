@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fib2d import oracle, word2d
+from fib2d import cli, oracle, word2d
 from fib2d.errors import BadBounds
 
 from reference import band_occurrences, texts, windows
@@ -158,3 +158,72 @@ def test_verify_skips_prefix_method_below_size_two():
 def test_verify_rejects_bad_input():
     with pytest.raises(ValueError):
         oracle.verify(0, 1)
+
+
+# one edit of a sorted stream per way a method can disagree, and the size
+# the edited stream reports relative to the (k+1)(l+1) expected
+STRANGER = "?\n"
+
+
+def _drop_last(texts):
+    return iter(list(texts)[:-1])
+
+
+def _add_one(texts):
+    yield from texts
+    yield STRANGER
+
+
+def _swap_one(texts):
+    texts = list(texts)
+    texts[len(texts) // 2] = STRANGER
+    return iter(texts)
+
+
+EDITS = {"drop-last": (_drop_last, -1), "add-one": (_add_one, 1),
+         "swap-one": (_swap_one, 0)}
+
+
+@pytest.mark.parametrize("edit", sorted(EDITS))
+@pytest.mark.parametrize("method", ["conjugate", "dawg", "extend", "prefix"])
+def test_verify_detects_a_method_that_disagrees(monkeypatch, method, edit):
+    change, delta = EDITS[edit]
+    stream = oracle.METHODS[method]
+    monkeypatch.setitem(oracle.METHODS, method,
+                        lambda k, l: change(stream(k, l)))
+    report = oracle.verify(3, 2)
+    sizes = dict.fromkeys(oracle.METHODS, 12)
+    sizes[method] += delta
+    assert report["sizes"] == sizes
+    assert not report["methods_agree"] and report["oracle_stable"]
+    assert not report["ok"]
+
+
+@pytest.mark.parametrize("edit", sorted(EDITS))
+def test_verify_detects_an_unstable_oracle(monkeypatch, edit):
+    # only the stream at double the bound is edited; the oracle method
+    # reads the same function at the bound itself
+    change, _ = EDITS[edit]
+    stream = oracle.stream_subwords
+    double = tuple(2 * n for n in oracle.sufficient_bounds(3, 2))
+
+    def edited(k, l, R, C):
+        texts = stream(k, l, R, C)
+        return change(texts) if (R, C) == double else texts
+
+    monkeypatch.setattr(oracle, "stream_subwords", edited)
+    report = oracle.verify(3, 2)
+    assert report["sizes"] == dict.fromkeys(oracle.METHODS, 12)
+    assert report["methods_agree"] and not report["oracle_stable"]
+    assert not report["ok"]
+
+
+def test_verify_command_fails_on_a_disagreement(monkeypatch, capsys):
+    stream = oracle.METHODS["dawg"]
+    monkeypatch.setitem(oracle.METHODS, "dawg",
+                        lambda k, l: _drop_last(stream(k, l)))
+    assert cli.main(["verify", "--k", "3", "--l", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "  dawg       11\n" in out
+    assert "methods agree: False\n" in out
+    assert out.endswith("FAIL\n")

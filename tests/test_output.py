@@ -210,12 +210,27 @@ def test_enum_holds_blocks_not_texts(monkeypatch, method, k, bound):
 
 
 def test_verify_holds_only_the_truth(monkeypatch):
-    # measured peak, Python 3.11: 16.3 MB at (60,60), the oracle's texts;
-    # holding a sorted dawg or extend output beside them took 28.9 MB
+    # measured peak, Python 3.11: 6.8 MB at (60,60), the streams' names and
+    # window tables; holding the oracle's texts took 16.3 MB, and a sorted
+    # dawg or extend output beside them 28.9 MB
     code, chars, peak = traced_peak(monkeypatch, "verify", "--k", "60",
                                     "--l", "60")
     assert code == 0 and chars > 0
     assert peak < 20_000_000
+
+
+# measured peaks, Python 3.11: 20.3 MB at (100,100), where holding the
+# oracle's texts took 110.5 MB; 38.8 and 27.8 MB at (1100,2) and (2,1100),
+# where the window tables of every stream live side by side and holding
+# the oracle's texts beside one stream at a time took 23.4 and 19.2 MB
+@pytest.mark.parametrize("k, l, bound", [(100, 100, 25_000_000),
+                                         (1100, 2, 45_000_000),
+                                         (2, 1100, 32_000_000)])
+def test_verify_holds_no_output(monkeypatch, k, l, bound):
+    code, chars, peak = traced_peak(monkeypatch, "verify", "--k", str(k),
+                                    "--l", str(l))
+    assert code == 0 and chars > 0
+    assert peak < bound
 
 
 # ----------------------------------------------------------- closed stdout --
