@@ -4,19 +4,17 @@ Rotating rows and columns of a Fibonacci grid cyclically ranges over its
 conjugacy class.  One distinguished conjugate has the property that the
 top-left prefixes of its successive inverse rotations run through all
 factors of a given size; a second enumeration reads prefixes of positive
-rotations of the next larger grid.  Both stream the texts of the factors
-in sorted order (stream_*) or return them as a sorted tuple
-(enumerate_*).  Each distinct row window of the cyclic grid is named by
-one character, in sorted order, so corners are told apart and sorted by
-their k-character names, and only the distinct ones are spelled out, one
-at a time.
+rotations of the next larger grid.  Both read those corners as windows of
+the grid taken cyclically (word2d.stream_windows) and check their count,
+and give the texts of the factors in sorted order, as a stream (stream_*)
+or a sorted tuple (enumerate_*).
 """
 
 from __future__ import annotations
 
 from .errors import EmptyWord, InternalError, OutOfRange
 from .word1d import fib, fib_index, special_conjugate1d
-from .word2d import Grid, dims, fib_array
+from .word2d import Grid, dims, fib_array, stream_windows
 
 
 def rotate2d(w: Grid, i: int, j: int) -> Grid:
@@ -67,57 +65,23 @@ def _cover_index(k: int) -> int:
     return max(2, fib_index(k, "F11"))
 
 
-def _names(windows) -> dict[str, str]:
-    """A one-character name for each window of the sorted list windows.
-
-    The names follow the windows' order, so a string of names sorts and
-    compares as the texts of the windows it spells, when all windows have
-    one length.
-    """
-    return {win: chr(i) for i, win in enumerate(windows)}
-
-
 def _corners(base: Grid, row_starts, col_starts, k: int, l: int,
              method: str):
     """The texts of the (k,l) top-left corners of the rotations of base
     that start at each row in row_starts and each column in col_starts, as
     a stream in sorted order.
 
-    Corners are read off the cyclic grid without building any rotation.
-    Each distinct row cuts its newline-ended windows once, and each
-    distinct window is named by one character (_names).  A lane, one
-    column of windows with a window per row, is then a string of names,
-    and a corner's name is k characters of it.  The names are counted,
-    since there must be (k+1)(l+1) distinct corners, and sorted before the
-    stream starts.  Where the joined lanes are no larger than the names
-    (tall, thin corners), a corner is one slice of its lane's text;
-    otherwise it is the join of its k windows.
+    Corners are the windows of base taken cyclically, read by
+    word2d.stream_windows without building any rotation; there must be
+    (k+1)(l+1) distinct ones, counted before the stream starts.
     """
-    cut = {}
-    for w in set(base):
-        cyclic = w + w[:l - 1]
-        cut[w] = [cyclic[j:j + l] + "\n" for j in col_starts]
-    names = _names(sorted({win for wins in cut.values() for win in wins}))
-    spelled = {w: "".join([names[win] for win in wins])
-               for w, wins in cut.items()}
-    rows = base + base[:k - 1]
-    # each lane as its windows, and as the string of their names, of which
-    # one (lane, row) position is kept per distinct corner
-    lanes = list(zip(*[cut[w] for w in rows]))
-    first = {name[i:i + k]: (j, i) for j, name in
-             enumerate(map("".join, zip(*[spelled[w] for w in rows])))
-             for i in row_starts}
-    if len(first) != (k + 1) * (l + 1):
+    cyclic = {w: w + w[:l - 1] for w in set(base)}
+    n, texts = stream_windows([cyclic[w] for w in base + base[:k - 1]],
+                              row_starts, col_starts, k, l)
+    if n != (k + 1) * (l + 1):
         raise InternalError(f"size ({k},{l}) has {(k + 1) * (l + 1)} "
-                            f"subwords, {method} gave {len(first)}")
-    order = map(first.__getitem__, sorted(first))
-    n = l + 1
-    # a slice of a joined lane is the fastest cut, taken where the joined
-    # lanes are no larger than the names
-    if len(lanes) * len(lanes[0]) * n <= len(first) * k:
-        texts = list(map("".join, lanes))
-        return (texts[j][i * n:(i + k) * n] for j, i in order)
-    return ("".join(lanes[j][i:i + k]) for j, i in order)
+                            f"subwords, {method} gave {n}")
+    return texts
 
 
 def stream_conjugation(k: int, l: int):

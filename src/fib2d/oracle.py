@@ -1,13 +1,11 @@
 """Brute-force ground truth and the cross-method verification report.
 
 Everything here works by materializing an explicit prefix of the infinite
-grid and scanning it, so it is independent of the DAWG, extension and
-conjugation machinery it is used to check.  Like every enumeration, the
-oracle gives the texts of the factors in sorted order, as a stream
-(stream_subwords) or a tuple (oracle_subwords).  Each distinct row window
-of the prefix is named by one character in sorted order, so a window is
-told apart, and sorted, by a name of k characters, and only the distinct
-windows are spelled out, one at a time.  oracle_occurrences finds a
+grid by the substitution and scanning it, so it is independent of the
+DAWG, extension and conjugation machinery it is used to check.  Like every
+enumeration, the oracle gives the texts of the factors in sorted order, as
+a stream (stream_subwords) or a tuple (oracle_subwords); the prefix's
+windows are read by word2d.stream_windows.  oracle_occurrences finds a
 pattern's first row in each prefix row and reads its other rows at the
 same column.  verify() reads every method's stream and the oracle's at
 double the bound side by side, one text at a time, so it holds no whole
@@ -21,7 +19,7 @@ from itertools import zip_longest
 from . import conjugacy, dawg, frames
 from .errors import BadBounds
 from .word1d import fib, fib_index
-from .word2d import Grid, dims, mu_prefix
+from .word2d import Grid, dims, mu_prefix, stream_windows
 
 
 def sufficient_bounds(k: int, l: int) -> tuple[int, int]:
@@ -39,49 +37,15 @@ def sufficient_bounds(k: int, l: int) -> tuple[int, int]:
 
 
 def stream_subwords(k: int, l: int, R: int, C: int):
-    """The texts of all distinct (k,l) windows of the (R,C) prefix, as a
-    stream in sorted order.
-
-    Each distinct row of the prefix cuts each of its newline-ended width-l
-    windows once, and each distinct row window is named by one character,
-    in sorted order.  A column band is then a string of names, one per
-    row, and a window's name is k characters of it, so windows are told
-    apart and sorted by their names before the stream starts.  Where the
-    joined bands are no larger than the names (tall, thin windows), a
-    window is one slice of its band's text; otherwise it is the join of
-    its k rows.
-    """
+    """The texts of all distinct (k,l) windows of the (R,C) prefix, built
+    by the explicit substitution, as a stream in sorted order
+    (word2d.stream_windows)."""
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
     if R < k or C < l:
         raise BadBounds(f"prefix ({R},{C}) smaller than window ({k},{l})")
-    g = mu_prefix(R, C)
-    # each newline-ended row window is cut once and numbered when first
-    # seen, then named by its rank in sorted order
-    seen = {}
-    codes = {r: [seen.setdefault(r[j:j + l] + "\n", len(seen))
-                 for j in range(C - l + 1)] for r in set(g)}
-    names = [""] * len(seen)
-    for i, win in enumerate(sorted(seen)):
-        names[seen[win]] = chr(i)
-    windows = list(seen)
-    cut = {r: list(map(windows.__getitem__, cs)) for r, cs in codes.items()}
-    spelled = {r: "".join(map(names.__getitem__, cs))
-               for r, cs in codes.items()}
-    # each band as its windows, and as the string of their names, of which
-    # one (band, row) position is kept per distinct window
-    bands = list(zip(*[cut[r] for r in g]))
-    first = {name[i:i + k]: (j, i) for j, name in
-             enumerate(map("".join, zip(*[spelled[r] for r in g])))
-             for i in range(R - k + 1)}
-    order = map(first.__getitem__, sorted(first))
-    n = l + 1
-    # a slice of a joined band is the fastest cut, taken where the joined
-    # bands are no larger than the names
-    if len(bands) * len(bands[0]) * n <= len(first) * k:
-        texts = list(map("".join, bands))
-        return (texts[j][i * n:(i + k) * n] for j, i in order)
-    return ("".join(bands[j][i:i + k]) for j, i in order)
+    return stream_windows(mu_prefix(R, C), range(R - k + 1),
+                          range(C - l + 1), k, l)[1]
 
 
 def oracle_subwords(k: int, l: int, R: int, C: int) -> tuple[str, ...]:

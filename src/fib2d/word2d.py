@@ -218,6 +218,54 @@ def mu_prefix(rows: int, cols: int) -> Grid:
     return g
 
 
+# ---------------------------------------------------------------- windows --
+
+def _names(windows) -> dict[str, str]:
+    """A one-character name for each window of the sorted list windows.
+
+    The names follow the windows' order, so a string of names sorts and
+    compares as the texts of the windows it spells, when all windows have
+    one length.
+    """
+    return {win: chr(i) for i, win in enumerate(windows)}
+
+
+def stream_windows(rows, row_starts, col_starts, k: int, l: int):
+    """(n, texts): the number of distinct (k,l) windows of the grid rows
+    whose top-left corners lie at a row in row_starts and a column in
+    col_starts, and their texts as a stream in sorted order.
+
+    Each distinct row cuts its newline-ended width-l windows once, equal
+    windows are kept as one string, and each distinct one is named by one
+    character in sorted order (_names).  A lane, one column of windows
+    with a window per row, is then a string of names, and a (k,l) window's
+    name is k characters of it, so windows are told apart, counted and
+    sorted by their names before the stream starts.  Where the joined lanes
+    are no larger than the names (tall, thin windows), a window is one
+    slice of its lane's text; otherwise it is the join of its k rows.
+    """
+    seen = {}
+    cut = {r: [seen.setdefault(win := r[j:j + l] + "\n", win)
+               for j in col_starts] for r in set(rows)}
+    names = _names(sorted(seen))
+    spelled = {r: "".join(map(names.__getitem__, wins))
+               for r, wins in cut.items()}
+    # each lane as its windows, and as the string of their names, of which
+    # one (lane, row) position is kept per distinct window
+    lanes = list(zip(*[cut[r] for r in rows]))
+    first = {name[i:i + k]: (j, i) for j, name in
+             enumerate(map("".join, zip(*[spelled[r] for r in rows])))
+             for i in row_starts}
+    order = map(first.__getitem__, sorted(first))
+    n = l + 1
+    # a slice of a joined lane is the fastest cut, taken where the joined
+    # lanes are no larger than the names
+    if len(lanes) * len(lanes[0]) * n <= len(first) * k:
+        texts = list(map("".join, lanes))
+        return len(first), (texts[j][i * n:(i + k) * n] for j, i in order)
+    return len(first), ("".join(lanes[j][i:i + k]) for j, i in order)
+
+
 # -------------------------------------------------------------- structure --
 
 def subblock(w: Grid, top_left, bottom_right) -> Grid:

@@ -273,10 +273,10 @@ INVARIANT_BREAKS = {
                "prefix", 5, 5, "4 rotation exponents for length 5"),
     # each two row windows next to each other in sorted order share one
     # name, so the corners dc/dc and dd/dd are told apart no more
-    "conjugate-name": ("conjugacy._names = lambda ws: "
+    "conjugate-name": ("word2d._names = lambda ws: "
                        "{w: chr(i // 2) for i, w in enumerate(ws)}",
                        "conjugate", 2, 2, "conjugation gave 8"),
-    "prefix-name": ("conjugacy._names = lambda ws: "
+    "prefix-name": ("word2d._names = lambda ws: "
                     "{w: chr(i // 2) for i, w in enumerate(ws)}",
                     "prefix", 2, 2, "prefix conjugates gave 8"),
 }
@@ -293,7 +293,7 @@ def test_invariant_checks_survive_optimize(case):
     script = ("import sys\n"
               "if __debug__:\n"
               "    sys.exit('not optimized')\n"
-              "from fib2d import cli, conjugacy, dawg, frames\n"
+              "from fib2d import cli, conjugacy, dawg, frames, word2d\n"
               f"{patch}\n"
               "sys.exit(cli.main(sys.argv[1:]))\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fib2d import cli, oracle, word2d
+from fib2d import cli, conjugacy, oracle, word2d
 from fib2d.errors import BadBounds
 
 from reference import band_occurrences, texts, windows
@@ -216,6 +216,28 @@ def test_verify_detects_an_unstable_oracle(monkeypatch, edit):
     assert report["sizes"] == dict.fromkeys(oracle.METHODS, 12)
     assert report["methods_agree"] and not report["oracle_stable"]
     assert not report["ok"]
+
+
+@pytest.mark.parametrize("edit", ["add-one", "drop-last"])
+def test_verify_fails_on_a_fault_of_the_window_reader(monkeypatch, edit):
+    # conjugate, prefix and the oracle at both bounds read their windows
+    # through one reader, so a fault of it is shared by all four streams;
+    # dawg and extend read no windows, and still disagree with them
+    change, delta = EDITS[edit]
+    read = word2d.stream_windows
+
+    def faulty(*args):
+        n, texts = read(*args)
+        return n, change(texts)
+
+    for module in (conjugacy, oracle):
+        monkeypatch.setattr(module, "stream_windows", faulty)
+    report = oracle.verify(3, 3)
+    sizes = dict.fromkeys(oracle.METHODS, 16 + delta)
+    sizes["dawg"] = sizes["extend"] = 16
+    assert report["sizes"] == sizes
+    assert report["oracle_stable"]
+    assert not report["methods_agree"] and not report["ok"]
 
 
 def test_verify_command_fails_on_a_disagreement(monkeypatch, capsys):

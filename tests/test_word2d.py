@@ -1,11 +1,11 @@
-"""Unit tests for grids: shapes, the recursions, structure."""
+"""Unit tests for grids: shapes, the recursions, structure, windows."""
 
 from __future__ import annotations
 
 from itertools import product
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fib2d import word1d, word2d
@@ -254,6 +254,49 @@ def test_mu_prefix_lines_are_fibonacci_words():
         col = word2d.column(g, j)
         alphabet = word2d.col_alphabet_of(col[0])
         assert col == word1d.fib_prefix(alphabet, 34)
+
+
+# ---------------------------------------------------------------- windows --
+
+@st.composite
+def _window_cases(draw):
+    # equal-length rows over abcd, drawn from a few distinct ones so that
+    # rows repeat; start lists unsorted and with repeats
+    width = draw(st.integers(1, 6))
+    distinct = draw(st.lists(st.text("abcd", min_size=width, max_size=width),
+                             min_size=1, max_size=4))
+    rows = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=10))
+    k = draw(st.integers(1, len(rows)))
+    l = draw(st.integers(1, width))
+    row_starts = draw(st.lists(st.integers(0, len(rows) - k), min_size=1,
+                               max_size=8))
+    col_starts = draw(st.lists(st.integers(0, width - l), min_size=1,
+                               max_size=8))
+    return rows, row_starts, col_starts, k, l
+
+
+def test_stream_windows_matches_brute_force():
+    branches = set()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_window_cases())
+    # a tall, thin window is one slice of its lane's text
+    @example((list("abcdab"), range(4), [0], 3, 1))
+    # a wide window with few distinct names is the join of its rows
+    @example((["aaaa", "aaaa"], [0, 1], [3, 1, 0, 2], 1, 1))
+    def check(case):
+        rows, row_starts, col_starts, k, l = case
+        n, texts = word2d.stream_windows(rows, row_starts, col_starts, k, l)
+        every = {"".join(r[j:j + l] + "\n" for r in rows[i:i + k])
+                 for i in row_starts for j in col_starts}
+        # the join branch's stream reads the lanes of windows, the slice
+        # branch's their joined texts
+        branches.add("join" if "lanes" in texts.gi_code.co_freevars
+                     else "slice")
+        assert (n, list(texts)) == (len(every), sorted(every))
+
+    check()
+    assert branches == {"join", "slice"}
 
 
 # -------------------------------------------------------------- structure --
