@@ -183,7 +183,7 @@ def truncated(n: int, alphabet) -> str:
 def _factors(k: int, first: str, second: str) -> tuple[str, ...]:
     # the shortest prefix holding all k+1 factors of length k has at most
     # phi^2 k + 1 letters (a scan read at most 2.617k for every k <= 2000),
-    # so the first 4k + 8 letters hold them all
+    # so the first 4k + 8 letters hold them all (shortest_truncated_index too)
     w = fib_prefix((first, second), 4 * k + 8)
     seen = {w[i:i + k] for i in range(len(w) - k + 1)}
     if len(seen) != k + 1:
@@ -247,25 +247,24 @@ def special_conjugate1d(n: int, alphabet) -> str:
 # ------------------------------------------------------------ occurrences --
 
 def shortest_truncated_index(u: str, alphabet) -> int:
-    """Smallest n >= 2 with u a factor of truncated(n, alphabet)."""
-    first, second = _pair(alphabet)
+    """Smallest n >= 2 with u a factor of truncated(n, alphabet), the
+    prefix of length fib(n, "F12") - 2: the least n with i + len(u) <=
+    fib(n, "F12") - 2, where i is u's first occurrence, found in the first
+    4 len(u) + 8 letters as in _factors."""
     if not u:
         raise ValueError("u must be non-empty")
-    if u not in _factors(len(u), first, second):
+    i = fib_prefix(alphabet, 4 * len(u) + 8).find(u)
+    if i < 0:
         raise NotAFactor(f"{u!r} does not occur in the infinite word")
-    n = 2
-    while u not in truncated(n, alphabet):
-        n += 1
-    return n
+    return fib_index(i + len(u) + 1, "F12")
 
 
 def _first_occ(u: str, alphabet) -> tuple[int, int]:
     """(shortest_truncated_index(u), first occurrence offset of u)."""
     n = shortest_truncated_index(u, alphabet)
-    w = fib_prefix(alphabet, fib(n + 2, "F12"))
-    i = w.find(u)
+    i = truncated(n, alphabet).find(u)
     if i < 0:
-        raise InternalError(f"{u!r} not in the first {len(w)} letters, "
+        raise InternalError(f"{u!r} not in truncated({n}, {alphabet!r}), "
                             f"the scan bound for truncation index {n}")
     return n, i
 

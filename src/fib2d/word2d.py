@@ -256,14 +256,14 @@ def stream_windows(rows, row_starts, col_starts, k: int, l: int):
     first = {name[i:i + k]: (j, i) for j, name in
              enumerate(map("".join, zip(*[spelled[r] for r in rows])))
              for i in row_starts}
-    order = map(first.__getitem__, sorted(first))
+    order = [first[name] for name in sorted(first)]
     n = l + 1
     # a slice of a joined lane is the fastest cut, taken where the joined
     # lanes are no larger than the names
-    if len(lanes) * len(lanes[0]) * n <= len(first) * k:
+    if len(lanes) * len(lanes[0]) * n <= len(order) * k:
         texts = list(map("".join, lanes))
-        return len(first), (texts[j][i * n:(i + k) * n] for j, i in order)
-    return len(first), ("".join(lanes[j][i:i + k]) for j, i in order)
+        return len(order), (texts[j][i * n:(i + k) * n] for j, i in order)
+    return len(order), ("".join(lanes[j][i:i + k]) for j, i in order)
 
 
 # -------------------------------------------------------------- structure --

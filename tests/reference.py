@@ -13,7 +13,9 @@ construction it replaced stays here as its differential reference.
 The 1D factor tables sort by a translated 0/1 key, grids check their
 letters with one translate per row, and the command line is read from one
 table; the per-letter sort key, the per-letter check and the argparse
-parser they replaced stay here as their differential references.
+parser they replaced stay here as their differential references.  A 1D
+factor's shortest truncated index is read off its first occurrence; the
+loop over truncated words it replaced stays here as its reference.
 
 The oracle locates a pattern by scanning the prefix rows with str.find.
 Its earlier window scan, the column-band cutter (`bands`, `windows`,
@@ -36,9 +38,9 @@ import argparse
 from fib2d import cli, conjugacy, frames, oracle
 from fib2d.dawg import (_LETTER, Digraph, _fmt_node, _line_words, _walk,
                         build_line_dawg, subword_from_path)
-from fib2d.errors import InternalError, ShapeMismatch
+from fib2d.errors import InternalError, NotAFactor, ShapeMismatch
 from fib2d.word1d import (LETTERS, _pair, _right_table, factors1d,
-                          fib_prefix)
+                          fib_prefix, truncated)
 from fib2d.word2d import (COL_ALPHABETS, EMPTY, ROW_ALPHABETS,
                           col_alphabet_of, column, dims, fib_array, fill,
                           mu_prefix, row_alphabet_of, to_text)
@@ -145,6 +147,21 @@ def factors1d_listkey(k: int, alphabet) -> tuple[str, ...]:
         raise InternalError(f"{len(seen)} factors of length {k}")
     order = {first: 0, second: 1}
     return tuple(sorted(seen, key=lambda u: [order[c] for c in u]))
+
+
+def shortest_truncated_index_loop(u: str, alphabet) -> int:
+    """word1d.shortest_truncated_index read off the definition: check that u
+    is among the length-|u| factors, then try truncated(2), truncated(3),
+    ... until one holds u."""
+    first, second = _pair(alphabet)
+    if not u:
+        raise ValueError("u must be non-empty")
+    if u not in factors1d(len(u), (first, second)):
+        raise NotAFactor(f"{u!r} does not occur in the infinite word")
+    n = 2
+    while u not in truncated(n, alphabet):
+        n += 1
+    return n
 
 
 def as_grid_loop(rows):

@@ -1,0 +1,69 @@
+"""locate's memory grows with its input, not with the square of it.
+
+Each case runs `locate` on a factor of size n and of size 4n, with the
+1D word caches cleared, and measures the tracemalloc peak with a stdout
+that only counts.  The bound is linear in the input: from n to 4n the
+peak may grow by at most 1.5 times the factor the input grows by.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from fib2d import word1d, word2d
+
+from test_output import traced_peak
+
+# one pair of bounds at every size, so the occurrence sets stay small and
+# the peak is the search's
+BOUNDS = ("--row-bound", "1000", "--col-bound", "1000")
+
+
+def line(n: int):
+    """A 1xn row factor, cut from the first row after its first 7 letters."""
+    return (word1d.fib_prefix("dc", n + 7)[7:],)
+
+
+def cut(n: int):
+    """An nxn factor, cut from the prefix at (3, 5)."""
+    return tuple(r[5:5 + n] for r in word2d.mu_prefix(n + 3, n + 5)[3:])
+
+
+def locate_peak(monkeypatch, path):
+    """(exit code, characters written, peak) of a cold `locate` run."""
+    for cache in (word1d.fib_word, word1d._factors, word1d._right_table):
+        cache.cache_clear()
+    return traced_peak(monkeypatch, "locate", "--file", str(path), *BOUNDS)
+
+
+# measured peaks, Python 3.11: line 0.05 -> 0.07 MB (n = 1000 -> 4000),
+# cut 0.03 -> 0.35 MB (n = 100 -> 400, 16 times the letters); a search
+# that held every length-|u| window of the frame words took 2.2 -> 32.7 MB
+# on the line, 15 times as much for 4 times the letters
+@pytest.mark.parametrize("make, n", [(line, 1000), (cut, 100)])
+def test_locate_peak_grows_linearly(monkeypatch, tmp_path, make, n):
+    peaks, sizes = [], []
+    for size in (n, n, 4 * n):  # the first run warms the interpreter
+        text = word2d.to_text(make(size))
+        path = tmp_path / f"{size}.txt"
+        path.write_text(text)
+        code, chars, peak = locate_peak(monkeypatch, path)
+        assert code == 0 and chars > 0
+        peaks.append(peak)
+        sizes.append(len(text))
+    assert peaks[2] / peaks[1] < 1.5 * sizes[2] / sizes[1]
+
+
+def test_locate_rejects_a_long_non_factor_in_bounded_memory(
+        monkeypatch, capsys, tmp_path):
+    # measured peak, Python 3.11: 0.11 MB, the row word's first 32 008
+    # letters and the cached word they are cut from; checking the
+    # 8 000-letter line against every window of its length took 129.6 MB
+    row = word1d.fib_prefix("dc", 8000)
+    i = row.index("cd", 4000)
+    path = tmp_path / "line.txt"
+    path.write_text(row[:i + 1] + "c" + row[i + 2:] + "\n")
+    code, chars, peak = locate_peak(monkeypatch, path)
+    assert (code, chars) == (3, 0)
+    assert capsys.readouterr().err.startswith("error:")
+    assert peak < 500_000

@@ -9,14 +9,15 @@ import sys
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fib2d
 from fib2d import word1d
 from fib2d.errors import EmptyWord, NotAFactor, TooShort
 
-from reference import factors1d_listkey, special_factor
+from reference import (factors1d_listkey, shortest_truncated_index_loop,
+                       special_factor)
 from tables import (FACTORS_4_AB, OCC_ABAB_BELOW_33, Q_4_AB, Z1_BELOW_6,
                     Z2_BELOW_12, Z4_BELOW_30)
 
@@ -358,6 +359,29 @@ def test_shortest_truncated_index():
         word1d.shortest_truncated_index("", "ab")
     with pytest.raises(NotAFactor):
         word1d.shortest_truncated_index("bb", "ab")
+
+
+def test_shortest_truncated_index_matches_loop():
+    # the first-occurrence formula against the loop over truncated words,
+    # on every factor up to length 60 and on all factors of three long ones
+    for alphabet in ALPHABETS:
+        for k in (*range(1, 61), 100, 233, 500):
+            for u in word1d.factors1d(k, alphabet):
+                assert (word1d.shortest_truncated_index(u, alphabet)
+                        == shortest_truncated_index_loop(u, alphabet)), u
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(ALPHABETS), st.data())
+def test_shortest_truncated_index_rejects_non_factors_like_loop(alphabet,
+                                                                 data):
+    letters = data.draw(st.sampled_from([alphabet, "abcd"]))
+    u = data.draw(st.text(alphabet=letters, min_size=1, max_size=60))
+    assume(u not in word1d.factors1d(len(u), alphabet))
+    with pytest.raises(NotAFactor):
+        word1d.shortest_truncated_index(u, alphabet)
+    with pytest.raises(NotAFactor):
+        shortest_truncated_index_loop(u, alphabet)
 
 
 def test_first_occ1d_values():
