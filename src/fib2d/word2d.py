@@ -11,7 +11,8 @@ over {d,b} or {c,a}.  Within any factor, lines sharing an alphabet are equal.
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import chain, count, islice, repeat
+from math import isqrt
 
 from .errors import (InternalError, NotFibStructured, OutOfDomain,
                      ShapeMismatch)
@@ -220,14 +221,44 @@ def mu_prefix(rows: int, cols: int) -> Grid:
 
 # ---------------------------------------------------------------- windows --
 
-def _names(windows) -> dict[str, str]:
-    """A one-character name for each window of the sorted list windows.
+_WHOLE = 128  # windows this wide are keyed by their isqrt(w)-wide blocks
 
-    The names follow the windows' order, so a string of names sorts and
-    compares as the texts of the windows it spells, when all windows have
-    one length.
-    """
-    return {win: chr(i) for i, win in enumerate(windows)}
+
+def _keys(b: str, period: int, offsets, w: int):
+    """Strings that sort and compare as the width-w windows of b at
+    t*period + o, piece t by piece t, for o in offsets, as an iterator.
+
+    Where h = isqrt(w) divides period and the windows fit their pieces, a
+    wide window's key is not its text but the names (_rank) of its blocks
+    at 0, h, 2h, ... and of the block that ends it, which overlaps only
+    letters the others compare: a slice of a run of block names h apart,
+    and one character, about 2*sqrt(w) characters in all."""
+    h = isqrt(w) if w >= _WHOLE else 1
+    if period % h or max(offsets) + w > period:
+        h = 1
+    q, rem = divmod(w, h)
+    m, step, fit = len(b) // h, period // h, period - h + 1
+    tops = range(0, m, step)
+    if h > 1:  # run r*pieces + t names the blocks at r, r + h, ... of piece t
+        names = _rank(b, period, range(fit), h)
+        b = "".join([names[t * fit + r:(t + 1) * fit:h].ljust(step, "\0")
+                     for r in range(h) for t in range(len(tops))])
+    firsts = [o % h * m + o // h for o in offsets]
+    if not rem:
+        return (b[x:x + q] for s in tops for x in map(s.__add__, firsts))
+    lasts = [(o + w - h) % h * m + (o + w - h) // h for o in offsets]
+    return (b[x:x + q] + b[y] for s in tops for x, y in
+            zip(map(s.__add__, firsts), map(s.__add__, lasts)))
+
+
+def _rank(b: str, period: int, offsets, w: int) -> str:
+    """One character per window of _keys(b, period, offsets, w): its rank
+    among the distinct windows, so names sort as the windows' texts do."""
+    met = {}  # a name for each key, in the order the keys are met
+    names = "".join([met.setdefault(key, chr(len(met)))
+                     for key in _keys(b, period, offsets, w)])
+    return names.translate({ord(met[key]): chr(i)
+                            for i, key in enumerate(sorted(met))})
 
 
 def stream_windows(rows, row_starts, col_starts, k: int, l: int):
@@ -235,35 +266,41 @@ def stream_windows(rows, row_starts, col_starts, k: int, l: int):
     whose top-left corners lie at a row in row_starts and a column in
     col_starts, and their texts as a stream in sorted order.
 
-    Each distinct row cuts its newline-ended width-l windows once, equal
-    windows are kept as one string, and each distinct one is named by one
-    character in sorted order (_names).  A lane, one column of windows
-    with a window per row, is then a string of names, and a (k,l) window's
-    name is k characters of it, so windows are told apart, counted and
-    sorted by their names before the stream starts.  Where the joined lanes
-    are no larger than the names (tall, thin windows), a window is one
-    slice of its lane's text; otherwise it is the join of its k rows.
+    Each distinct row window is named by one character (_rank), each lane
+    of windows, one per row, is then a string of names kept once, and a
+    window is k names of it, keyed (_keys) and sorted before the stream
+    starts.  A text is cut as it is yielded: a tall, thin window's as a
+    slice of its lane's text, else for l <= k as the join of its k row
+    windows, each held once, else as the join of k slices of its rows.
     """
-    seen = {}
-    cut = {r: [seen.setdefault(win := r[j:j + l] + "\n", win)
-               for j in col_starts] for r in set(rows)}
-    names = _names(sorted(seen))
-    spelled = {r: "".join(map(names.__getitem__, wins))
-               for r, wins in cut.items()}
-    # each lane as its windows, and as the string of their names, of which
-    # one (lane, row) position is kept per distinct window
-    lanes = list(zip(*[cut[r] for r in rows]))
-    first = {name[i:i + k]: (j, i) for j, name in
-             enumerate(map("".join, zip(*[spelled[r] for r in rows])))
-             for i in row_starts}
-    order = [first[name] for name in sorted(first)]
-    n = l + 1
-    # a slice of a joined lane is the fastest cut, taken where the joined
-    # lanes are no larger than the names
-    if len(lanes) * len(lanes[0]) * n <= len(order) * k:
-        texts = list(map("".join, lanes))
-        return len(order), (texts[j][i * n:(i + k) * n] for j, i in order)
-    return len(order), ("".join(lanes[j][i:i + k]) for j, i in order)
+    distinct, c, r = list(dict.fromkeys(rows)), len(col_starts), len(row_starts)
+    pad = "\0" * (-len(rows[0]) % isqrt(l))
+    names = _rank(pad.join(distinct) + pad, len(rows[0]) + len(pad),
+                  col_starts, l)
+    index = dict(zip(distinct, map(chr, count())))
+    spelled = "".join(map(index.__getitem__, rows))
+    tables = {names[i::c]: j for i, j in enumerate(col_starts)}  # lanes
+    cols, pad = list(tables.values()), "\0" * (-len(rows) % isqrt(k))
+    lanes = pad.join(map(spelled.translate, tables)) + pad
+    height = len(rows) + len(pad)
+    first = dict(zip(_keys(lanes, height, row_starts, k), count()))
+    order = [x // r * height + row_starts[x % r]
+             for x in map(first.pop, sorted(first))]
+    n, tall = l + 1, len(cols) * len(rows) * (l + 1) <= len(order) * k
+    if l > k and not tall:
+        return len(order), ("\n".join([row[cols[t]:cols[t] + l]
+                                        for row in rows[i:i + k]]) + "\n"
+                            for t, i in map(divmod, order, repeat(height)))
+    where = dict(zip(names, count()))  # a window of each name
+    held = [distinct[x // c][col_starts[x % c]:col_starts[x % c] + l] + "\n"
+            for x in map(where.__getitem__, sorted(where))]
+    if tall:
+        texts = [lanes[i:i + len(rows)].translate(held)
+                 for i in range(0, len(lanes), height)]
+        return len(order), (texts[t][i * n:(i + k) * n]
+                            for t, i in map(divmod, order, repeat(height)))
+    windows = tuple(map(held.__getitem__, map(ord, lanes)))
+    return len(order), ("".join(windows[p:p + k]) for p in order)
 
 
 # -------------------------------------------------------------- structure --

@@ -273,11 +273,11 @@ INVARIANT_BREAKS = {
                "prefix", 5, 5, "4 rotation exponents for length 5"),
     # each two row windows next to each other in sorted order share one
     # name, so the corners dc/dc and dd/dd are told apart no more
-    "conjugate-name": ("word2d._names = lambda ws: "
-                       "{w: chr(i // 2) for i, w in enumerate(ws)}",
+    "conjugate-name": ("word2d._rank = (lambda rank: lambda *a: ''.join("
+                       "chr(ord(c) // 2) for c in rank(*a)))(word2d._rank)",
                        "conjugate", 2, 2, "conjugation gave 8"),
-    "prefix-name": ("word2d._names = lambda ws: "
-                    "{w: chr(i // 2) for i, w in enumerate(ws)}",
+    "prefix-name": ("word2d._rank = (lambda rank: lambda *a: ''.join("
+                    "chr(ord(c) // 2) for c in rank(*a)))(word2d._rank)",
                     "prefix", 2, 2, "prefix conjugates gave 8"),
 }
 

@@ -145,18 +145,20 @@ SHAPE_BOUNDS = [((1100, 2), 6_000_000), ((2, 1100), 6_000_000),
                 ((1100, 1), 6_000_000), ((1, 1100), 6_000_000),
                 ((100, 100), 8_000_000)]
 
-# each case's measured peak, Python 3.11, plus ~15%, mostly the k-letter
-# names of the distinct factors: 3.0-4.7 MB at the thin shapes and
-# 2.8-3.6 MB at (100,100); holding each distinct row window twice took up
-# to 6 MB at the thin shapes
+# each case's measured peak, Python 3.11, plus ~15%: 0.50-0.93 MB at the
+# thin shapes, where the window reader holds its lanes of window names,
+# the names of their blocks and the sorted places of the windows, and
+# 2.7 MB at (100,100), whose windows are keyed by their k names; keying
+# every window by its k names took 3.0-4.7 MB at the thin shapes, and
+# holding each distinct row window twice up to 6 MB
 ENUM_BOUNDS = {
-    ("conjugate", 1100, 2): 5_100_000, ("conjugate", 2, 1100): 4_100_000,
-    ("conjugate", 1100, 1): 3_500_000, ("conjugate", 1, 1100): 3_800_000,
+    ("conjugate", 1100, 2): 880_000, ("conjugate", 2, 1100): 940_000,
+    ("conjugate", 1100, 1): 580_000, ("conjugate", 1, 1100): 880_000,
     ("conjugate", 100, 100): 3_300_000,
-    ("oracle", 1100, 2): 5_500_000, ("oracle", 2, 1100): 4_500_000,
-    ("oracle", 1100, 1): 3_800_000, ("oracle", 1, 1100): 4_200_000,
+    ("oracle", 1100, 2): 1_070_000, ("oracle", 2, 1100): 1_040_000,
+    ("oracle", 1100, 1): 830_000, ("oracle", 1, 1100): 960_000,
     ("oracle", 100, 100): 4_200_000,
-    ("prefix", 1100, 2): 5_100_000, ("prefix", 2, 1100): 4_100_000,
+    ("prefix", 1100, 2): 860_000, ("prefix", 2, 1100): 920_000,
     ("prefix", 100, 100): 3_300_000,
 }
 
@@ -234,15 +236,17 @@ def test_verify_holds_only_the_truth(monkeypatch):
     assert peak < 6_000_000
 
 
-# measured peaks, Python 3.11: 14.9 MB at (100,100), where holding the
-# oracle's texts took 110.5 MB; 27.2 and 26.8 MB at (1100,2) and (2,1100),
-# where the window tables of every stream live side by side and holding
-# the oracle's texts beside one stream at a time took 23.4 and 19.2 MB.
-# Keeping the window reader's name table for the whole stream took 20.3,
-# 38.8 and 27.8 MB: the parametrized ceilings sit above those peaks, the
-# pins ~15% above the peaks with the table freed early
-VERIFY_PEAK_PINS = {(100, 100): 17_500_000, (1100, 2): 31_000_000,
-                    (2, 1100): 31_000_000}
+# measured peaks, Python 3.11: 9.3 MB at (100,100), where holding the
+# oracle's texts took 110.5 MB; 22.6 and 15.1 MB at (1100,2) and
+# (2,1100), where the window tables of every stream live side by side and
+# holding the oracle's texts beside one stream at a time took 23.4 and
+# 19.2 MB.  Keeping the window reader's name table for the whole stream
+# took 20.3, 38.8 and 27.8 MB, and keying every window by its k names
+# 14.9, 27.2 and 26.8 MB: the parametrized ceilings sit above the first,
+# the thin shapes' pins ~15% above their peaks with windows keyed by the
+# names of their blocks
+VERIFY_PEAK_PINS = {(100, 100): 17_500_000, (1100, 2): 26_000_000,
+                    (2, 1100): 17_500_000}
 
 
 @pytest.mark.parametrize("k, l, ceiling", [(100, 100, 25_000_000),

@@ -1,9 +1,10 @@
-"""locate's memory grows with its input, not with the square of it.
+"""locate's and enum's memory grows with the input, not with its square.
 
-Each case runs `locate` on a factor of size n and of size 4n, with the
-1D word caches cleared, and measures the tracemalloc peak with a stdout
-that only counts.  The bound is linear in the input: from n to 4n the
-peak may grow by at most 1.5 times the factor the input grows by.
+Each case runs `locate` on a factor of size n and of size 4n, or `enum`
+on a thin shape whose long side is n and 4n, with the 1D word caches
+cleared, and measures the tracemalloc peak with a stdout that only
+counts.  The bound is linear in the input: from n to 4n the peak may grow
+by at most 1.5 times the factor the input grows by.
 """
 
 from __future__ import annotations
@@ -29,11 +30,15 @@ def cut(n: int):
     return tuple(r[5:5 + n] for r in word2d.mu_prefix(n + 3, n + 5)[3:])
 
 
-def locate_peak(monkeypatch, path):
-    """(exit code, characters written, peak) of a cold `locate` run."""
+def cold_peak(monkeypatch, *argv):
+    """(exit code, characters written, peak) of a cold run."""
     for cache in (word1d.fib_word, word1d._factors, word1d._right_table):
         cache.cache_clear()
-    return traced_peak(monkeypatch, "locate", "--file", str(path), *BOUNDS)
+    return traced_peak(monkeypatch, *argv)
+
+
+def locate_peak(monkeypatch, path):
+    return cold_peak(monkeypatch, "locate", "--file", str(path), *BOUNDS)
 
 
 # measured peaks, Python 3.11: line 0.05 -> 0.07 MB (n = 1000 -> 4000),
@@ -67,3 +72,22 @@ def test_locate_rejects_a_long_non_factor_in_bounded_memory(
     assert (code, chars) == (3, 0)
     assert capsys.readouterr().err.startswith("error:")
     assert peak < 500_000
+
+
+# measured peak ratios, Python 3.11, from n = 300 to 1200: 4.2-5.3 (and
+# 4.5-5.8 from 1100 to 4400, where the names of the blocks outgrow one
+# byte); keying every window by its k names read 10-12 (13 from 1100)
+@pytest.mark.parametrize("method, shape", [
+    ("conjugate", "1xn"), ("conjugate", "nx1"),
+    ("oracle", "1xn"), ("oracle", "nx1"),
+    # prefix conjugates exist only from size (2,2) on
+    ("prefix", "2xn"), ("prefix", "nx2")])
+def test_enum_peak_grows_linearly(monkeypatch, method, shape):
+    peaks = []
+    for n in (300, 300, 1200):  # the first run warms the interpreter
+        k, l = shape.replace("n", str(n)).split("x")
+        code, chars, peak = cold_peak(monkeypatch, "enum", "--method", method,
+                                      "--k", k, "--l", l)
+        assert code == 0 and chars > 0
+        peaks.append(peak)
+    assert peaks[2] / peaks[1] < 1.5 * 4

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 from itertools import product
 
 import pytest
@@ -259,13 +260,14 @@ def test_mu_prefix_lines_are_fibonacci_words():
 # ---------------------------------------------------------------- windows --
 
 @st.composite
-def _window_cases(draw):
+def _window_cases(draw, widths=6, heights=10):
     # equal-length rows over abcd, drawn from a few distinct ones so that
     # rows repeat; start lists unsorted and with repeats
-    width = draw(st.integers(1, 6))
+    width = draw(st.integers(1, widths))
     distinct = draw(st.lists(st.text("abcd", min_size=width, max_size=width),
                              min_size=1, max_size=4))
-    rows = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=10))
+    rows = draw(st.lists(st.sampled_from(distinct), min_size=1,
+                         max_size=heights))
     k = draw(st.integers(1, len(rows)))
     l = draw(st.integers(1, width))
     row_starts = draw(st.lists(st.integers(0, len(rows) - k), min_size=1,
@@ -275,28 +277,98 @@ def _window_cases(draw):
     return rows, row_starts, col_starts, k, l
 
 
+def _every_window(rows, row_starts, col_starts, k, l):
+    every = {"".join(r[j:j + l] + "\n" for r in rows[i:i + k])
+             for i in row_starts for j in col_starts}
+    return len(every), sorted(every)
+
+
+# the streams stream_windows can return, one for each way it cuts a text
+_STREAMS = {c for c in word2d.stream_windows.__code__.co_consts
+            if inspect.iscode(c) and c.co_flags & inspect.CO_GENERATOR}
+
+
 def test_stream_windows_matches_brute_force():
-    branches = set()
+    cuts = set()
 
     @settings(max_examples=300, deadline=None)
     @given(_window_cases())
     # a tall, thin window is one slice of its lane's text
     @example((list("abcdab"), range(4), [0], 3, 1))
-    # a wide window with few distinct names is the join of its rows
+    # a square window is the join of its held row windows
+    @example((["abab", "baba", "abab"], [0, 1], [0, 1, 2], 2, 2))
+    # a wide window with few distinct names is the join of its row slices
     @example((["aaaa", "aaaa"], [0, 1], [3, 1, 0, 2], 1, 1))
     def check(case):
-        rows, row_starts, col_starts, k, l = case
-        n, texts = word2d.stream_windows(rows, row_starts, col_starts, k, l)
-        every = {"".join(r[j:j + l] + "\n" for r in rows[i:i + k])
-                 for i in row_starts for j in col_starts}
-        # the join branch's stream reads the lanes of windows, the slice
-        # branch's their joined texts
-        branches.add("join" if "lanes" in texts.gi_code.co_freevars
-                     else "slice")
-        assert (n, list(texts)) == (len(every), sorted(every))
+        n, texts = word2d.stream_windows(*case)
+        cuts.add(texts.gi_code)
+        assert (n, list(texts)) == _every_window(*case)
 
     check()
-    assert branches == {"join", "slice"}
+    assert len(_STREAMS) == 3 and cuts == _STREAMS
+
+
+def _rank_case(b, period, offsets, w):
+    texts = [b[t + o:t + o + w] for t in range(0, len(b), period)
+             for o in offsets]
+    names = {text: chr(i) for i, text in enumerate(sorted(set(texts)))}
+    return "".join(map(names.__getitem__, texts))
+
+
+@st.composite
+def _rank_cases(draw):
+    # pieces of one length, the windows inside each piece
+    period = draw(st.integers(1, 16))
+    b = "".join(draw(st.lists(st.text("abc", min_size=period,
+                                      max_size=period), min_size=1,
+                              max_size=4)))
+    w = draw(st.integers(1, period))
+    offsets = draw(st.lists(st.integers(0, period - w), min_size=1,
+                            max_size=6))
+    return b, period, offsets, w
+
+
+def test_rank_names_windows_in_sorted_order(monkeypatch):
+    # keyed by blocks from width 4 on: h = 2 for widths 4-8, h = 3 for 9-15
+    monkeypatch.setattr(word2d, "_WHOLE", 4)
+    rank = word2d._rank
+    blocks = set()
+
+    def spy(b, period, offsets, w):
+        if isinstance(offsets, range):  # naming the blocks of width w
+            blocks.add(w)
+        return rank(b, period, offsets, w)
+
+    monkeypatch.setattr(word2d, "_rank", spy)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_rank_cases())
+    # widths 5 and 7 end with a block that overlaps the one before it
+    @example(("abaababaabaa", 6, [1, 0, 1], 5))
+    @example(("aabaabab" * 3, 8, [0, 1], 7))
+    @example(("abcabcabc" * 2, 9, [0], 9))
+    def check(case):
+        assert word2d._rank(*case) == _rank_case(*case)
+
+    check()
+    assert {2, 3} <= blocks
+
+
+@settings(max_examples=400, deadline=None)
+@given(_window_cases(widths=18, heights=18))
+# one-row and one-column grids, windows of width and height 5, 7 and 9
+@example((["abaababaabaab"], [0], [8, 0, 3, 8], 1, 5))
+@example((list("abaababaabaabab"), [8, 0, 8, 3], [0], 7, 1))
+@example((["abaabab", "babbaba"] * 5, [1, 0, 1], [0, 0], 9, 7))
+def test_stream_windows_by_blocks_matches_brute_force(case):
+    # windows from width 4 on are keyed by their blocks
+    whole = word2d._WHOLE
+    word2d._WHOLE = 4
+    try:
+        n, texts = word2d.stream_windows(*case)
+        assert (n, list(texts)) == _every_window(*case)
+    finally:
+        word2d._WHOLE = whole
 
 
 # -------------------------------------------------------------- structure --
