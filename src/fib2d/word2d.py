@@ -228,32 +228,24 @@ def _keys(b: str, period: int, offsets, w: int):
     """Strings that sort and compare as the width-w windows of b at
     t*period + o, piece t by piece t, for o in offsets, as an iterator.
 
-    Where h = isqrt(w) divides period and the windows fit their pieces, a
-    wide window's key is not its text but the names (_rank) of its blocks
-    at 0, h, 2h, ... and of the block that ends it, which overlaps only
-    letters the others compare: a slice of a run of block names h apart,
-    and one character, about 2*sqrt(w) characters in all."""
-    h = isqrt(w) if w >= _WHOLE else 1
-    if period % h or max(offsets) + w > period:
-        h = 1
-    q, rem = divmod(w, h)
-    m, step, fit = len(b) // h, period // h, period - h + 1
-    tops = range(0, m, step)
-    if h > 1:  # run r*pieces + t names the blocks at r, r + h, ... of piece t
-        names = _rank(b, period, range(fit), h)
-        b = "".join([names[t * fit + r:(t + 1) * fit:h].ljust(step, "\0")
-                     for r in range(h) for t in range(len(tops))])
-    firsts = [o % h * m + o // h for o in offsets]
-    if not rem:
-        return (b[x:x + q] for s in tops for x in map(s.__add__, firsts))
-    lasts = [(o + w - h) % h * m + (o + w - h) // h for o in offsets]
-    return (b[x:x + q] + b[y] for s in tops for x, y in
-            zip(map(s.__add__, firsts), map(s.__add__, lasts)))
+    A wide window's key is the names (_rank) of its h = isqrt(w)-wide
+    blocks at 0, h, 2h, ... and of the block that ends it, which overlaps
+    only letters the others compare: a strided slice of the names of every
+    block inside a piece, and one character, about sqrt(w) in all."""
+    if w < _WHOLE:
+        return (b[x:x + w] for s in range(0, len(b), period)
+                for x in map(s.__add__, offsets))
+    h = isqrt(w)
+    fit = period - h + 1
+    names = _rank(b, period, range(fit), h)
+    return (names[x:x + w - h + 1:h] + names[x + w - h]
+            for s in range(0, len(names), fit)
+            for x in map(s.__add__, offsets))
 
 
 def _rank(b: str, period: int, offsets, w: int) -> str:
-    """One character per window of _keys(b, period, offsets, w): its rank
-    among the distinct windows, so names sort as the windows' texts do."""
+    """One character per window of _keys(b, period, offsets, w), in order:
+    its rank among the distinct windows, so names sort as their texts do."""
     met = {}  # a name for each key, in the order the keys are met
     names = "".join([met.setdefault(key, chr(len(met)))
                      for key in _keys(b, period, offsets, w)])
@@ -266,23 +258,21 @@ def stream_windows(rows, row_starts, col_starts, k: int, l: int):
     whose top-left corners lie at a row in row_starts and a column in
     col_starts, and their texts as a stream in sorted order.
 
-    Each distinct row window is named by one character (_rank), each lane
-    of windows, one per row, is then a string of names kept once, and a
-    window is k names of it, keyed (_keys) and sorted before the stream
+    Each distinct row window is named by one character (_rank over the
+    distinct rows, joined as they are), each lane of windows, one per row,
+    is then a string of names kept once, and a window is k names of it,
+    keyed (_keys over the joined lanes) and sorted before the stream
     starts.  A text is cut as it is yielded: a tall, thin window's as a
     slice of its lane's text, else for l <= k as the join of its k row
     windows, each held once, else as the join of k slices of its rows.
     """
     distinct, c, r = list(dict.fromkeys(rows)), len(col_starts), len(row_starts)
-    pad = "\0" * (-len(rows[0]) % isqrt(l))
-    names = _rank(pad.join(distinct) + pad, len(rows[0]) + len(pad),
-                  col_starts, l)
+    names = _rank("".join(distinct), len(rows[0]), col_starts, l)
     index = dict(zip(distinct, map(chr, count())))
     spelled = "".join(map(index.__getitem__, rows))
     tables = {names[i::c]: j for i, j in enumerate(col_starts)}  # lanes
-    cols, pad = list(tables.values()), "\0" * (-len(rows) % isqrt(k))
-    lanes = pad.join(map(spelled.translate, tables)) + pad
-    height = len(rows) + len(pad)
+    cols, height = list(tables.values()), len(rows)
+    lanes = "".join(map(spelled.translate, tables))
     first = dict(zip(_keys(lanes, height, row_starts, k), count()))
     order = [x // r * height + row_starts[x % r]
              for x in map(first.pop, sorted(first))]
@@ -295,7 +285,7 @@ def stream_windows(rows, row_starts, col_starts, k: int, l: int):
     held = [distinct[x // c][col_starts[x % c]:col_starts[x % c] + l] + "\n"
             for x in map(where.__getitem__, sorted(where))]
     if tall:
-        texts = [lanes[i:i + len(rows)].translate(held)
+        texts = [lanes[i:i + height].translate(held)
                  for i in range(0, len(lanes), height)]
         return len(order), (texts[t][i * n:(i + k) * n]
                             for t, i in map(divmod, order, repeat(height)))

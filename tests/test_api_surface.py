@@ -9,9 +9,7 @@ only unit tests call belongs in tests/reference.py, not in the API.
 from __future__ import annotations
 
 import ast
-import importlib.util
 import re
-import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,23 +37,11 @@ def _exports() -> set[str]:
             if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
-def _traced_names() -> set[str]:
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    module = importlib.util.module_from_spec(spec)
-    written = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True  # leave no cache file in perfbench/
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = written
-    return {qualname.split(".")[1] for qualname in module.TRACED}
-
-
-def test_every_export_has_a_caller_outside_the_tests():
+def test_every_export_has_a_caller_outside_the_tests(tracer):
     tour = re.search(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
                      re.MULTILINE | re.DOTALL).group(1)
-    used = set(re.findall(r"\w+", tour)) | _traced_names()
+    used = set(re.findall(r"\w+", tour))
+    used |= {qualname.split(".")[1] for qualname in tracer.TRACED}
     used |= _used_names(ROOT / "tests" / "test_acceptance.py")
     for path in PACKAGE.glob("*.py"):
         if path.name != "__init__.py":

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 from itertools import product
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -347,11 +348,30 @@ def test_rank_names_windows_in_sorted_order(monkeypatch):
     @example(("abaababaabaa", 6, [1, 0, 1], 5))
     @example(("aabaabab" * 3, 8, [0, 1], 7))
     @example(("abcabcabc" * 2, 9, [0], 9))
+    # pieces the blocks do not tile, windows that h divides (their last
+    # block is named twice) and that it does not, starts at the last offset
+    @example(("abaabab" "baababa" "abaabaa", 7, [3, 0, 2], 4))
+    @example(("aabaababaab" "abaababaaba", 11, [4, 0, 4], 7))
+    @example(("abaababaab" "baababaaba", 10, [1, 0], 9))
+    @example(("abaababaababa" "aababaababaab", 13, [3, 2], 10))
     def check(case):
         assert word2d._rank(*case) == _rank_case(*case)
 
     check()
     assert {2, 3} <= blocks
+
+
+@pytest.mark.parametrize("w", [128, 1100, 4400])
+def test_wide_keys_are_block_names(w):
+    # pieces that isqrt(w) does not divide, windows up to the last offset
+    period = w + 5
+    assert period % isqrt(w)
+    b, offsets = word1d.fib_prefix("ab", 2 * period), range(period - w + 1)
+    keys = list(word2d._keys(b, period, offsets, w))
+    assert len(keys) == 2 * len(offsets)
+    assert max(map(len, keys)) <= w // isqrt(w) + 1
+    assert word2d._rank(b, period, offsets, w) == _rank_case(b, period,
+                                                             offsets, w)
 
 
 @settings(max_examples=400, deadline=None)
@@ -360,6 +380,14 @@ def test_rank_names_windows_in_sorted_order(monkeypatch):
 @example((["abaababaabaab"], [0], [8, 0, 3, 8], 1, 5))
 @example((list("abaababaabaabab"), [8, 0, 8, 3], [0], 7, 1))
 @example((["abaabab", "babbaba"] * 5, [1, 0, 1], [0, 0], 9, 7))
+# grids the blocks do not tile, windows that h divides and that it does
+# not, starts at the last row and column
+@example((["abaabab", "babbaba", "abaabab", "abaabab", "babbaba"], [1, 0],
+          [2, 0], 4, 5))
+@example((["abaababaa", "babbababb"] * 5 + ["abaababaa"], [6, 0, 3], [5, 1],
+          5, 4))
+@example((["abaababaababa", "babbababbabab", "aababaababaab"] * 3
+          + ["abaababaababa"], [1, 0], [3, 0], 9, 10))
 def test_stream_windows_by_blocks_matches_brute_force(case):
     # windows from width 4 on are keyed by their blocks
     whole = word2d._WHOLE
