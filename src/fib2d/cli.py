@@ -1,8 +1,9 @@
 """Command line surface.
 
 Every command is deterministic: identical flags and input give
-byte-identical output, written in pieces as it is made.  Data errors exit
-with per-error codes (see errors.EXIT_CODES), usage errors and
+byte-identical output, written in pieces as it is made; every output of
+pieces joined by a separator goes through one writer, _write_joined.  Data
+errors exit with per-error codes (see errors.EXIT_CODES), usage errors and
 I/O errors (a stdout closed early among them) exit 2, a failed verify
 exits 1.
 """
@@ -28,8 +29,15 @@ _SLICE = 1 << 16
 
 def _write_rows(grid) -> None:
     # the bytes of to_text(grid), one row at a time
-    for row in grid:
-        sys.stdout.write(row + "\n")
+    sys.stdout.writelines(row + "\n" for row in grid)
+
+
+def _write_joined(pieces, sep: str) -> None:
+    # the bytes of sep.join(pieces), one piece at a time
+    lead = ""
+    for piece in pieces:
+        sys.stdout.write(lead + piece)
+        lead = sep
 
 
 def _cmd_gen1d(args) -> int:
@@ -46,23 +54,16 @@ def _cmd_gen2d(args) -> int:
 
 def _cmd_enum(args) -> int:
     texts = _ENUM_METHODS[args.method](args.k, args.l)
-    # the bytes of print(json.dumps([grid, ...])) or of "\n".join(texts),
-    # one factor at a time
-    out = sys.stdout
+    # the bytes of print(json.dumps([grid, ...])) or of "\n".join(texts)
     if args.json:
         # a text holds only letters and newlines, so no row needs escaping
         head = f'{{"rows": {args.k}, "cols": {args.l}, "data": ["'
-        out.write("[")
-        sep = ""
-        for text in texts:
-            out.write(sep + head + text[:-1].replace("\n", '", "') + '"]}')
-            sep = ", "
-        out.write("]\n")
+        sys.stdout.write("[")
+        _write_joined((head + text[:-1].replace("\n", '", "') + '"]}'
+                       for text in texts), ", ")
+        sys.stdout.write("]\n")
     else:
-        sep = ""
-        for text in texts:
-            out.write(sep + text)
-            sep = "\n"
+        _write_joined(texts, "\n")
     return 0
 
 
@@ -81,10 +82,8 @@ def _cmd_locate(args) -> int:
     out.write(f'{{"first": [{first[0]}, {first[1]}], "occurrences": [')
     if ys:
         ystrs = [str(y) for y in ys]
-        sep = ""
-        for x in xs:
-            out.write(sep + f"[{x}, " + f"], [{x}, ".join(ystrs) + "]")
-            sep = ", "
+        _write_joined((f"[{x}, " + f"], [{x}, ".join(ystrs) + "]"
+                       for x in xs), ", ")
     out.write(f'], "row_bound": {args.row_bound}, '
               f'"col_bound": {args.col_bound}}}\n')
     return 0
@@ -94,11 +93,8 @@ def _cmd_conjugates(args) -> int:
     if args.special:
         _write_rows(conjugacy.special_conjugate2d(args.m, args.n))
     else:
-        # the bytes of "\n".join(map(to_text, grids)), one grid at a time
-        sep = ""
-        for w in conjugacy.conjugacy_class(word2d.fib_array(args.m, args.n)):
-            sys.stdout.write(sep + word2d.to_text(w))
-            sep = "\n"
+        _write_joined(map(word2d.to_text, conjugacy.conjugacy_class(
+            word2d.fib_array(args.m, args.n))), "\n")
     return 0
 
 

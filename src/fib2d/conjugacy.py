@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .errors import EmptyWord, InternalError, OutOfRange
 from .word1d import fib, fib_index, special_conjugate1d
-from .word2d import Grid, dims, fib_array, stream_windows
+from .word2d import Grid, count_law, dims, fib_array, stream_windows
 
 
 def rotate2d(w: Grid, i: int, j: int) -> Grid:
@@ -72,15 +72,13 @@ def _corners(base: Grid, row_starts, col_starts, k: int, l: int,
     a stream in sorted order.
 
     Corners are the windows of base taken cyclically, read by
-    word2d.stream_windows without building any rotation; there must be
-    (k+1)(l+1) distinct ones, counted before the stream starts.
+    word2d.stream_windows without building any rotation; word2d.count_law
+    checks their count before the stream starts.
     """
     cyclic = {w: w + w[:l - 1] for w in set(base)}
     n, texts = stream_windows([cyclic[w] for w in base + base[:k - 1]],
                               row_starts, col_starts, k, l)
-    if n != (k + 1) * (l + 1):
-        raise InternalError(f"size ({k},{l}) has {(k + 1) * (l + 1)} "
-                            f"subwords, {method} gave {n}")
+    count_law(n, k, l, method)
     return texts
 
 

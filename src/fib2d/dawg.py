@@ -30,7 +30,7 @@ from itertools import combinations
 from .errors import InconsistentJoint, InternalError
 from .word1d import LETTERS, fib, fib_index, fib_prefix
 from .word2d import (COL_ALPHABETS, ROW_ALPHABETS, Grid, col_alphabet_of,
-                     column, fill, fill_text, row_alphabet_of,
+                     column, count_law, fill, fill_text, row_alphabet_of,
                      stream_fills)
 
 # abstract classes per orientation, dominant first
@@ -282,8 +282,8 @@ def stream_dawg(k: int, l: int):
 
     A bucket is a block (tops, sides) whose sides are last columns, and
     word2d.stream_fills gives its pairs' texts in sorted order.  Before
-    the first text, the count law is checked on the buckets' distinct
-    words, and the corner check runs once per distinct pair of top[-1] and
+    the first text, word2d.count_law checks the buckets' distinct pairs,
+    and the corner check runs once per distinct pair of top[-1] and
     side: the last column of fill_text(top, side) depends on them alone,
     and it is one strided slice of the text.  The texts filled for the
     check are held and yielded when their top comes, so none is filled
@@ -319,11 +319,8 @@ def stream_dawg(k: int, l: int):
                 if text[n - 1::n + 1] != side:
                     raise InternalError(
                         f"grid {text!r} does not end in column {side!r}")
-    n = sum(len(set(tops)) * len(set(sides)) for tops, sides in blocks)
-    if n != (k + 1) * (l + 1):
-        raise InternalError(
-            f"{len(across) * len(down)} path pairs gave {n} "
-            f"subwords, expected {(k + 1) * (l + 1)}")
+    count_law(sum(len(set(tops)) * len(set(sides)) for tops, sides in blocks),
+              k, l, "dawg")
     return stream_fills(blocks, held)
 
 

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import IncompleteInput, InconsistentJoint, InternalError
+from .errors import IncompleteInput, InconsistentJoint
 from .word1d import LETTERS, factors1d, right_extensions
 from .word2d import (COL_ALPHABETS, ROW_ALPHABETS, Grid, classify_lines,
-                     col_alphabet_of, column, fill, row_alphabet_of,
-                     stream_fills)
+                     col_alphabet_of, column, count_law, fill,
+                     row_alphabet_of, stream_fills)
 # unused here; perfbench/selftest.py checks that the tracer wraps this binding
 from .word2d import subblock  # noqa: F401
 
@@ -100,21 +100,8 @@ def extend_diagonal(frames) -> tuple[FrameTL, ...]:
             f"size ({k},{l}) has {(k + 1) * (l + 1)} subwords, "
             f"got {len(set(fs))}")
     out = dict.fromkeys(g for f in fs for g in extensions_of(f))
-    if len(out) != (k + 2) * (l + 2):
-        raise InternalError(
-            f"size ({k + 1},{l + 1}) has {(k + 2) * (l + 2)} subwords, "
-            f"extension gave {len(out)}")
+    count_law(len(out), k + 1, l + 1, "extension")
     return tuple(out)
-
-
-def _counted(blocks, a: int, b: int) -> list:
-    """The blocks, once their distinct words make the count law's
-    (a+1)(b+1) frames of size (a,b); InternalError if they do not."""
-    n = sum(len(set(ts)) * len(set(ss)) for ts, ss in blocks)
-    if n != (a + 1) * (b + 1):
-        raise InternalError(f"size ({a},{b}) has {(a + 1) * (b + 1)} "
-                            f"subwords, extension gave {n}")
-    return blocks
 
 
 def stream_extension(k: int, l: int):
@@ -126,8 +113,8 @@ def stream_extension(k: int, l: int):
     frame of one subword.  With m = min(k,l), the blocks start from the
     complete one-line class (k-m+1, l-m+1), whose words are the 1D factors
     of length |k-l|+1 and single letters.  Each of the m-1 diagonal steps
-    grows every word of every block once.  The count law is checked on the
-    distinct words of the blocks of every size on the way, before the
+    grows every word of every block once.  word2d.count_law checks the
+    distinct pairs of the blocks of every size on the way, before the
     first text; word2d.stream_fills then fills each pair of a final block
     into its text, in sorted order.
     """
@@ -136,13 +123,14 @@ def stream_extension(k: int, l: int):
     m = min(k, l)
     tops = [u for alph in ROW_ALPHABETS for u in factors1d(l - m + 1, alph)]
     sides = [u for alph in COL_ALPHABETS for u in factors1d(k - m + 1, alph)]
-    blocks = _counted([([u for u in tops if u[0] == x],
-                        [u for u in sides if u[0] == x]) for x in LETTERS],
-                      k - m + 1, l - m + 1)
-    for a, b in zip(range(k - m + 2, k + 1), range(l - m + 2, l + 1)):
-        blocks = _counted([(_grow(ts, row_alphabet_of),
-                            _grow(ss, col_alphabet_of)) for ts, ss in blocks],
-                          a, b)
+    blocks = [([u for u in tops if u[0] == x], [u for u in sides if u[0] == x])
+              for x in LETTERS]
+    for a, b in zip(range(k - m + 1, k + 1), range(l - m + 1, l + 1)):
+        count_law(sum(len(set(ts)) * len(set(ss)) for ts, ss in blocks),
+                  a, b, "extension")
+        if a < k:
+            blocks = [(_grow(ts, row_alphabet_of), _grow(ss, col_alphabet_of))
+                      for ts, ss in blocks]
     return stream_fills(blocks)
 
 

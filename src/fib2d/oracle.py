@@ -98,8 +98,6 @@ def verify(k: int, l: int) -> dict:
     agreement, the (k+1)(l+1) count check and the double-bound oracle
     stability check; "ok" is True iff everything passes.
     """
-    if k < 1 or l < 1:
-        raise ValueError("k and l must be >= 1")
     # prefix conjugates exist only from size (2,2) on
     names = [name for name in sorted(METHODS)
              if name != "prefix" or min(k, l) >= 2]

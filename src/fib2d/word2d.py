@@ -124,6 +124,14 @@ def col_alphabet_of(ch: str) -> str:
 
 # ------------------------------------------------------------------ shape --
 
+def count_law(n: int, k: int, l: int, method: str) -> None:
+    """InternalError unless n, the subwords of size (k,l) that method
+    gave, is the (k+1)(l+1) of the count law."""
+    if n != (k + 1) * (l + 1):
+        raise InternalError(f"size ({k},{l}) has {(k + 1) * (l + 1)} "
+                            f"subwords, {method} gave {n}")
+
+
 def dims(w: Grid) -> tuple[int, int]:
     if not w:
         return (0, 0)

@@ -249,11 +249,12 @@ def test_memory_error_exits_14(capsys, monkeypatch):
 
 
 # one broken invariant per case: the patch applied, the request, and the
-# complaint expected on stderr
+# complaint expected on stderr; a broken count law gives word2d.count_law's
+# whole message
 INVARIANT_BREAKS = {
     "dawg-count": ("dawg._walk = lambda g, n, spell, walk=dawg._walk: "
                    "walk(g, n, spell)[:1]",
-                   "dawg", 2, 2, "1 path pairs gave 1 subwords"),
+                   "dawg", 2, 2, "size (2,2) has 9 subwords, dawg gave 1"),
     "dawg-label": ("dawg._LETTER = {alph: dict.fromkeys(letters, alph[0]) "
                    "for alph, letters in dawg._LETTER.items()}",
                    "dawg", 2, 2, "does not end in column"),
@@ -261,24 +262,30 @@ INVARIANT_BREAKS = {
                     "(top + '\\n') * len(side)",
                     "dawg", 2, 2, "does not end in column"),
     "extend-count": ("frames.right_extensions = lambda u, alphabet: ()",
-                     "extend", 2, 2, "extension gave 0"),
+                     "extend", 2, 2,
+                     "size (2,2) has 9 subwords, extension gave 0"),
     "extend-duplicate": ("frames.right_extensions = "
                          "lambda u, alphabet: (alphabet[0],) * 2",
-                         "extend", 2, 2, "extension gave 4"),
+                         "extend", 2, 2,
+                         "size (2,2) has 9 subwords, extension gave 4"),
     "one-line-count": ("frames.factors1d = lambda k, alph: ()",
-                       "extend", 1, 3, "extension gave 0"),
+                       "extend", 1, 3,
+                       "size (1,3) has 8 subwords, extension gave 0"),
     "conjugate": ("conjugacy.special_conjugate2d = lambda m, n: ('d',)",
-                  "conjugate", 2, 2, "conjugation gave 1"),
+                  "conjugate", 2, 2,
+                  "size (2,2) has 9 subwords, conjugation gave 1"),
     "prefix": ("conjugacy._cover_index = lambda k: 3",
                "prefix", 5, 5, "4 rotation exponents for length 5"),
     # each two row windows next to each other in sorted order share one
     # name, so the corners dc/dc and dd/dd are told apart no more
     "conjugate-name": ("word2d._rank = (lambda rank: lambda *a: ''.join("
                        "chr(ord(c) // 2) for c in rank(*a)))(word2d._rank)",
-                       "conjugate", 2, 2, "conjugation gave 8"),
+                       "conjugate", 2, 2,
+                       "size (2,2) has 9 subwords, conjugation gave 8"),
     "prefix-name": ("word2d._rank = (lambda rank: lambda *a: ''.join("
                     "chr(ord(c) // 2) for c in rank(*a)))(word2d._rank)",
-                    "prefix", 2, 2, "prefix conjugates gave 8"),
+                    "prefix", 2, 2,
+                    "size (2,2) has 9 subwords, prefix conjugates gave 8"),
 }
 
 

@@ -9,7 +9,7 @@ from itertools import product
 import pytest
 
 from fib2d import cli, dawg, word1d
-from fib2d.errors import InconsistentJoint
+from fib2d.errors import InconsistentJoint, InternalError
 
 from reference import (dot_graph, enumerate_dawg_per_pair, export_dot_text,
                        product_graph, root_paths, texts)
@@ -273,6 +273,14 @@ def test_subword_from_path_rejects_malformed_labels():
         dawg.subword_from_path((frozenset("dx"),), (DB,))  # not a letter
     with pytest.raises(ValueError):
         dawg.subword_from_path([["d"]], "d")  # neither a letter nor a set
+
+
+def test_subword_from_path_checks_the_last_column(monkeypatch):
+    # a fill that repeats the top row leaves the side only in column 1
+    monkeypatch.setattr(dawg, "fill", lambda top, side: (top,) * len(side))
+    with pytest.raises(InternalError) as err:
+        dawg.subword_from_path("dc", "ca")
+    assert str(err.value) == "grid ('dc', 'dc') does not end in column 'ca'"
 
 
 # ------------------------------------------------------------- enumeration --

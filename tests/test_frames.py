@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from fib2d import frames
-from fib2d.errors import IncompleteInput, InconsistentJoint, NotAFactor
+from fib2d.errors import (IncompleteInput, InconsistentJoint, InternalError,
+                          NotAFactor)
 from fib2d.word1d import factors1d, right_extensions
 from fib2d.word2d import (COL_ALPHABETS, ROW_ALPHABETS, col_alphabet_of, fill,
                           parse_text, row_alphabet_of, subblock)
@@ -124,6 +125,15 @@ def test_extend_diagonal_rejects_bad_frames():
             frames.extend_diagonal(good + [bad])
         with pytest.raises(error):
             frames.extend_diagonal([bad] + good)
+
+
+def test_extend_diagonal_checks_the_count_law(monkeypatch):
+    # every word grown by its dominant letter twice: the nine (2,2) frames
+    # grow into nine frames, not the sixteen of size (3,3)
+    monkeypatch.setattr(frames, "right_extensions", lambda u, a: (a[0],) * 2)
+    with pytest.raises(InternalError) as err:
+        frames.extend_diagonal(frames_of(WORDS_2_2))
+    assert str(err.value) == "size (3,3) has 16 subwords, extension gave 9"
 
 
 def _extend_reference(fs):

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ast
 import inspect
 from itertools import product
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +25,32 @@ F33 = ("dcd", "bab", "dcd")
 def test_dims_and_empty():
     assert word2d.dims(word2d.EMPTY) == (0, 0)
     assert word2d.dims(F33) == (3, 3)
+
+
+def _subword_count_raises(path: Path) -> list[str]:
+    """module.function of each raise of InternalError in the module at path
+    whose message mentions subwords."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    owner = {}
+    # ast.walk goes outside in, so a nested function's nodes end up its own
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+    return [f"{path.stem}.{owner.get(node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and getattr(node.exc.func, "id", None) == "InternalError"
+            and any(isinstance(part, ast.Constant)
+                    and "subwords" in str(part.value)
+                    for part in ast.walk(node.exc))]
+
+
+def test_count_law_is_raised_in_one_place():
+    # every enumeration calls word2d.count_law, so the law and its message
+    # are written once
+    package = Path(word2d.__file__).parent
+    raises = [name for path in sorted(package.glob("*.py"))
+              for name in _subword_count_raises(path)]
+    assert raises == ["word2d.count_law"]
 
 
 def test_as_grid_validation():
