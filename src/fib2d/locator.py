@@ -31,8 +31,12 @@ def occ_axes(w: Grid, row_bound: int, col_bound: int
     y < col_bound exactly when x is in xs and y in ys, both ascending.
 
     xs are the occurrences of w's first-column word, ys those of its
-    first-row word; each frame word is searched for once.
+    first-row word; each frame word is searched for once.  A pair needs
+    both axes, so when either bound is 0 both axes are empty.
     """
+    # the lower bound stands for both: no axis is listed at 0 or below
+    if (low := min(row_bound, col_bound)) <= 0:
+        row_bound = col_bound = low
     f = frame_tl(w)
     col = _first_occ(f.frame_l, col_alphabet_of(f.s_joint))
     row = _first_occ(f.frame_t, row_alphabet_of(f.s_joint))

@@ -7,11 +7,18 @@ the one the infinite word starts with (the more frequent letter).
 Two Fibonacci numberings are in play and both are exposed through fib():
 "F11" has F(0) = F(1) = 1 and sizes the classic words, "F12" has F(0) = 1,
 F(1) = 2 and drives the occurrence arithmetic.
+
+The infinite word is the fixed point of first -> first second, second ->
+first, so for every n >= 1 it is its own letters, each replaced by its n-th
+image: w_n = fib_word(n, first, first + second), of fib(n, "F12") letters,
+for the first and w_{n-1} for the second.  prefix_pieces writes a prefix
+as these images, and z_stream lists where they start.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate, chain, takewhile
 
 from .errors import EmptyWord, InternalError, NotAFactor, TooShort
 
@@ -77,34 +84,22 @@ def zeck_repr(x: int, numbering: str = "F12") -> tuple[int, ...]:
 
 
 def z_stream(n: int, bound: int) -> tuple[int, ...]:
-    """All x in [0, bound) whose Zeckendorf form (F12) avoids indices < n.
-
-    Generated, not filtered: a depth-first walk over the admissible index
-    sets, largest index first.  Adding index j to a set whose smallest
-    index is above j + 1 keeps it admissible and gives a value in
-    [v + F(j), v + F(j + 1)), so visiting v before its extensions, and
-    those by ascending j, yields ascending values.  An extension is pushed
-    only when its value is below bound, so the cost is O(hits + log bound).
+    """All x in [0, bound) whose Zeckendorf form (F12) avoids indices < n:
+    the places where the n-th images of the letters start, the running
+    sums of their lengths.  Each image has at least fib(n - 1) letters,
+    so the images of the first bound // fib(n - 1) + 1 letters, at most
+    2 hits + 1, reach past bound: the cost is O(hits).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if bound < 0:
         raise ValueError("bound must be >= 0")
-    if bound == 0:
-        return ()
-    # the F12 numbers below bound
-    fibs = [fib(i, "F12") for i in range(fib_index(bound - 1, "F12"))]
-    out = []
-    # (value, largest index still free); pops in ascending value order
-    stack = [(0, len(fibs) - 1)]
-    while stack:
-        v, top = stack.pop()
-        out.append(v)
-        j = n
-        while j <= top and v + fibs[j] < bound:
-            j += 1
-        stack.extend((v + fibs[i], i - 2) for i in range(j - 1, n - 1, -1))
-    return tuple(out)
+    size = {"a": fib(n, "F12"), "b": fib(n - 1, "F12")}
+    # pieces of at most 4096 letters keep the image and its prefix small
+    letters = chain.from_iterable(
+        prefix_pieces("ab", bound // size["b"] + 1, 4096))
+    return tuple(takewhile(bound.__gt__,
+                           accumulate(map(size.get, letters), initial=0)))
 
 
 # ------------------------------------------------------------------ words --
@@ -140,33 +135,21 @@ def fib_prefix(alphabet, length: int) -> str:
 
 
 def prefix_pieces(alphabet, length: int, most: int):
-    """fib_prefix(alphabet, length) as a stream of pieces of at most
-    `most` >= 2 letters, holding no more than one such piece.
-
-    With w_n = fib_word(n, first, first + second), every w_n is a prefix of
-    the infinite word and w_{n+1} = w_n w_{n-1}, so a prefix of length
-    fib(n) <= N < fib(n+1) is w_n followed by the prefix of length
-    N - fib(n): the greedy Zeckendorf pieces of N (F12).  A piece longer
-    than `most` is written as w_{n-1} w_{n-2}, and each short piece is a
-    prefix of the one longest short piece.
+    """fib_prefix(alphabet, length) as the n-th images of its own letters,
+    n >= 1 picked from min(length, most), the last image cut at length:
+    pieces of at most `most` >= 2 letters, each a prefix of one word w_n,
+    held beside the length // fib(n - 1) + 1 letters the images replace.
     """
     first, second = _pair(alphabet)
     if length < 0:
         raise ValueError("length must be >= 0")
-    # the longest piece ever yielded
-    top = fib_index(min(length, most), "F12") - 1
-    word = fib_word(top, first, first + second) if top >= 0 else ""
-    rest = length
-    while rest:
-        n = fib_index(rest, "F12") - 1
-        rest -= fib(n, "F12")
-        stack = [n]
-        while stack:
-            n = stack.pop()
-            if n > top:
-                stack += (n - 2, n - 1)
-            else:
-                yield word[:fib(n, "F12")]
+    n = max(1, fib_index(min(length, most), "F12") - 1)
+    word = fib_word(n, first, first + second)
+    size = {first: fib(n, "F12"), second: fib(n - 1, "F12")}
+    letters = fib_prefix(alphabet, length // size[second] + 1)
+    starts = accumulate(map(size.get, letters), initial=0)
+    for start, letter in zip(takewhile(length.__gt__, starts), letters):
+        yield word[:min(size[letter], length - start)]
 
 
 def truncated(n: int, alphabet) -> str:

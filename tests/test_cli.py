@@ -144,6 +144,9 @@ def test_locate_searches_each_frame_word_once(capsys, monkeypatch):
     ("cc\naa\n", ("21", "21"), 3),                     # NotAFactor
     (word2d.to_text(OCC_BLOCK), ("-1", "21"), 2),       # negative bound
     (word2d.to_text(OCC_BLOCK), ("21", "-1"), 2),
+    # a zero bound on the other axis does not hide a negative one
+    (word2d.to_text(OCC_BLOCK), ("-1", "0"), 2),
+    (word2d.to_text(OCC_BLOCK), ("0", "-1"), 2),
 ])
 def test_locate_errors_leave_stdout_empty(capsys, tmp_path, text, bounds,
                                           exit_code):

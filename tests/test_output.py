@@ -9,6 +9,7 @@ documented exit code.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -207,10 +208,30 @@ def test_dawg_dot_product_holds_neither_product_nor_text(monkeypatch):
 
 
 def test_gen1d_holds_one_piece(monkeypatch):
-    # measured peak, Python 3.11: 0.10 MB, the longest piece of at most
-    # one slice and its cached shorter words; holding the word took 2.7 MB
+    # measured peak, Python 3.11: 0.10 MB, the one image of at most one
+    # slice that every piece is cut from, cached, and the 35 letters it
+    # replaces; holding the word took 2.7 MB
     code, chars, peak = traced_peak(monkeypatch, "gen1d", "--len", "1000000")
     assert (code, chars) == (0, 10**6 + 1)
+    assert peak < 500_000
+
+
+# measured peaks, Python 3.11: 0.03 and 0.01 MB; listing the axis of the
+# nonzero bound took 10.1 and 12.7 MB, and 50 MB at 10^6
+@pytest.mark.parametrize("row_bound, col_bound", [(200_000, 0), (0, 200_000)])
+def test_locate_lists_no_axis_beside_an_empty_one(monkeypatch, capsys,
+                                                  tmp_path, row_bound,
+                                                  col_bound):
+    path = tmp_path / "d.txt"
+    path.write_text("d\n")
+    argv = ("locate", "--file", str(path), "--row-bound", str(row_bound),
+            "--col-bound", str(col_bound))
+    out = json.dumps({"first": [0, 0], "occurrences": [],
+                      "row_bound": row_bound, "col_bound": col_bound}) + "\n"
+    code, chars, peak = traced_peak(monkeypatch, *argv)
+    monkeypatch.undo()
+    assert (code, chars) == (0, len(out))
+    assert run(capsys, *argv) == (0, out, "")
     assert peak < 500_000
 
 

@@ -89,7 +89,8 @@ def test_fib_index_matches_the_search_loops(numbering):
     for x in FIB_INDEX_PROBES:
         n = word1d.fib_index(x, numbering)
         assert n == bisect.bisect_right(fibs, x), x
-        # z_stream, with x = bound - 1: the numbers below bound
+        # the F12 numbers below bound that z_stream once listed, with
+        # x = bound - 1
         assert [fib(i) for i in range(n)] == [f for f in fibs if f <= x]
         # fib_prefix, with x = length - 1; the loop starts at 1, and at
         # length 1 the w_0 that fib_index picks starts like w_1
@@ -140,10 +141,11 @@ def test_z_stream_matches_filter(n, bound):
         x for x in range(bound) if all(i >= n for i in ZECK_BELOW[x]))
 
 
-def test_z_stream_is_output_sensitive():
-    # every sum of non-adjacent F12 numbers with indices in [40, 60): the
-    # filter would visit 4e12 integers, the generator visits its output
-    lo, hi = 40, 60
+# every sum of non-adjacent F12 numbers with indices in [lo, hi): the
+# filter would visit 4e12 integers at (40, 60) and 1.1e18 at (68, 86), the
+# stream visits its output
+@pytest.mark.parametrize("lo, hi, count", [(40, 60, 17711), (68, 86, 6765)])
+def test_z_stream_is_output_sensitive(lo, hi, count):
     out = word1d.z_stream(lo, word1d.fib(hi, "F12"))
     assert all(a < b for a, b in zip(out, out[1:]))
     for x in out:
@@ -153,7 +155,7 @@ def test_z_stream_is_output_sensitive():
     free, taken = 1, 0
     for _ in range(hi - lo):
         free, taken = free + taken, free
-    assert len(out) == free + taken == 17711
+    assert len(out) == free + taken == count
 
 
 def test_z_stream_rejects_bad_input():
@@ -200,7 +202,7 @@ def test_fib_prefix_chain(alphabet, m, n):
 
 @given(st.sampled_from(ALPHABETS), st.integers(0, 400), st.integers(2, 40))
 def test_prefix_pieces_join_to_the_prefix(alphabet, length, most):
-    # greedy Zeckendorf pieces, each longer one split until it fits `most`
+    # the images of the prefix's own letters, each at most `most` long
     pieces = list(word1d.prefix_pieces(alphabet, length, most))
     assert "".join(pieces) == word1d.fib_prefix(alphabet, length)
     assert all(0 < len(piece) <= most for piece in pieces)
