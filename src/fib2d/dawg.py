@@ -14,9 +14,9 @@ rooted_product builds a graph from that same listing.  Each path is
 spelled once, over one line alphabet.  An across path's last class and a
 down path's first class meet in one corner letter, so the pairs fall into
 four corner buckets, and each path of a bucket is translated once into
-that corner's line alphabet.  The buckets' pairs are then filled into
-their texts as a stream in sorted order (word2d.stream_fills), so only the
-paths, the texts of the corner check and one text are ever held.
+that corner's line alphabet.  Each text is then cut from its top's lane,
+whose last column is checked, as a stream in sorted order
+(word2d.stream_fills), so only the paths, a lane and a text are held.
 
 Node arithmetic uses fib(n, "F12"): spine edges i-1 -> i carry the i-th
 abstract letter, and shortcut edges F(j)-2 -> F(j+1)-1 carry the dominant
@@ -30,8 +30,7 @@ from itertools import combinations
 from .errors import InconsistentJoint, InternalError
 from .word1d import LETTERS, fib, fib_index, fib_prefix
 from .word2d import (COL_ALPHABETS, ROW_ALPHABETS, Grid, col_alphabet_of,
-                     column, count_law, fill, fill_text, row_alphabet_of,
-                     stream_fills)
+                     column, count_law, fill, row_alphabet_of, stream_fills)
 
 # abstract classes per orientation, dominant first
 _CLASSES = {"rows": COL_ALPHABETS, "cols": ROW_ALPHABETS}
@@ -280,21 +279,18 @@ def stream_dawg(k: int, l: int):
     a length-k root path of the column DAWG, decoded per corner bucket as
     the module docstring says.
 
-    A bucket is a block (tops, sides) whose sides are last columns, and
-    word2d.stream_fills gives its pairs' texts in sorted order.  Before
-    the first text, word2d.count_law checks the buckets' distinct pairs,
-    and the corner check runs once per distinct pair of top[-1] and
-    side: the last column of fill_text(top, side) depends on them alone,
-    and it is one strided slice of the text.  The texts filled for the
-    check are held and yielded when their top comes, so none is filled
-    twice.
+    A bucket is a block (tops, sides) whose sides are last columns.
+    word2d.count_law checks the buckets' distinct pairs before the first
+    text, and word2d.stream_fills gives their texts in sorted order, with
+    the corner check per top as the stream goes: each lane's last column
+    must be the span its texts are cut from, so each text ends in its side.
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
     row0, col0 = ROW_ALPHABETS[0], COL_ALPHABETS[0]
     across = _line_words("rows", l, row0)
     down = _line_words("cols", k, col0)
-    blocks, held = [], {}
+    blocks = []
     for s in LETTERS:
         row, col = row_alphabet_of(s), col_alphabet_of(s)
         # the across path ends in s's column class and the down path starts
@@ -311,17 +307,9 @@ def stream_dawg(k: int, l: int):
             to_col = str.maketrans(col0, col)
             sides = [v.translate(to_col) for v in sides]
         blocks.append((tops, sides))
-        # one top of the bucket per distinct last letter
-        for top in {t[-1]: t for t in tops}.values():
-            texts = held[top] = {side: fill_text(top, side) for side in sides}
-            n = len(top)
-            for side, text in texts.items():
-                if text[n - 1::n + 1] != side:
-                    raise InternalError(
-                        f"grid {text!r} does not end in column {side!r}")
     count_law(sum(len(set(tops)) * len(set(sides)) for tops, sides in blocks),
               k, l, "dawg")
-    return stream_fills(blocks, held)
+    return stream_fills(blocks, l - 1)
 
 
 def enumerate_dawg(k: int, l: int) -> tuple[str, ...]:

@@ -9,9 +9,10 @@ a column factor that both start with x, so a complete size class is four
 blocks of words, one per corner letter, and growing every word of every
 block once yields the next complete class.  Enumeration starts from the
 blocks of the complete one-line class, grows them diagonally until the
-shorter side reaches its size, and only then fills each pair of a block
-into its text, as a stream in sorted order (word2d.stream_fills), so only
-the blocks and one text are ever held.
+shorter side reaches its size, and only then cuts each pair's text from
+its top's lane, whose first column is checked, as a stream in sorted
+order (word2d.stream_fills), so only the blocks, a lane and a text are
+ever held.
 """
 
 from __future__ import annotations
@@ -115,8 +116,8 @@ def stream_extension(k: int, l: int):
     of length |k-l|+1 and single letters.  Each of the m-1 diagonal steps
     grows every word of every block once.  word2d.count_law checks the
     distinct pairs of the blocks of every size on the way, before the
-    first text; word2d.stream_fills then fills each pair of a final block
-    into its text, in sorted order.
+    first text; word2d.stream_fills then cuts each pair of a final block
+    into its text, in sorted order, from its top's lane.
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
@@ -131,7 +132,7 @@ def stream_extension(k: int, l: int):
         if a < k:
             blocks = [(_grow(ts, row_alphabet_of), _grow(ss, col_alphabet_of))
                       for ts, ss in blocks]
-    return stream_fills(blocks)
+    return stream_fills(blocks, 0)
 
 
 def enumerate_extension(k: int, l: int) -> tuple[str, ...]:

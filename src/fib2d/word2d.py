@@ -16,7 +16,7 @@ from math import isqrt
 
 from .errors import (InternalError, NotFibStructured, OutOfDomain,
                      ShapeMismatch)
-from .word1d import LETTERS, fib_word
+from .word1d import LETTERS, fib_prefix, fib_word
 
 Grid = tuple[str, ...]
 
@@ -59,45 +59,56 @@ def fill_text(top: str, side: str) -> str:
             .replace("1", swap_row_alphabet(top) + "\n"))
 
 
-# first letter of a row word -> whether the word comes before its swap, so
-# that the texts under it sort as the 0/1 patterns of their sides (a 0 is a
-# row of the word, a 1 a row of its swap); the swap changes every letter,
-# so the first decides
+# first letter of a row word -> whether the word sorts before its swap, so
+# that the texts under it ascend with the 0/1 patterns of their sides; the
+# swap changes every letter, so the first decides
 _ASCENDING = {x: x < swap_row_alphabet(x) for x in LETTERS}
 
 
-def stream_fills(blocks, held=None):
+def stream_fills(blocks, column: int):
     """fill_text(top, side) for each top and side of each block
     (tops, sides), as a stream in sorted order.
 
-    A text starts with its top, and each later row is top or its swap as
-    its side's 0/1 pattern says.  So the texts come top by top in sorted
-    order, and under one top by the patterns of its block's sides, which
-    share their first letter: ascending if top < swap_row_alphabet(top),
-    else descending.  `held` maps a top to {side: its text} for texts already
-    filled, which are taken instead of filled again; each top's entry is
-    popped when the stream reaches it, so held texts are let go as they go.
+    A block's sides are length-k factors of one column word; let p be its
+    first 4k+8 letters (word1d._factors' bound).  Each top is filled once
+    over the span of p that holds them, its lane, and a text is the k rows
+    of the lane at p.find(side).  A side not in p, or a lane whose 0-based
+    column `column` is not the span, raises InternalError.
 
-    Each text is checked to be greater than the one before, which gives
-    both order and distinctness, and is yielded only once the text after
-    it has passed, so a break raises InternalError before either text of
-    the broken pair is yielded.
+    A text's rows are its top or its swap as its side's 0/1 pattern says,
+    so the texts come top by top in sorted order, and under one top by the
+    patterns of its block's sides: ascending if top < swap_row_alphabet(top),
+    else descending.  Each text is checked to be greater than the one
+    before, which gives order and distinctness, and is yielded only once
+    the text after it has passed, so a break raises InternalError before
+    either text of the broken pair is yielded.
     """
-    held = held or {}
-    orders = []
-    for _, sides in blocks:
+    blocks, spans = [(ts, ss) for ts, ss in blocks if ts and ss], []
+    for tops, sides in blocks:
         # sides that share their first letter x first differ where one has
         # x, a 0, and the other the other letter of x's column alphabet, a
         # 1, so their patterns ascend as they do when x is the smaller
-        x = sides[0][0] if sides else "a"
-        up = sorted(sides, reverse=x > col_alphabet_of(x).replace(x, ""))
-        orders.append((up[::-1], up))  # indexed by _ASCENDING
-    prev, none = "", {}
+        x, k, w = sides[0][0], len(sides[0]), len(tops[0]) + 1
+        alphabet = col_alphabet_of(x)
+        up = sorted(sides, reverse=x > alphabet.replace(x, ""))
+        p = fib_prefix(alphabet, 4 * k + 8)
+        at = list(map(p.find, up))
+        if -1 in at:
+            raise InternalError(f"side {up[at.index(-1)]!r} is not a factor "
+                                f"of the column word over {alphabet!r}")
+        first = min(at)
+        cut = [((j - first) * w, (j - first + k) * w) for j in at]
+        spans.append((p[first:max(at) + k], (cut[::-1], cut)))  # by _ASCENDING
+    prev = ""
     for top, i in sorted((top, i) for i, (tops, _) in enumerate(blocks)
                          for top in tops):
-        texts = held.pop(top, none)
-        for side in orders[i][_ASCENDING[top[0]]]:
-            text = texts.get(side) or fill_text(top, side)
+        span, cuts = spans[i]
+        lane = fill_text(top, span)
+        if lane[column::len(top) + 1] != span:
+            raise InternalError(f"the lane of top {top!r} does not have "
+                                f"{span!r} as its column {column + 1}")
+        for a, b in cuts[_ASCENDING[top[0]]]:
+            text = lane[a:b]
             if text <= prev:
                 raise InternalError(
                     f"the texts under top {top!r} are out of sorted order")

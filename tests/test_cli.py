@@ -260,10 +260,14 @@ INVARIANT_BREAKS = {
                    "dawg", 2, 2, "size (2,2) has 9 subwords, dawg gave 1"),
     "dawg-label": ("dawg._LETTER = {alph: dict.fromkeys(letters, alph[0]) "
                    "for alph, letters in dawg._LETTER.items()}",
-                   "dawg", 2, 2, "does not end in column"),
-    "dawg-corner": ("dawg.fill_text = lambda top, side: "
+                   "dawg", 2, 2, "size (2,2) has 9 subwords, dawg gave 4"),
+    # every row of a lane is its top, so no lane has its span as a column
+    "dawg-corner": ("word2d.fill_text = lambda top, side: "
                     "(top + '\\n') * len(side)",
-                    "dawg", 2, 2, "does not end in column"),
+                    "dawg", 2, 2, "does not have 'bd' as its column 2"),
+    "extend-lane": ("word2d.fill_text = lambda top, side: "
+                    "(top + '\\n') * len(side)",
+                    "extend", 2, 2, "does not have 'ac' as its column 1"),
     "extend-count": ("frames.right_extensions = lambda u, alphabet: ()",
                      "extend", 2, 2,
                      "size (2,2) has 9 subwords, extension gave 0"),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fib2d import cli, conjugacy, oracle, word2d
+from fib2d import cli, conjugacy, dawg, frames, oracle, word2d
 from fib2d.errors import BadBounds
 
 from reference import band_occurrences, texts, windows
@@ -222,22 +222,32 @@ def test_verify_detects_an_unstable_oracle(monkeypatch, edit):
 def test_verify_fails_on_a_fault_of_the_window_reader(monkeypatch, edit):
     # conjugate, prefix and the oracle at both bounds read their windows
     # through one reader, so a fault of it is shared by all four streams;
-    # dawg and extend read no windows, and still disagree with them
+    # dawg and extend cut their texts through another, stream_fills, whose
+    # fault they share in turn, and either pair still disagrees with the rest
     change, delta = EDITS[edit]
-    read = word2d.stream_windows
+    windows, fills = word2d.stream_windows, word2d.stream_fills
 
-    def faulty(*args):
-        n, texts = read(*args)
+    def faulty_windows(*args):
+        n, texts = windows(*args)
         return n, change(texts)
 
-    for module in (conjugacy, oracle):
-        monkeypatch.setattr(module, "stream_windows", faulty)
-    report = oracle.verify(3, 3)
-    sizes = dict.fromkeys(oracle.METHODS, 16 + delta)
-    sizes["dawg"] = sizes["extend"] = 16
-    assert report["sizes"] == sizes
-    assert report["oracle_stable"]
-    assert not report["methods_agree"] and not report["ok"]
+    def faulty_fills(*args):
+        return change(fills(*args))
+
+    for name, faulty, modules, moved in [
+            ("stream_windows", faulty_windows, (conjugacy, oracle),
+             ("conjugate", "oracle", "prefix")),
+            ("stream_fills", faulty_fills, (dawg, frames),
+             ("dawg", "extend"))]:
+        with monkeypatch.context() as patch:
+            for module in modules:
+                patch.setattr(module, name, faulty)
+            report = oracle.verify(3, 3)
+        sizes = dict.fromkeys(oracle.METHODS, 16)
+        sizes.update(dict.fromkeys(moved, 16 + delta))
+        assert report["sizes"] == sizes, name
+        assert report["oracle_stable"], name
+        assert not report["methods_agree"] and not report["ok"], name
 
 
 def test_verify_command_fails_on_a_disagreement(monkeypatch, capsys):

@@ -235,10 +235,10 @@ def test_locate_lists_no_axis_beside_an_empty_one(monkeypatch, capsys,
     assert peak < 500_000
 
 
-# measured peaks, Python 3.11: 0.60 MB (extend) and 0.19 MB (dawg) at
-# (40,40), 2.4 and 2.2 MB at (100,100): the corner-letter blocks, dawg's
-# corner-check texts and one text; sorting every text first took 3.5 and
-# 3.0 MB, and 106 and 104 MB
+# measured peaks, Python 3.11: 0.59 MB (extend) and 0.05 MB (dawg) at
+# (40,40), 2.4 and 0.20 MB at (100,100): the corner-letter blocks, one
+# lane and one text; holding dawg's corner-check texts took 0.17 and
+# 2.2 MB, and sorting every text first 3.5 and 3.0 MB, and 106 and 104 MB
 @pytest.mark.parametrize("method", ["dawg", "extend"])
 @pytest.mark.parametrize("k, bound", [(40, 1_000_000), (100, 8_000_000)])
 def test_enum_holds_blocks_not_texts(monkeypatch, method, k, bound):
@@ -247,6 +247,32 @@ def test_enum_holds_blocks_not_texts(monkeypatch, method, k, bound):
     n = (k + 1) * (k + 1)
     assert (code, chars) == (0, n * k * (k + 1) + n - 1)
     assert peak < bound
+
+
+# each case's peak ~15% above its measured one in a fresh process, Python
+# 3.11: dawg 3.0 MB at (1100,1) and (1100,2), 2.8 MB at (1,1100) and
+# (2,1100), its paths, and 0.20 MB at (100,100), its blocks, one lane and
+# one text; extend 3.9, 10.7, 3.9 and 10.5 MB at the thin shapes, where
+# growing its blocks takes the most, and 2.4 MB at (100,100).  Filling
+# each text on its own, with dawg's corner-check texts held until their
+# top came, took dawg 7.8, 10.3, 2.8, 2.8 and 2.2 MB
+FRAME_PEAK_PINS = {
+    ("dawg", 1100, 1): 3_500_000, ("dawg", 1100, 2): 3_500_000,
+    ("dawg", 1, 1100): 3_300_000, ("dawg", 2, 1100): 3_300_000,
+    ("dawg", 100, 100): 230_000,
+    ("extend", 1100, 1): 4_500_000, ("extend", 1100, 2): 12_300_000,
+    ("extend", 1, 1100): 4_500_000, ("extend", 2, 1100): 12_100_000,
+    ("extend", 100, 100): 2_800_000,
+}
+
+
+@pytest.mark.parametrize("method, k, l", sorted(FRAME_PEAK_PINS))
+def test_enum_holds_one_lane_not_texts(monkeypatch, method, k, l):
+    code, chars, peak = traced_peak(monkeypatch, "enum", "--method", method,
+                                    "--k", str(k), "--l", str(l))
+    n = (k + 1) * (l + 1)
+    assert (code, chars) == (0, n * k * (l + 1) + n - 1)
+    assert peak < FRAME_PEAK_PINS[method, k, l]
 
 
 def test_verify_holds_only_the_truth(monkeypatch):
@@ -267,9 +293,12 @@ def test_verify_holds_only_the_truth(monkeypatch):
 # 19.2 MB.  Keeping the window reader's name table for the whole stream
 # took 20.3, 38.8 and 27.8 MB, and keying every window by its k names
 # 14.9, 27.2 and 26.8 MB: the parametrized ceilings sit above the first,
-# the thin shapes' pins ~15% above their peaks with windows keyed by the
-# names of their blocks
-VERIFY_PEAK_PINS = {(100, 100): 17_500_000, (1100, 2): 26_000_000,
+# the (2,1100) pin ~15% above its peak with windows keyed by the names of
+# their blocks.  Once dawg and extend cut each text from its top's lane,
+# and dawg held no corner-check texts, (100,100) and (1100,2) read 6.9 and
+# 14.5 MB in a fresh process (9.0 and 21.7 MB before), and their pins sit
+# ~15% above those
+VERIFY_PEAK_PINS = {(100, 100): 8_000_000, (1100, 2): 16_600_000,
                     (2, 1100): 17_500_000}
 
 

@@ -13,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fib2d import word1d, word2d
-from fib2d.errors import NotFibStructured, OutOfDomain, ShapeMismatch
+from fib2d.errors import (InternalError, NotFibStructured, OutOfDomain,
+                          ShapeMismatch)
 
 from reference import as_grid_loop
 
@@ -27,30 +28,47 @@ def test_dims_and_empty():
     assert word2d.dims(F33) == (3, 3)
 
 
-def _subword_count_raises(path: Path) -> list[str]:
-    """module.function of each raise of InternalError in the module at path
-    whose message mentions subwords."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    owner = {}
-    # ast.walk goes outside in, so a nested function's nodes end up its own
-    for fn in ast.walk(tree):
-        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner.update(dict.fromkeys(ast.walk(fn), fn.name))
-    return [f"{path.stem}.{owner.get(node)}" for node in ast.walk(tree)
-            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+def _owners(match) -> list[str]:
+    """module.function of each node of the package's modules for which
+    match(node) holds."""
+    found = []
+    for path in sorted(Path(word2d.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        # ast.walk goes outside in, so a nested function's nodes end up its
+        # own
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+        found += [f"{path.stem}.{owner.get(node)}" for node in ast.walk(tree)
+                  if match(node)]
+    return found
+
+
+def _raises_subword_count(node) -> bool:
+    """Whether node raises InternalError with a message on subwords."""
+    return (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
             and getattr(node.exc.func, "id", None) == "InternalError"
             and any(isinstance(part, ast.Constant)
                     and "subwords" in str(part.value)
-                    for part in ast.walk(node.exc))]
+                    for part in ast.walk(node.exc)))
+
+
+def _calls_fill_text(node) -> bool:
+    return isinstance(node, ast.Call) and "fill_text" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
 
 
 def test_count_law_is_raised_in_one_place():
     # every enumeration calls word2d.count_law, so the law and its message
     # are written once
-    package = Path(word2d.__file__).parent
-    raises = [name for path in sorted(package.glob("*.py"))
-              for name in _subword_count_raises(path)]
-    assert raises == ["word2d.count_law"]
+    assert _owners(_raises_subword_count) == ["word2d.count_law"]
+
+
+def test_texts_are_filled_in_one_place():
+    # dawg and extend cut every text from a lane that stream_fills fills,
+    # so no other code fills a text
+    assert _owners(_calls_fill_text) == ["word2d.stream_fills"]
 
 
 def test_as_grid_validation():
@@ -143,6 +161,40 @@ def test_fill_text_is_the_text_of_fill():
         for top, side in frames:
             assert (word2d.fill_text(top, side)
                     == word2d.to_text(word2d.fill(top, side))), (top, side)
+
+
+def _blocks(k, l):
+    """The four corner-letter blocks of the frames of size (k,l)."""
+    frames = _consistent_frames(k, l)
+    return [(sorted({t for t, _ in frames if t[0] == x}),
+             sorted({v for _, v in frames if v[0] == x})) for x in "abcd"]
+
+
+@settings(deadline=None)
+@given(st.integers(1, 30), st.integers(1, 30))
+def test_stream_fills_cuts_the_texts_fill_text_fills(k, l):
+    frames = _consistent_frames(k, l)
+    assert tuple(word2d.stream_fills(_blocks(k, l), 0)) == tuple(
+        sorted(word2d.fill_text(top, side) for top, side in frames))
+
+
+def test_stream_fills_rejects_a_side_that_is_not_a_factor():
+    # bb is no factor of the column word over (d, b)
+    with pytest.raises(InternalError, match="side 'bb' is not a factor"):
+        next(word2d.stream_fills([(["ba"], ["bd", "bb"])], 0))
+
+
+def test_stream_fills_rejects_a_lane_without_its_span():
+    # each top starts with its sides' first letter, so its lane has the
+    # span as its first column; the first top, aba, has b and d as its
+    # second, where its span, ac, has a and c
+    blocks = _blocks(2, 3)
+    assert len(list(word2d.stream_fills(blocks, 0))) == 12
+    with pytest.raises(InternalError, match="as its column 2"):
+        next(word2d.stream_fills(blocks, 1))
+    # a top that starts with the other letter of the sides' alphabet
+    with pytest.raises(InternalError, match="as its column 1"):
+        next(word2d.stream_fills([(["dcd"], ["bd"])], 0))
 
 
 @given(st.text(alphabet="abcd", max_size=40))
