@@ -3,16 +3,17 @@
 A factor is pinned down by its first row and first column, which share the
 corner letter: word2d.fill rebuilds the other rows from them.  Growing the
 two frame words on the right and bottom grows the factor; a frame has
-|ext(top)| * |ext(side)| extensions, the paper's 1, 2, 2 or 4 by type.
-The frames with corner letter x are exactly the pairs of a row factor and
-a column factor that both start with x, so a complete size class is four
-blocks of words, one per corner letter, and growing every word of every
-block once yields the next complete class.  Enumeration starts from the
-blocks of the complete one-line class, grows them diagonally until the
-shorter side reaches its size, and only then cuts each pair's text from
-its top's lane, whose first column is checked, as a stream in sorted
-order (word2d.stream_fills), so only the blocks, a lane and a text are
-ever held.
+|ext(top)| * |ext(side)| extensions, the paper's 1, 2, 2 or 4 by type: a
+word has two only as the reversed prefix of its length (word1d), so a block
+grows from one prefix.  The frames with corner letter x are exactly the
+pairs of a row factor and a column factor that both start with x, so a
+complete size class is four blocks of words, one per corner letter, and
+growing every word of every block once yields the next complete class.
+Enumeration starts from the blocks of the complete one-line class, grows
+them diagonally until the shorter side reaches its size, and only then cuts
+each pair's text from its top's lane, whose first column is checked, as a
+stream in sorted order (word2d.stream_fills), so only the blocks, a lane
+and a text are ever held.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import IncompleteInput, InconsistentJoint
-from .word1d import LETTERS, factors1d, right_extensions
+from .word1d import LETTERS, _extend_block, factors1d
 from .word2d import (COL_ALPHABETS, ROW_ALPHABETS, Grid, classify_lines,
                      col_alphabet_of, column, count_law, fill,
                      row_alphabet_of, stream_fills)
@@ -43,11 +44,9 @@ def frame_tl(w: Grid) -> FrameTL:
 
 
 def _grow(words, alphabet_of) -> list[str]:
-    """u + x for each word u, in order, and each right extension x of u
-    over alphabet_of(u[0]); right_extensions raises NotAFactor for a word
-    that is not a factor."""
-    return [u + x for u in words
-            for x in right_extensions(u, alphabet_of(u[0]))]
+    """word1d._extend_block on one block, over alphabet_of its corner
+    letter: the reversed prefix gains both letters, any other word one."""
+    return _extend_block(words, alphabet_of(words[0][0])) if words else []
 
 
 def fill_from_frame(f: FrameTL) -> Grid:

@@ -11,8 +11,10 @@ F(1) = 2 and drives the occurrence arithmetic.
 The infinite word is the fixed point of first -> first second, second ->
 first, so for every n >= 1 it is its own letters, each replaced by its n-th
 image: w_n = fib_word(n, first, first + second), of fib(n, "F12") letters,
-for the first and w_{n-1} for the second.  prefix_pieces writes a prefix
-as these images, and z_stream lists where they start.
+for the first and w_{n-1} for the second.  prefix_pieces writes a prefix as
+these images, and z_stream lists where they start.  The word is standard
+Sturmian: of its k + 1 factors of length k, only the reversed length-k
+prefix extends on the right by both letters.
 """
 
 from __future__ import annotations
@@ -185,25 +187,30 @@ def factors1d(k: int, alphabet) -> tuple[str, ...]:
     return _factors(k, first, second)
 
 
-@lru_cache(maxsize=64)
-def _right_table(k: int, first: str, second: str) -> dict[str, tuple[str, ...]]:
-    # every length-k factor -> its right extensions, in alphabet order: the
-    # length-(k+1) factors are sorted, so u + first comes before u + second
-    table: dict[str, tuple[str, ...]] = {}
-    for v in _factors(k + 1, first, second):
-        table[v[:-1]] = table.get(v[:-1], ()) + (v[-1],)
-    return table
+def _extend_block(words, alphabet) -> list[str]:
+    """u + x for each word u, all of one length k, and each x with u + x a
+    factor: both letters for the reversed length-k prefix, else the letter
+    after u's first occurrence in the first 4k + 8 letters (as in _factors)."""
+    first, second = _pair(alphabet)
+    k = len(words[0]) if words else 0
+    p = fib_prefix((first, second), 4 * k + 8)
+    special, out = p[:k][::-1], []
+    for u in words:
+        i = p.find(u)
+        if u == special:
+            out += (u + first, u + second)
+        elif i < 0:
+            raise NotAFactor(f"{u!r} does not occur in the infinite word")
+        elif i + k >= len(p):
+            raise InternalError(f"{u!r} ends the first {len(p)} letters")
+        else:
+            out.append(u + p[i + k])
+    return out
 
 
 def right_extensions(u: str, alphabet) -> tuple[str, ...]:
-    """Letters x with u + x still a factor; two letters only for the special factor."""
-    first, second = _pair(alphabet)
-    if not u:
-        return (first, second)
-    exts = _right_table(len(u), first, second).get(u)
-    if exts is None:
-        raise NotAFactor(f"{u!r} does not occur in the infinite word")
-    return exts
+    """Letters x with u + x a factor: both for the reversed prefix, "" too."""
+    return tuple(v[-1] for v in _extend_block([u], alphabet))
 
 
 # ------------------------------------------------------------- conjugates --

@@ -22,7 +22,9 @@ Its earlier window scan, the column-band cutter (`bands`, `windows`,
 `band_occurrences`), stays here as the new scan's differential reference.  Only the
 tests list whole root paths or name the right-special factor, so
 `root_paths`, a view of dawg._walk, and `special_factor`, read off
-word1d's right-extension table, live here.
+`right_table`, live here.  The library grows a word by the letter after
+its first occurrence; the table of every factor's right extensions, read
+off the longer factors, which it replaced, stays here as its reference.
 
 The enumerations return factor texts.  The grid-returning forms they
 replaced stay here as their differential references: `*_grids` gives
@@ -39,8 +41,7 @@ from fib2d import cli, conjugacy, frames, oracle
 from fib2d.dawg import (_LETTER, Digraph, _fmt_node, _line_words, _walk,
                         build_line_dawg, subword_from_path)
 from fib2d.errors import InternalError, NotAFactor, ShapeMismatch
-from fib2d.word1d import (LETTERS, _pair, _right_table, factors1d,
-                          fib_prefix, truncated)
+from fib2d.word1d import LETTERS, _pair, factors1d, fib_prefix, truncated
 from fib2d.word2d import (COL_ALPHABETS, EMPTY, ROW_ALPHABETS,
                           col_alphabet_of, column, dims, fib_array, fill,
                           mu_prefix, row_alphabet_of, to_text)
@@ -51,13 +52,21 @@ def texts(grids) -> tuple[str, ...]:
     return tuple(map(to_text, grids))
 
 
+def right_table(k: int, alphabet) -> dict[str, tuple[str, ...]]:
+    """Every length-k factor -> its right extensions, in alphabet order:
+    the length-(k+1) factors are sorted, so u + first comes before
+    u + second."""
+    table: dict[str, tuple[str, ...]] = {}
+    for v in factors1d(k + 1, alphabet):
+        table[v[:-1]] = table.get(v[:-1], ()) + (v[-1],)
+    return table
+
+
 def special_factor(k: int, alphabet) -> str:
     """The unique length-k factor extendable on the right by both letters."""
-    first, second = _pair(alphabet)
     if k < 1:
         raise ValueError("k must be >= 1")
-    hits = [u for u, xs in _right_table(k, first, second).items()
-            if len(xs) == 2]
+    hits = [u for u, xs in right_table(k, alphabet).items() if len(xs) == 2]
     if len(hits) != 1:
         raise InternalError(f"{len(hits)} right-special factors of length "
                             f"{k}, expected exactly 1")

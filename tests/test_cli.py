@@ -268,11 +268,11 @@ INVARIANT_BREAKS = {
     "extend-lane": ("word2d.fill_text = lambda top, side: "
                     "(top + '\\n') * len(side)",
                     "extend", 2, 2, "does not have 'ac' as its column 1"),
-    "extend-count": ("frames.right_extensions = lambda u, alphabet: ()",
+    "extend-count": ("frames._extend_block = lambda words, alphabet: []",
                      "extend", 2, 2,
                      "size (2,2) has 9 subwords, extension gave 0"),
-    "extend-duplicate": ("frames.right_extensions = "
-                         "lambda u, alphabet: (alphabet[0],) * 2",
+    "extend-duplicate": ("frames._extend_block = lambda words, alphabet: "
+                         "[u + alphabet[0] for u in words for _ in 'xx']",
                          "extend", 2, 2,
                          "size (2,2) has 9 subwords, extension gave 4"),
     "one-line-count": ("frames.factors1d = lambda k, alph: ()",

@@ -7,7 +7,7 @@ import pytest
 from fib2d import frames
 from fib2d.errors import (IncompleteInput, InconsistentJoint, InternalError,
                           NotAFactor)
-from fib2d.word1d import factors1d, right_extensions
+from fib2d.word1d import _extend_block, factors1d, right_extensions
 from fib2d.word2d import (COL_ALPHABETS, ROW_ALPHABETS, col_alphabet_of, fill,
                           parse_text, row_alphabet_of, subblock)
 
@@ -130,7 +130,8 @@ def test_extend_diagonal_rejects_bad_frames():
 def test_extend_diagonal_checks_the_count_law(monkeypatch):
     # every word grown by its dominant letter twice: the nine (2,2) frames
     # grow into nine frames, not the sixteen of size (3,3)
-    monkeypatch.setattr(frames, "right_extensions", lambda u, a: (a[0],) * 2)
+    monkeypatch.setattr(frames, "_extend_block", lambda words, a: [
+        u + a[0] for u in words for _ in "xx"])
     with pytest.raises(InternalError) as err:
         frames.extend_diagonal(frames_of(WORDS_2_2))
     assert str(err.value) == "size (3,3) has 16 subwords, extension gave 9"
@@ -173,21 +174,24 @@ def test_extend_diagonal_matches_per_frame_step():
 def test_extension_grows_each_distinct_word_once(monkeypatch):
     # the (a+1)(b+1) frames of a class have at most 2(b+1) distinct top
     # words and 2(a+1) distinct side words; the per-frame step looks up
-    # 44 278 at (40,40) and 56 028 at (30,70)
-    calls = []
+    # 44 278 at (40,40) and 56 028 at (30,70).  Each diagonal step grows
+    # the tops and the sides of four corner-letter blocks, one block step
+    # each: 8 calls a step
+    blocks = []
 
-    def counted(u, alphabet):
-        calls.append(u)
-        return right_extensions(u, alphabet)
+    def counted(words, alphabet):
+        blocks.append(len(words))
+        return _extend_block(words, alphabet)
 
-    monkeypatch.setattr(frames, "right_extensions", counted)
+    monkeypatch.setattr(frames, "_extend_block", counted)
     for k, l, most in ((40, 40, 3276), (30, 70, 4176)):
         m = min(k, l)
         sizes = [(k - m + i, l - m + i) for i in range(1, m)]
         assert sum(2 * (a + b + 2) for a, b in sizes) == most
-        calls.clear()
+        blocks.clear()
         frames.enumerate_extension(k, l)
-        assert 0 < len(calls) <= most
+        assert len(blocks) == 8 * (m - 1)
+        assert 0 < sum(blocks) <= most
 
 
 # ------------------------------------------------------------- enumeration --

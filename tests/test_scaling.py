@@ -33,7 +33,7 @@ def cut(n: int):
 
 def cold_peak(monkeypatch, *argv):
     """(exit code, characters written, peak) of a cold run."""
-    for cache in (word1d.fib_word, word1d._factors, word1d._right_table):
+    for cache in (word1d.fib_word, word1d._factors):
         cache.cache_clear()
     return traced_peak(monkeypatch, *argv)
 

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 
 import fib2d
 from fib2d import word1d
-from fib2d.errors import EmptyWord, NotAFactor, TooShort
+from fib2d.errors import EmptyWord, InternalError, NotAFactor, TooShort
 
-from reference import (factors1d_listkey, shortest_truncated_index_loop,
-                       special_factor)
+from reference import (factors1d_listkey, right_table,
+                       shortest_truncated_index_loop, special_factor)
 from tables import (FACTORS_4_AB, OCC_ABAB_BELOW_33, Q_4_AB, Z1_BELOW_6,
                     Z2_BELOW_12, Z4_BELOW_30)
 
@@ -302,11 +302,43 @@ def test_right_extension_table_matches_set_rule():
 
 def test_right_table_has_one_special_factor():
     # a Sturmian word has exactly one right-special factor of each length
-    for first, second in permutations("abcd", 2):
+    for alphabet in map("".join, permutations("abcd", 2)):
         for k in range(1, 201):
-            table = word1d._right_table(k, first, second)
-            assert sum(len(xs) == 2 for xs in table.values()) == 1, \
-                (first + second, k)
+            exts = [word1d.right_extensions(u, alphabet)
+                    for u in word1d.factors1d(k, alphabet)]
+            assert sum(len(xs) == 2 for xs in exts) == 1, (alphabet, k)
+
+
+def test_block_step_matches_right_table():
+    # the letter after the first occurrence, and both letters for the
+    # reversed prefix, against the table read off the longer factors
+    for alphabet in map("".join, permutations("abcd", 2)):
+        for k in range(1, 201):
+            factors = word1d.factors1d(k, alphabet)
+            table = right_table(k, alphabet)
+            assert sorted(table) == sorted(factors), (alphabet, k)
+            for u in factors:
+                assert word1d.right_extensions(u, alphabet) == table[u]
+            assert word1d._extend_block(factors, alphabet) == [
+                u + x for u in factors for x in table[u]], (alphabet, k)
+
+
+def test_block_step_edge_cases(monkeypatch):
+    assert word1d._extend_block([], "ab") == []
+    assert word1d._extend_block(("abab",), ("a", "b")) == ["ababa"]
+    assert word1d._extend_block(["abab"], "ab") == ["ababa"]
+    assert word1d._extend_block(["aba", "bab"], "ab") == ["abaa", "abab",
+                                                          "baba"]
+    # a non-factor in the middle of a block, and a letter off the alphabet
+    with pytest.raises(NotAFactor, match="'bb'"):
+        word1d._extend_block(["ab", "bb", "ba"], "ab")
+    with pytest.raises(NotAFactor, match="'ac'"):
+        word1d._extend_block(["ab", "ac"], "ab")
+    # a prefix too short to hold a letter after the word's first occurrence
+    monkeypatch.setattr(word1d, "fib_prefix",
+                        lambda alphabet, length: "abaab")
+    with pytest.raises(InternalError, match="'aab'"):
+        word1d._extend_block(["aab"], "ab")
 
 
 def test_special_factor_is_reversed_prefix():
