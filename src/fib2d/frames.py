@@ -43,12 +43,6 @@ def frame_tl(w: Grid) -> FrameTL:
     return FrameTL(w[0], column(w, 1), w[0][0])
 
 
-def _grow(words, alphabet_of) -> list[str]:
-    """word1d._extend_block on one block, over alphabet_of its corner
-    letter: the reversed prefix gains both letters, any other word one."""
-    return _extend_block(words, alphabet_of(words[0][0])) if words else []
-
-
 def fill_from_frame(f: FrameTL) -> Grid:
     """Reconstruct the whole grid from its top-left frame, after checking
     it the way extensions_of does: non-empty words, the joint letter, and
@@ -76,8 +70,8 @@ def extensions_of(f: FrameTL) -> tuple[FrameTL, ...]:
         raise InconsistentJoint(
             f"frames start with {frame_t[0]!r} and {frame_l[0]!r}, "
             f"joint {s!r}")
-    tops = _grow((frame_t,), row_alphabet_of)
-    sides = _grow((frame_l,), col_alphabet_of)
+    tops = _extend_block((frame_t,), row_alphabet_of(s))
+    sides = _extend_block((frame_l,), col_alphabet_of(s))
     return tuple([FrameTL(t, l, s) for t in tops for l in sides])
 
 
@@ -129,8 +123,9 @@ def stream_extension(k: int, l: int):
         count_law(sum(len(set(ts)) * len(set(ss)) for ts, ss in blocks),
                   a, b, "extension")
         if a < k:
-            blocks = [(_grow(ts, row_alphabet_of), _grow(ss, col_alphabet_of))
-                      for ts, ss in blocks]
+            blocks = [(_extend_block(ts, row_alphabet_of(x)),
+                       _extend_block(ss, col_alphabet_of(x)))
+                      for x, (ts, ss) in zip(LETTERS, blocks)]
     return stream_fills(blocks, 0)
 
 

@@ -14,7 +14,8 @@ image: w_n = fib_word(n, first, first + second), of fib(n, "F12") letters,
 for the first and w_{n-1} for the second.  prefix_pieces writes a prefix as
 these images, and z_stream lists where they start.  The word is standard
 Sturmian: of its k + 1 factors of length k, only the reversed length-k
-prefix extends on the right by both letters.
+prefix extends on the right by both letters, and all of them occur in its
+first 4k + 8 letters, factor_prefix, which every search for a factor reads.
 """
 
 from __future__ import annotations
@@ -164,19 +165,11 @@ def truncated(n: int, alphabet) -> str:
 
 # ---------------------------------------------------------------- factors --
 
-@lru_cache(maxsize=64)
-def _factors(k: int, first: str, second: str) -> tuple[str, ...]:
-    # the shortest prefix holding all k+1 factors of length k has at most
-    # phi^2 k + 1 letters (a scan read at most 2.617k for every k <= 2000),
-    # so the first 4k + 8 letters hold them all (shortest_truncated_index too)
-    w = fib_prefix((first, second), 4 * k + 8)
-    seen = {w[i:i + k] for i in range(len(w) - k + 1)}
-    if len(seen) != k + 1:
-        raise InternalError(f"{len(seen)} factors of length {k} in the first "
-                            f"{len(w)} letters, not the Sturmian count {k + 1}")
-    # the keys are equal-length 0/1 strings, so they sort as first < second
-    bits = str.maketrans(first + second, "01")
-    return tuple(sorted(seen, key=lambda u: u.translate(bits)))
+def factor_prefix(alphabet, k: int) -> str:
+    """The first 4k + 8 letters, which hold all k + 1 length-k factors: the
+    shortest prefix holding them has at most phi^2 k + 1 letters (a scan
+    read at most 2.617k for every k <= 2000)."""
+    return fib_prefix(alphabet, 4 * k + 8)
 
 
 def factors1d(k: int, alphabet) -> tuple[str, ...]:
@@ -184,16 +177,22 @@ def factors1d(k: int, alphabet) -> tuple[str, ...]:
     first, second = _pair(alphabet)
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _factors(k, first, second)
+    w = factor_prefix(alphabet, k)
+    seen = {w[i:i + k] for i in range(len(w) - k + 1)}
+    if len(seen) != k + 1:
+        raise InternalError(f"{len(seen)} factors of length {k} in the first "
+                            f"{len(w)} letters, not the Sturmian count {k + 1}")
+    # swapping two letters' order reverses the order of equal-length words
+    return tuple(sorted(seen, reverse=first > second))
 
 
 def _extend_block(words, alphabet) -> list[str]:
     """u + x for each word u, all of one length k, and each x with u + x a
     factor: both letters for the reversed length-k prefix, else the letter
-    after u's first occurrence in the first 4k + 8 letters (as in _factors)."""
+    after u's first occurrence in factor_prefix."""
     first, second = _pair(alphabet)
     k = len(words[0]) if words else 0
-    p = fib_prefix((first, second), 4 * k + 8)
+    p = factor_prefix(alphabet, k)
     special, out = p[:k][::-1], []
     for u in words:
         i = p.find(u)
@@ -239,11 +238,11 @@ def special_conjugate1d(n: int, alphabet) -> str:
 def shortest_truncated_index(u: str, alphabet) -> int:
     """Smallest n >= 2 with u a factor of truncated(n, alphabet), the
     prefix of length fib(n, "F12") - 2: the least n with i + len(u) <=
-    fib(n, "F12") - 2, where i is u's first occurrence, found in the first
-    4 len(u) + 8 letters as in _factors."""
+    fib(n, "F12") - 2, where i is u's first occurrence, found in
+    factor_prefix(alphabet, len(u))."""
     if not u:
         raise ValueError("u must be non-empty")
-    i = fib_prefix(alphabet, 4 * len(u) + 8).find(u)
+    i = factor_prefix(alphabet, len(u)).find(u)
     if i < 0:
         raise NotAFactor(f"{u!r} does not occur in the infinite word")
     return fib_index(i + len(u) + 1, "F12")

@@ -16,7 +16,7 @@ from math import isqrt
 
 from .errors import (InternalError, NotFibStructured, OutOfDomain,
                      ShapeMismatch)
-from .word1d import LETTERS, fib_prefix, fib_word
+from .word1d import LETTERS, factor_prefix, fib_word
 
 Grid = tuple[str, ...]
 
@@ -70,7 +70,7 @@ def stream_fills(blocks, column: int):
     (tops, sides), as a stream in sorted order.
 
     A block's sides are length-k factors of one column word; let p be its
-    first 4k+8 letters (word1d._factors' bound).  Each top is filled once
+    word1d.factor_prefix, which holds them all.  Each top is filled once
     over the span of p that holds them, its lane, and a text is the k rows
     of the lane at p.find(side).  A side not in p, or a lane whose 0-based
     column `column` is not the span, raises InternalError.
@@ -91,7 +91,7 @@ def stream_fills(blocks, column: int):
         x, k, w = sides[0][0], len(sides[0]), len(tops[0]) + 1
         alphabet = col_alphabet_of(x)
         up = sorted(sides, reverse=x > alphabet.replace(x, ""))
-        p = fib_prefix(alphabet, 4 * k + 8)
+        p = factor_prefix(alphabet, k)
         at = list(map(p.find, up))
         if -1 in at:
             raise InternalError(f"side {up[at.index(-1)]!r} is not a factor "

@@ -311,8 +311,9 @@ def extension_grids(k, l):
     blocks = [([u for u in tops if u[0] == x], [u for u in sides if u[0] == x])
               for x in LETTERS]
     for _ in range(m - 1):
-        blocks = [(frames._grow(ts, row_alphabet_of),
-                   frames._grow(ss, col_alphabet_of)) for ts, ss in blocks]
+        blocks = [(frames._extend_block(ts, row_alphabet_of(x)),
+                   frames._extend_block(ss, col_alphabet_of(x)))
+                  for x, (ts, ss) in zip(LETTERS, blocks)]
     grids = [fill(t, s) for ts, ss in blocks for t in ts for s in ss]
     if len(grids) != (k + 1) * (l + 1):
         raise InternalError(f"extension gave {len(grids)}")

@@ -23,7 +23,7 @@ def test_every_cache_has_a_size_limit():
               for module in MODULES for name, value in vars(module).items()
               if hasattr(value, "cache_info")}
     assert {"fib2d.word1d.fib", "fib2d.word1d.fib_word",
-            "fib2d.word1d._factors", "fib2d.word1d.zeck_repr"} <= set(caches)
+            "fib2d.word1d.zeck_repr"} <= set(caches)
     unbounded = [name for name, cache in caches.items()
                  if cache.cache_info().maxsize is None]
     assert unbounded == []

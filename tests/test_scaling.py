@@ -1,11 +1,13 @@
 """Every command's memory grows with its input, not with its square.
 
-Each case runs `locate` on a factor of size n and of size 4n, `enum` on
-a thin shape whose long side is n and 4n, or `gen1d`, `gen2d` or
-`dawg-dot` at a size n and 4n, with the 1D word caches cleared, and
+Each case runs `locate` on a factor of size n and of size 4n, `enum` or
+`verify` on a thin shape whose long side is n and 4n, or `gen1d`, `gen2d`
+or `dawg-dot` at a size n and 4n, with the 1D word caches cleared, and
 measures the tracemalloc peak with a stdout that only counts.  The bound
 is linear in the input: from n to 4n the peak may grow by at most 1.5
-times the factor the input grows by.
+times the factor the input grows by.  The frame methods, `dawg` and
+`extend`, hold blocks of line words by design, and their bound is linear
+in those words' letters.
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ def cut(n: int):
 
 def cold_peak(monkeypatch, *argv):
     """(exit code, characters written, peak) of a cold run."""
-    for cache in (word1d.fib_word, word1d._factors):
-        cache.cache_clear()
+    word1d.fib_word.cache_clear()
     return traced_peak(monkeypatch, *argv)
 
 
@@ -92,6 +93,28 @@ def test_enum_peak_grows_linearly(monkeypatch, method, shape):
         assert code == 0 and chars > 0
         peaks.append(peak)
     assert peaks[2] / peaks[1] < 1.5 * 4
+
+
+# measured peak ratios, Python 3.11, from n = 150 to 600: dawg 6.5-7.3,
+# extend 10.2-11.7 and verify 8.6-8.9.  A thin shape's blocks hold its
+# n + 1 line words of n letters, so from n to 4n their letters grow
+# (4n + 1) 4n / ((n + 1) n), about 16 times, and the peak may grow by at
+# most 1.5 times that
+@pytest.mark.parametrize("method, shape", [
+    (method, shape) for method in ("dawg", "extend")
+    for shape in ("1xn", "nx1", "2xn", "nx2")
+] + [("verify", "2xn"), ("verify", "nx2")])
+def test_frame_peak_grows_with_the_blocks(monkeypatch, method, shape):
+    command = ("verify",) if method == "verify" else ("enum", "--method",
+                                                      method)
+    peaks = []
+    for n in (150, 150, 600):  # the first run warms the interpreter
+        k, l = shape.replace("n", str(n)).split("x")
+        code, chars, peak = cold_peak(monkeypatch, *command, "--k", k,
+                                      "--l", l)
+        assert code == 0 and chars > 0
+        peaks.append(peak)
+    assert peaks[2] / peaks[1] < 1.5 * 16
 
 
 # measured peak ratios, Python 3.11, from n to 4n: gen1d 0.92, gen2d

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import bisect
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -20,6 +22,7 @@ from reference import (factors1d_listkey, right_table,
                        shortest_truncated_index_loop, special_factor)
 from tables import (FACTORS_4_AB, OCC_ABAB_BELOW_33, Q_4_AB, Z1_BELOW_6,
                     Z2_BELOW_12, Z4_BELOW_30)
+from test_word2d import _owners
 
 ALPHABETS = ("ab", "ba", "dc", "db", "ca")
 
@@ -258,9 +261,10 @@ def test_factors1d_matches_window_scan():
 
 
 def test_factors1d_order_matches_per_letter_key():
-    # the translated 0/1 sort key orders factors as the per-letter rank
-    # list did, in each line alphabet
-    for alphabet in ("dc", "ba", "db", "ca"):
+    # the plain sort, reversed when first > second, orders factors as the
+    # per-letter rank list did, in each line alphabet and with the letters
+    # in their own order
+    for alphabet in ("dc", "ba", "db", "ca", "ab", "cd"):
         for k in range(1, 101):
             assert word1d.factors1d(k, alphabet) == factors1d_listkey(
                 k, alphabet), (alphabet, k)
@@ -269,6 +273,35 @@ def test_factors1d_order_matches_per_letter_key():
 def test_factors1d_rejects_bad_k():
     with pytest.raises(ValueError):
         word1d.factors1d(0, "ab")
+
+
+def _sturmian_bound(node) -> bool:
+    """Whether node is the expression 4 * <expr> + 8."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and isinstance(node.left, ast.BinOp)
+            and isinstance(node.left.op, ast.Mult)
+            and getattr(node.left.left, "value", None) == 4
+            and getattr(node.right, "value", None) == 8)
+
+
+def test_factor_bound_has_one_home():
+    # every read of the length-k factors searches the same prefix
+    assert _owners(_sturmian_bound) == ["word1d.factor_prefix"]
+    assert word1d.factor_prefix("db", 3) == word1d.fib_prefix("db", 20)
+
+
+def test_factors1d_keeps_nothing():
+    # measured, Python 3.11: a table cached per length kept ~1.3 MB here
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        factors = word1d.factors1d(1100, "db")
+        assert len(factors) == 1101
+        del factors
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before < 100_000
 
 
 def test_right_extensions():
