@@ -93,8 +93,8 @@ def _cmd_conjugates(args) -> int:
     if args.special:
         _write_rows(conjugacy.special_conjugate2d(args.m, args.n))
     else:
-        _write_joined(map(word2d.to_text, conjugacy.conjugacy_class(
-            word2d.fib_array(args.m, args.n))), "\n")
+        _write_joined(conjugacy.stream_class(
+            word2d.fib_array(args.m, args.n)), "\n")
     return 0
 
 

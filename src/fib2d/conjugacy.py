@@ -7,7 +7,8 @@ factors of a given size; a second enumeration reads prefixes of positive
 rotations of the next larger grid.  Both read those corners as windows of
 the grid taken cyclically (word2d.stream_windows) and check their count,
 and give the texts of the factors in sorted order, as a stream (stream_*)
-or a sorted tuple (enumerate_*).
+or a sorted tuple (enumerate_*).  The class itself is read by the same
+cyclic window reader: its grids are the grid's own-size windows.
 """
 
 from __future__ import annotations
@@ -28,21 +29,21 @@ def rotate2d(w: Grid, i: int, j: int) -> Grid:
     return tuple(row[j:] + row[:j] for row in w[i:] + w[:i])
 
 
-def conjugacy_class(w: Grid) -> tuple[Grid, ...]:
-    """All distinct row/column rotations of w; rows*cols of them iff w is
-    primitive.
-
-    Each distinct row is rotated once per column exponent, and every grid
-    of the class is a row rotation of one column of those rotations, so
-    equal rows of the class are one string.
-    """
+def stream_class(w: Grid):
+    """The texts of all distinct row/column rotations of w, as a stream in
+    sorted order: its (rows, cols) windows taken cyclically."""
     if not w:
         raise ValueError("conjugacy class needs a non-empty grid")
     rows, cols = dims(w)
-    turns = {r: [r[j:] + r[:j] for j in range(cols)] for r in set(w)}
-    lanes = [turns[r] for r in w]
-    return tuple(sorted({col[i:] + col[:i]
-                         for col in zip(*lanes) for i in range(rows)}))
+    return _corners(w, range(rows), range(cols), rows, cols)[1]
+
+
+def conjugacy_class(w: Grid) -> tuple[Grid, ...]:
+    """All distinct row/column rotations of w, sorted; rows*cols of them
+    iff w is primitive.  Equal rows of the class are one string."""
+    one = {}
+    return tuple(tuple([one.setdefault(r, r) for r in text.splitlines()])
+                 for text in stream_class(w))
 
 
 def special_conjugate2d(m: int, n: int) -> Grid:
@@ -65,21 +66,17 @@ def _cover_index(k: int) -> int:
     return max(2, fib_index(k, "F11"))
 
 
-def _corners(base: Grid, row_starts, col_starts, k: int, l: int,
-             method: str):
-    """The texts of the (k,l) top-left corners of the rotations of base
-    that start at each row in row_starts and each column in col_starts, as
-    a stream in sorted order.
+def _corners(base: Grid, row_starts, col_starts, k: int, l: int):
+    """(n, texts): the number of distinct (k,l) top-left corners of the
+    rotations of base that start at each row in row_starts and each column
+    in col_starts, and their texts as a stream in sorted order.
 
     Corners are the windows of base taken cyclically, read by
-    word2d.stream_windows without building any rotation; word2d.count_law
-    checks their count before the stream starts.
+    word2d.stream_windows without building any rotation.
     """
     cyclic = {w: w + w[:l - 1] for w in set(base)}
-    n, texts = stream_windows([cyclic[w] for w in base + base[:k - 1]],
-                              row_starts, col_starts, k, l)
-    count_law(n, k, l, method)
-    return texts
+    return stream_windows([cyclic[w] for w in base + base[:k - 1]],
+                          row_starts, col_starts, k, l)
 
 
 def stream_conjugation(k: int, l: int):
@@ -90,8 +87,10 @@ def stream_conjugation(k: int, l: int):
         raise ValueError("k and l must be >= 1")
     q = special_conjugate2d(_cover_index(k), _cover_index(l))
     rows, cols = dims(q)
-    return _corners(q, [-i % rows for i in range(k + 1)],
-                    [-j % cols for j in range(l + 1)], k, l, "conjugation")
+    n, texts = _corners(q, [-i % rows for i in range(k + 1)],
+                        [-j % cols for j in range(l + 1)], k, l)
+    count_law(n, k, l, "conjugation")
+    return texts
 
 
 def enumerate_conjugation(k: int, l: int) -> tuple[str, ...]:
@@ -118,8 +117,10 @@ def stream_prefix_conjugates(k: int, l: int):
     # for k >= 2, fib(m) <= k < fib(m+1)
     m = _cover_index(k) - 1
     n = _cover_index(l) - 1
-    return _corners(fib_array(m + 1, n + 1), _prefix_rotations(k, m),
-                    _prefix_rotations(l, n), k, l, "prefix conjugates")
+    found, texts = _corners(fib_array(m + 1, n + 1), _prefix_rotations(k, m),
+                            _prefix_rotations(l, n), k, l)
+    count_law(found, k, l, "prefix conjugates")
+    return texts
 
 
 def enumerate_prefix_conjugates(k: int, l: int) -> tuple[str, ...]:

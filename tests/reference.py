@@ -31,6 +31,10 @@ replaced stay here as their differential references: `*_grids` gives
 each method's sorted grids, built the way the method built them before,
 with equal rows shared and every pair filled by word2d.fill; the oracle's
 windows come from the band cutter.
+
+The conjugacy class is read as the grid's own-size windows taken
+cyclically; the set of every row/column rotation, sorted, which it
+replaced, stays here as `conjugacy_class_rotations`.
 """
 
 from __future__ import annotations
@@ -259,6 +263,19 @@ def _corners(base, row_starts, col_starts, k, l, method):
         raise InternalError(f"size ({k},{l}) has {(k + 1) * (l + 1)} "
                             f"subwords, {method} gave {len(out)}")
     return tuple(sorted(out))
+
+
+def conjugacy_class_rotations(w):
+    """All distinct row/column rotations of w, sorted: each distinct row
+    rotated once per column exponent, every grid a row rotation of one
+    column of those rotations."""
+    if not w:
+        raise ValueError("conjugacy class needs a non-empty grid")
+    rows, cols = dims(w)
+    turns = {r: [r[j:] + r[:j] for j in range(cols)] for r in set(w)}
+    lanes = [turns[r] for r in w]
+    return tuple(sorted({col[i:] + col[:i]
+                         for col in zip(*lanes) for i in range(rows)}))
 
 
 def conjugation_grids(k, l):

@@ -7,7 +7,10 @@ measures the tracemalloc peak with a stdout that only counts.  The bound
 is linear in the input: from n to 4n the peak may grow by at most 1.5
 times the factor the input grows by.  The frame methods, `dawg` and
 `extend`, hold blocks of line words by design, and their bound is linear
-in those words' letters.
+in those words' letters; at (n,n), where a text outweighs the blocks, it
+is linear in one text's letters.  `conjugates` holds a key for each of
+its F(m)F(n) windows, and `conjugates --special` its F(n)-letter rows and
+the F(m)-letter word that orders them, and each bound is linear in those.
 """
 
 from __future__ import annotations
@@ -96,14 +99,14 @@ def test_enum_peak_grows_linearly(monkeypatch, method, shape):
 
 
 # measured peak ratios, Python 3.11, from n = 150 to 600: dawg 6.5-7.3,
-# extend 10.2-11.7 and verify 8.6-8.9.  A thin shape's blocks hold its
+# extend 10.2-11.7 and verify 8.0-10.1.  A thin shape's blocks hold its
 # n + 1 line words of n letters, so from n to 4n their letters grow
 # (4n + 1) 4n / ((n + 1) n), about 16 times, and the peak may grow by at
 # most 1.5 times that
 @pytest.mark.parametrize("method, shape", [
     (method, shape) for method in ("dawg", "extend")
     for shape in ("1xn", "nx1", "2xn", "nx2")
-] + [("verify", "2xn"), ("verify", "nx2")])
+] + [("verify", shape) for shape in ("1xn", "nx1", "2xn", "nx2")])
 def test_frame_peak_grows_with_the_blocks(monkeypatch, method, shape):
     command = ("verify",) if method == "verify" else ("enum", "--method",
                                                       method)
@@ -115,6 +118,50 @@ def test_frame_peak_grows_with_the_blocks(monkeypatch, method, shape):
         assert code == 0 and chars > 0
         peaks.append(peak)
     assert peaks[2] / peaks[1] < 1.5 * 16
+
+
+# measured peak ratios, Python 3.11: dawg 3.2 and extend 3.0 from
+# (50,50) to (100,100), verify 4.2 from (30,30) to (60,60).  A square
+# shape's text holds n (n + 1) letters, which grow about 4 times from n to
+# 2n, and the peak may grow by at most 1.5 times that
+@pytest.mark.parametrize("method, n", [("dawg", 50), ("extend", 50),
+                                       ("verify", 30)])
+def test_square_peak_grows_with_one_text(monkeypatch, method, n):
+    command = ("verify",) if method == "verify" else ("enum", "--method",
+                                                      method)
+    peaks = []
+    for size in (n, n, 2 * n):  # the first run warms the interpreter
+        code, chars, peak = cold_peak(monkeypatch, *command, "--k", str(size),
+                                      "--l", str(size))
+        assert code == 0 and chars > 0
+        peaks.append(peak)
+    assert peaks[2] / peaks[1] < 1.5 * 4
+
+
+# measured peak ratios, Python 3.11: conjugates 6.2 from (9,9) to (11,11),
+# 3.2 from (2,12) to (2,14) and 2.8 from (12,2) to (14,2), where its
+# F(m)F(n) windows grow 6.86, 2.62 and 2.62 times; holding the whole
+# class as a sorted set of rotations read 16.4, 5.1 and 6.5.  conjugates
+# --special 3.1 from (10,10) to (13,13), where F(m) + F(n) grows 4.24
+# times.  The peak may grow by at most 1.5 times what the command holds
+@pytest.mark.parametrize("special, small, large", [
+    (False, (9, 9), (11, 11)), (False, (2, 12), (2, 14)),
+    (False, (12, 2), (14, 2)), (True, (10, 10), (13, 13))],
+    ids=["9x9", "2x12", "12x2", "special-10x10"])
+def test_conjugates_peak_grows_with_what_it_holds(monkeypatch, special,
+                                                  small, large):
+    def held(m, n):
+        rows, cols = word1d.fib(m, "F11"), word1d.fib(n, "F11")
+        return rows + cols if special else rows * cols
+
+    flag = ("--special",) if special else ()
+    peaks = []
+    for m, n in (small, small, large):  # the first run warms the interpreter
+        code, chars, peak = cold_peak(monkeypatch, "conjugates", "--m", str(m),
+                                      "--n", str(n), *flag)
+        assert code == 0 and chars > 0
+        peaks.append(peak)
+    assert peaks[2] / peaks[1] < 1.5 * held(*large) / held(*small)
 
 
 # measured peak ratios, Python 3.11, from n to 4n: gen1d 0.92, gen2d
