@@ -87,8 +87,12 @@ def stream_conjugation(k: int, l: int):
         raise ValueError("k and l must be >= 1")
     q = special_conjugate2d(_cover_index(k), _cover_index(l))
     rows, cols = dims(q)
-    n, texts = _corners(q, [-i % rows for i in range(k + 1)],
-                        [-j % cols for j in range(l + 1)], k, l)
+    row_starts = [-i % rows for i in range(k + 1)]
+    col_starts = [-j % cols for j in range(l + 1)]
+    # the paper reads exactly one corner per factor: more corners can
+    # repeat factors and still pass the count law below
+    count_law(len(row_starts) * len(col_starts), k, l, "conjugation corners")
+    n, texts = _corners(q, row_starts, col_starts, k, l)
     count_law(n, k, l, "conjugation")
     return texts
 

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import reference
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -25,3 +27,10 @@ def tracer():
     finally:
         sys.dont_write_bytecode = written
     return module
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _release_shared():
+    """Keep each shared reference value for the module that made it."""
+    yield
+    reference.release()

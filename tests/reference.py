@@ -35,12 +35,26 @@ windows come from the band cutter.
 The conjugacy class is read as the grid's own-size windows taken
 cyclically; the set of every row/column rotation, sorted, which it
 replaced, stays here as `conjugacy_class_rotations`.
+
+Sharing rule.  A value that several tests of one module compute alike, a
+reference or a library result they all check, is made once by a function
+decorated with `shared` and kept until that module's tests end.  Every
+assertion still runs on the library's output: sharing only drops the
+second computation of the same value.  A shared value is filled only by
+reference code or by library calls that no patch has changed: the fill
+raises AssertionError while any global of the package differs from its
+value at import, so a test that patches the package can read a shared
+value but never make one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
+import pkgutil
 
+import fib2d
 from fib2d import cli, conjugacy, frames, oracle
 from fib2d.dawg import (_LETTER, Digraph, _fmt_node, _line_words, _walk,
                         build_line_dawg, subword_from_path)
@@ -49,6 +63,41 @@ from fib2d.word1d import LETTERS, _pair, factors1d, fib_prefix, truncated
 from fib2d.word2d import (COL_ALPHABETS, EMPTY, ROW_ALPHABETS,
                           col_alphabet_of, column, dims, fib_array, fill,
                           mu_prefix, row_alphabet_of, to_text)
+
+
+_PACKAGE = [fib2d] + [importlib.import_module(f"fib2d.{info.name}")
+                      for info in pkgutil.iter_modules(fib2d.__path__)]
+
+
+def _bindings() -> dict:
+    """Every global of the package, a dict global by its items."""
+    return {(module.__name__, name): dict(v) if isinstance(v, dict) else v
+            for module in _PACKAGE for name, v in vars(module).items()
+            if not name.startswith("__")}
+
+
+_UNPATCHED = _bindings()
+_SHARED = []
+
+
+def shared(fn):
+    """fn, with each value made once per arguments and kept until
+    release(); a value is made only while the package is unpatched."""
+    @functools.wraps(fn)
+    def make(*args):
+        if _bindings() != _UNPATCHED:
+            raise AssertionError(f"{fn.__name__}{args} would be shared "
+                                 f"from a patched package")
+        return fn(*args)
+
+    _SHARED.append(functools.cache(make))
+    return _SHARED[-1]
+
+
+def release() -> None:
+    """Drop every shared value (conftest.py calls this as a module ends)."""
+    for cached in _SHARED:
+        cached.cache_clear()
 
 
 def texts(grids) -> tuple[str, ...]:
@@ -162,14 +211,19 @@ def factors1d_listkey(k: int, alphabet) -> tuple[str, ...]:
     return tuple(sorted(seen, key=lambda u: [order[c] for c in u]))
 
 
+@shared
+def factor_set(k: int, alphabet) -> frozenset[str]:
+    """The length-k factors, as a set."""
+    return frozenset(factors1d(k, alphabet))
+
+
 def shortest_truncated_index_loop(u: str, alphabet) -> int:
     """word1d.shortest_truncated_index read off the definition: check that u
     is among the length-|u| factors, then try truncated(2), truncated(3),
     ... until one holds u."""
-    first, second = _pair(alphabet)
     if not u:
         raise ValueError("u must be non-empty")
-    if u not in factors1d(len(u), (first, second)):
+    if u not in factor_set(len(u), alphabet):
         raise NotAFactor(f"{u!r} does not occur in the infinite word")
     n = 2
     while u not in truncated(n, alphabet):

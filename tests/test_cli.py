@@ -391,6 +391,40 @@ def test_repeated_runs_are_byte_identical(capsys):
     assert first == second
 
 
+# one command of each kind whose output could follow the order of a set
+HASH_SEED_CATALOG = [
+    *(["enum", "--method", method, "--k", "7", "--l", "6"]
+      for method in sorted(oracle.METHODS)),
+    ["enum", "--k", "6", "--l", "7", "--json"],
+    ["conjugates", "--m", "5", "--n", "6"],
+    ["dawg-dot", "--orientation", "product", "--max-len", "6"],
+    ["dawg-dot", "--orientation", "cols", "--max-len", "12"],
+    ["verify", "--k", "7", "--l", "7", "--json"],
+    ["gen2d", "--rows", "13", "--cols", "21"],
+]
+
+
+def test_output_is_the_same_under_every_hash_seed():
+    # string hashes, and so the order of sets of strings, change with
+    # PYTHONHASHSEED; each seed's child runs the whole catalog, writing a
+    # NUL-framed exit code after each command's stdout
+    script = ("import sys\n"
+              "from fib2d import cli\n"
+              f"for argv in {HASH_SEED_CATALOG!r}:\n"
+              "    sys.stdout.write(f'\\0{cli.main(argv)}\\0')\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(fib2d.__file__)))
+    outs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=dict(env, PYTHONHASHSEED=seed),
+                              capture_output=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b""), seed
+        outs.append(proc.stdout)
+    assert outs[0].split(b"\0")[1::2] == [b"0"] * len(HASH_SEED_CATALOG)
+    assert outs[0] == outs[1]
+
+
 # ----------------------------------------------------------------- parser --
 
 # argv the table parser must read as the argparse parser did

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import builtins
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fib2d import conjugacy, word1d, word2d
-from fib2d.errors import EmptyWord, OutOfRange
+from fib2d.errors import EmptyWord, InternalError, OutOfRange
 
 from reference import texts
 from tables import (Q_2_2, Q_3_3, ROTATION_PREFIXES_3_3, WORDS_1_1,
@@ -129,6 +131,20 @@ def test_enumerate_conjugation_counts():
     for k in range(1, 7):
         for l in range(1, 7):
             assert len(conjugacy.enumerate_conjugation(k, l)) == (k + 1) * (l + 1)
+
+
+def test_conjugation_reads_one_corner_per_factor(monkeypatch):
+    # one rotation too many on each axis: the extra corners repeat factors,
+    # so the output and its count stay right, and only the corner count
+    # tells that the method read (k+2)(l+2) corners
+    monkeypatch.setattr(conjugacy, "range", lambda n: builtins.range(n + 1),
+                        raising=False)
+    for k, l in ((2, 2), (3, 5), (10, 10), (1, 7), (7, 1), (40, 40)):
+        with pytest.raises(InternalError) as err:
+            conjugacy.stream_conjugation(k, l)
+        assert str(err.value) == (f"size ({k},{l}) has {(k + 1) * (l + 1)} "
+                                  f"subwords, conjugation corners gave "
+                                  f"{(k + 2) * (l + 2)}"), (k, l)
 
 
 def test_enumerate_conjugation_rejects_bad_input():

@@ -11,7 +11,7 @@ from fib2d.word1d import _extend_block, factors1d, right_extensions
 from fib2d.word2d import (COL_ALPHABETS, ROW_ALPHABETS, col_alphabet_of, fill,
                           parse_text, row_alphabet_of, subblock)
 
-from reference import classify_frame, texts
+from reference import classify_frame, shared, texts
 from tables import (EXTENSIONS_2_2, FRAME_TYPES_1_1, FRAME_TYPES_2_2,
                     WORDS_1_1, WORDS_2_2, WORDS_3_3)
 
@@ -151,24 +151,40 @@ def _extend_reference(fs):
     return tuple(out)
 
 
+@shared
 def _chain(k, l):
-    """Input frames of each diagonal step from the one-line class up to
-    size (k,l): that class's frames in sorted order, then each step's
-    output in the order extend_diagonal makes it."""
+    """The frames of every size from the one-line class (k-m+1, l-m+1),
+    m = min(k, l), up to (k,l): that class's frames in sorted order, made
+    from factors1d, then each extend_diagonal output in the order it
+    makes them."""
     m = min(k, l)
-    fs = tuple(frames_of(map(parse_text, frames.enumerate_extension(
-        k - m + 1, l - m + 1))))
+    if k <= l:
+        fs = [frames.FrameTL(u, u[0], u[0]) for alph in ROW_ALPHABETS
+              for u in factors1d(l - m + 1, alph)]
+    else:
+        fs = [frames.FrameTL(u[0], u, u[0]) for alph in COL_ALPHABETS
+              for u in factors1d(k - m + 1, alph)]
+    chain = [tuple(sorted(fs))]
     for _ in range(m - 1):
-        yield fs
-        fs = frames.extend_diagonal(fs)
+        chain.append(frames.extend_diagonal(chain[-1]))
+    return tuple(chain)
+
+
+# the sizes whose chains test_extend_diagonal_matches_per_frame_step
+# checks: from each one-line class (1,d) or (d,1) until a side is 12
+CHAIN_ENDS = [(k, 12) for k in range(1, 13)] + [(12, l) for l in range(1, 12)]
+CHAIN_ENDS += [(40, 40), (30, 70)]
 
 
 def test_extend_diagonal_matches_per_frame_step():
-    # every step from each one-line class (1,d) or (d,1) until a side is 12
-    ends = [(k, 12) for k in range(1, 13)] + [(12, l) for l in range(1, 12)]
-    for k, l in ends + [(40, 40), (30, 70)]:
-        for fs in _chain(k, l):
-            assert frames.extend_diagonal(fs) == _extend_reference(fs)
+    for k, l in CHAIN_ENDS:
+        chain = _chain(k, l)
+        # the chain starts from the one-line class that extension gives
+        m = min(k, l)
+        assert chain[0] == tuple(frames_of(map(parse_text, (
+            frames.enumerate_extension(k - m + 1, l - m + 1))))), (k, l)
+        for fs, grown in zip(chain, chain[1:]):
+            assert grown == _extend_reference(fs), (k, l)
 
 
 def test_extension_grows_each_distinct_word_once(monkeypatch):
@@ -204,17 +220,11 @@ def test_enumerate_extension_small_catalogs():
 
 def _per_frame_class(k, l):
     """The (k,l) class reached frame by frame: the one-line frames made
-    from factors1d, stepped with extend_diagonal, filled and sorted."""
-    m = min(k, l)
-    if k <= l:
-        fs = [frames.FrameTL(u, u[0], u[0]) for alph in ROW_ALPHABETS
-              for u in factors1d(l - m + 1, alph)]
-    else:
-        fs = [frames.FrameTL(u[0], u, u[0]) for alph in COL_ALPHABETS
-              for u in factors1d(k - m + 1, alph)]
-    for _ in range(m - 1):
-        fs = frames.extend_diagonal(fs)
-    return grids(fs)
+    from factors1d, stepped with extend_diagonal, filled and sorted.  A
+    size with both sides up to 12 is read off the chain of its diagonal
+    that ends where a side is 12, one of CHAIN_ENDS."""
+    d = max(0, 12 - max(k, l))
+    return grids(_chain(k + d, l + d)[min(k, l) - 1])
 
 
 def test_enumerate_extension_matches_per_frame_chain():

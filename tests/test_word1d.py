@@ -4,21 +4,22 @@ from __future__ import annotations
 
 import ast
 import bisect
+import io
 import os
 import subprocess
 import sys
 import tracemalloc
-from itertools import permutations
+from itertools import permutations, repeat
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fib2d
-from fib2d import word1d
+from fib2d import cli, oracle, word1d
 from fib2d.errors import EmptyWord, InternalError, NotAFactor, TooShort
 
-from reference import (factors1d_listkey, right_table,
+from reference import (factor_set, factors1d_listkey, right_table, shared,
                        shortest_truncated_index_loop, special_factor)
 from tables import (FACTORS_4_AB, OCC_ABAB_BELOW_33, Q_4_AB, Z1_BELOW_6,
                     Z2_BELOW_12, Z4_BELOW_30)
@@ -275,6 +276,16 @@ def test_factors1d_rejects_bad_k():
         word1d.factors1d(0, "ab")
 
 
+def test_factors1d_checks_the_sturmian_count(monkeypatch):
+    # a search prefix of k + 1 letters holds only two factors of length k
+    monkeypatch.setattr(word1d, "factor_prefix",
+                        lambda alphabet, k: word1d.fib_prefix(alphabet, k + 1))
+    with pytest.raises(InternalError) as err:
+        word1d.factors1d(3, "ab")
+    assert str(err.value) == ("2 factors of length 3 in the first 4 letters, "
+                              "not the Sturmian count 4")
+
+
 def _sturmian_bound(node) -> bool:
     """Whether node is the expression 4 * <expr> + 8."""
     return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
@@ -304,6 +315,37 @@ def test_factors1d_keeps_nothing():
     assert after - before < 100_000
 
 
+# the twelve ordered pairs of distinct letters
+PAIRS = tuple(map("".join, permutations("abcd", 2)))
+
+
+@shared
+def _extensions_by_length(alphabet) -> tuple[tuple[tuple[str, ...], ...], ...]:
+    """right_extensions of every factor of length 1 to 200, one tuple per
+    length in factors1d order; equal results are one tuple."""
+    one, out = {}, []
+    for k in range(1, 201):
+        exts = map(word1d.right_extensions, word1d.factors1d(k, alphabet),
+                   repeat(alphabet))
+        out.append(tuple([one.setdefault(xs, xs) for xs in exts]))
+    return tuple(out)
+
+
+def test_shared_values_are_made_unpatched(monkeypatch):
+    # a test that patches the package reads what was made before the patch
+    # and makes nothing itself
+    made = shared(lambda k: word1d.factors1d(k, "ab"))
+    factors = made(3)
+    monkeypatch.setitem(oracle.METHODS, "dawg", None)
+    with pytest.raises(AssertionError, match="patched package"):
+        made(4)
+    monkeypatch.undo()
+    monkeypatch.setattr(word1d, "fib_prefix", lambda alphabet, length: "")
+    assert made(3) is factors
+    with pytest.raises(AssertionError, match="patched package"):
+        made(4)
+
+
 def test_right_extensions():
     assert word1d.right_extensions("", "ba") == ("b", "a")
     # the special factor extends both ways, every other factor one way
@@ -324,34 +366,30 @@ def _set_rule_extensions(u, alphabet):
 
 def test_right_extension_table_matches_set_rule():
     for alphabet in ("dc", "ba", "db", "ca"):
-        for k in range(1, 61):
+        for k, exts in enumerate(_extensions_by_length(alphabet)[:60], 1):
             factors = word1d.factors1d(k, alphabet)
             rule = {u: _set_rule_extensions(u, alphabet) for u in factors}
-            for u in factors:
-                assert word1d.right_extensions(u, alphabet) == rule[u]
+            assert exts == tuple(map(rule.get, factors)), (alphabet, k)
             special = [u for u in factors if len(rule[u]) == 2]
             assert [special_factor(k, alphabet)] == special
 
 
 def test_right_table_has_one_special_factor():
     # a Sturmian word has exactly one right-special factor of each length
-    for alphabet in map("".join, permutations("abcd", 2)):
-        for k in range(1, 201):
-            exts = [word1d.right_extensions(u, alphabet)
-                    for u in word1d.factors1d(k, alphabet)]
+    for alphabet in PAIRS:
+        for k, exts in enumerate(_extensions_by_length(alphabet), 1):
             assert sum(len(xs) == 2 for xs in exts) == 1, (alphabet, k)
 
 
 def test_block_step_matches_right_table():
     # the letter after the first occurrence, and both letters for the
     # reversed prefix, against the table read off the longer factors
-    for alphabet in map("".join, permutations("abcd", 2)):
-        for k in range(1, 201):
+    for alphabet in PAIRS:
+        for k, exts in enumerate(_extensions_by_length(alphabet), 1):
             factors = word1d.factors1d(k, alphabet)
             table = right_table(k, alphabet)
             assert sorted(table) == sorted(factors), (alphabet, k)
-            for u in factors:
-                assert word1d.right_extensions(u, alphabet) == table[u]
+            assert exts == tuple(map(table.get, factors)), (alphabet, k)
             assert word1d._extend_block(factors, alphabet) == [
                 u + x for u in factors for x in table[u]], (alphabet, k)
 
@@ -444,7 +482,7 @@ def test_shortest_truncated_index_rejects_non_factors_like_loop(alphabet,
                                                                  data):
     letters = data.draw(st.sampled_from([alphabet, "abcd"]))
     u = data.draw(st.text(alphabet=letters, min_size=1, max_size=60))
-    assume(u not in word1d.factors1d(len(u), alphabet))
+    assume(u not in factor_set(len(u), alphabet))
     with pytest.raises(NotAFactor):
         word1d.shortest_truncated_index(u, alphabet)
     with pytest.raises(NotAFactor):
@@ -473,6 +511,25 @@ def test_occ1d_matches_window_scan():
             for u in word1d.factors1d(k, alphabet):
                 naive = tuple(i for i in range(bound) if w[i:i + k] == u)
                 assert word1d.occ1d(u, alphabet, bound) == naive
+
+
+def test_first_occurrence_checks_its_scan_bound(monkeypatch, capsys):
+    # truncated words one letter short: 'aba' ends truncated(3, 'ab'),
+    # 'aba', so the scan that should find it there cannot
+    truncated = word1d.truncated
+    monkeypatch.setattr(word1d, "truncated",
+                        lambda n, alphabet: truncated(n, alphabet)[:-1])
+    with pytest.raises(InternalError) as err:
+        word1d.occ1d("aba", "ab", 50)
+    assert str(err.value).startswith("'aba' not in truncated(3, 'ab'), ")
+    # the row word of this factor is 'bab' over ('b', 'a'), which ends
+    # truncated(3, 'ba'), 'bab', in the same way
+    monkeypatch.setattr("sys.stdin", io.StringIO("bab\n"))
+    code = cli.main(["locate", "--file", "-", "--row-bound", "50",
+                     "--col-bound", "50"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (13, "")
+    assert err.startswith("error: 'bab' not in truncated(3, 'ba'), "), err
 
 
 @given(st.sampled_from(ALPHABETS), st.integers(1, 50), st.integers(0, 10**4),
