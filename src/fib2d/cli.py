@@ -1,11 +1,11 @@
 """Command line surface.
 
 Every command is deterministic: identical flags and input give
-byte-identical output, written in pieces as it is made; every output of
-pieces joined by a separator goes through one writer, _write_joined.  Data
-errors exit with per-error codes (see errors.EXIT_CODES), usage errors and
-I/O errors (a stdout closed early among them) exit 2, a failed verify
-exits 1.
+byte-identical output, written in pieces as it is made by one writer,
+_write_joined, which writes nothing before the first piece exists; only
+verify prints its report, once it is whole.  Data errors exit with
+per-error codes (see errors.EXIT_CODES), usage errors and I/O errors (a
+stdout closed early among them) exit 2, a failed verify exits 1.
 """
 
 from __future__ import annotations
@@ -27,28 +27,25 @@ _ENUM_METHODS = oracle.METHODS
 _SLICE = 1 << 16
 
 
-def _write_rows(grid) -> None:
-    # the bytes of to_text(grid), one row at a time
-    sys.stdout.writelines(row + "\n" for row in grid)
-
-
-def _write_joined(pieces, sep: str) -> None:
-    # the bytes of sep.join(pieces), one piece at a time
-    lead = ""
+def _write_joined(pieces, sep: str, first: str = "", last: str = "") -> None:
+    # the bytes of first + sep.join(pieces) + last, one piece at a time;
+    # first goes out with the first piece, or with last if there is none,
+    # so nothing is written before the first piece exists
+    write, lead = sys.stdout.write, first
     for piece in pieces:
-        sys.stdout.write(lead + piece)
-        lead = sep
+        write(lead + piece)
+        lead, first = sep, ""
+    write(first + last)
 
 
 def _cmd_gen1d(args) -> int:
-    sys.stdout.writelines(word1d.prefix_pieces(args.alphabet, args.len,
-                                               _SLICE))
-    sys.stdout.write("\n")
+    _write_joined(word1d.prefix_pieces(args.alphabet, args.len, _SLICE), "",
+                  last="\n")
     return 0
 
 
 def _cmd_gen2d(args) -> int:
-    _write_rows(word2d.mu_prefix(args.rows, args.cols))
+    _write_joined(word2d.mu_prefix(args.rows, args.cols), "\n", last="\n")
     return 0
 
 
@@ -58,10 +55,8 @@ def _cmd_enum(args) -> int:
     if args.json:
         # a text holds only letters and newlines, so no row needs escaping
         head = f'{{"rows": {args.k}, "cols": {args.l}, "data": ["'
-        sys.stdout.write("[")
         _write_joined((head + text[:-1].replace("\n", '", "') + '"]}'
-                       for text in texts), ", ")
-        sys.stdout.write("]\n")
+                       for text in texts), ", ", "[", "]\n")
     else:
         _write_joined(texts, "\n")
     return 0
@@ -74,24 +69,22 @@ def _cmd_locate(args) -> int:
         with open(args.file, encoding="ascii") as fh:
             text = fh.read()
     w = word2d.parse_text(text)
-    # everything that can fail runs before the first byte is written
     first, xs, ys = locator.occ_axes(w, args.row_bound, args.col_bound)
     # the bytes of json.dumps({"first", "occurrences", "row_bound",
     # "col_bound"}), written one row of the product at a time
-    out = sys.stdout
-    out.write(f'{{"first": [{first[0]}, {first[1]}], "occurrences": [')
-    if ys:
-        ystrs = [str(y) for y in ys]
-        _write_joined((f"[{x}, " + f"], [{x}, ".join(ystrs) + "]"
-                       for x in xs), ", ")
-    out.write(f'], "row_bound": {args.row_bound}, '
-              f'"col_bound": {args.col_bound}}}\n')
+    head = f'{{"first": [{first[0]}, {first[1]}], "occurrences": ['
+    tail = (f'], "row_bound": {args.row_bound}, '
+            f'"col_bound": {args.col_bound}}}\n')
+    ys = [str(y) for y in ys]
+    _write_joined((f"[{x}, " + f"], [{x}, ".join(ys) + "]" for x in xs if ys),
+                  ", ", head, tail)
     return 0
 
 
 def _cmd_conjugates(args) -> int:
     if args.special:
-        _write_rows(conjugacy.special_conjugate2d(args.m, args.n))
+        _write_joined(conjugacy.special_conjugate2d(args.m, args.n), "\n",
+                      last="\n")
     else:
         _write_joined(conjugacy.stream_class(
             word2d.fib_array(args.m, args.n)), "\n")
@@ -106,7 +99,7 @@ def _cmd_dawg_dot(args) -> int:
     else:
         lines = dawg.export_dot(
             dawg.build_line_dawg(args.orientation, args.max_len))
-    sys.stdout.writelines(lines)
+    _write_joined(lines, "")
     return 0
 
 
@@ -200,8 +193,9 @@ def _parse(argv):
         if kind is bool and eq:
             _fail(cmd, f"argument {opt}: takes no value")
         if opt not in table:  # -h or --help
-            print(_usage(cmd), "", *([_COMMANDS[cmd][1]] if cmd else (
-                f"  {c:<11} {e[1]}" for c, e in _COMMANDS.items())), sep="\n")
+            lines = [_COMMANDS[cmd][1]] if cmd else [
+                f"  {c:<11} {e[1]}" for c, e in _COMMANDS.items()]
+            _write_joined([_usage(cmd), "", *lines], "\n", last="\n")
             raise SystemExit(0)
         if kind is not bool and not eq:
             value = next(args, "--")  # "--" is never a value

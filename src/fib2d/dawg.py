@@ -11,12 +11,14 @@ path and a down root path: enumeration walks the two line DAWGs and pairs
 their paths.  The product is only displayed: `dawg-dot` lists its nodes
 and edges in DOT order straight from the two line DAWGs, and
 rooted_product builds a graph from that same listing.  Each path is
-spelled once, over one line alphabet.  An across path's last class and a
-down path's first class meet in one corner letter, so the pairs fall into
-four corner buckets, and each path of a bucket is translated once into
-that corner's line alphabet.  Each text is then cut from its top's lane,
-whose last column is checked, as a stream in sorted order
-(word2d.stream_fills), so only the paths, a lane and a text are held.
+spelled once over the first of its two line alphabets and translated once
+into the second.  An across path's last letter and a down path's first
+letter meet in one corner letter s, so the pairs fall into four corner
+buckets: bucket s pairs the tops that end in s with the sides that start
+with s.  Each text is then cut from its top's lane, whose last column is
+checked, as a stream in sorted order (word2d.stream_fills), so only the
+paths, a lane and a text are held, and a caller writes nothing before the
+first text exists.
 
 Node arithmetic uses fib(n, "F12"): spine edges i-1 -> i carry the i-th
 abstract letter, and shortcut edges F(j)-2 -> F(j+1)-1 carry the dominant
@@ -264,13 +266,17 @@ def subword_from_path(h_labels, v_labels) -> Grid:
 
 # ------------------------------------------------------------- enumeration --
 
-def _line_words(orientation: str, length: int, base: str) -> tuple[str, ...]:
-    """The line DAWG's root paths with `length` edges, each spelled once
-    over the line alphabet `base`, which has one letter in each of the
-    orientation's two classes."""
-    letter = _LETTER[base].__getitem__
-    return _walk(build_line_dawg(orientation, length), length,
-                 lambda labels: "".join(map(letter, labels)))
+def _line_words(orientation: str, length: int, alphabets) -> list[str]:
+    """The line DAWG's root paths with `length` edges over each of the two
+    line `alphabets`, the first alphabet's first: each path is spelled once
+    over the first, which has one letter in each of the orientation's two
+    classes, and translated once into the second."""
+    first, second = alphabets
+    letter = _LETTER[first].__getitem__
+    words = _walk(build_line_dawg(orientation, length), length,
+                  lambda labels: "".join(map(letter, labels)))
+    to_second = str.maketrans(first, second)
+    return [*words, *(w.translate(to_second) for w in words)]
 
 
 def stream_dawg(k: int, l: int):
@@ -279,35 +285,20 @@ def stream_dawg(k: int, l: int):
     a length-k root path of the column DAWG, decoded per corner bucket as
     the module docstring says.
 
-    A bucket is a block (tops, sides) whose sides are last columns.
-    word2d.count_law checks the buckets' distinct pairs before the first
-    text, and word2d.stream_fills gives their texts in sorted order, with
-    the corner check per top as the stream goes: each lane's last column
-    must be the span its texts are cut from, so each text ends in its side.
+    Bucket s is a block (tops, sides): the tops that end in s and the sides,
+    last columns, that start with s.  word2d.count_law checks the buckets'
+    distinct pairs before the first text, and word2d.stream_fills gives
+    their texts in sorted order, with the corner check per top as the
+    stream goes: each lane's last column must be the span its texts are
+    cut from, so each text ends in its side.
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
-    row0, col0 = ROW_ALPHABETS[0], COL_ALPHABETS[0]
-    across = _line_words("rows", l, row0)
-    down = _line_words("cols", k, col0)
-    blocks = []
-    for s in LETTERS:
-        row, col = row_alphabet_of(s), col_alphabet_of(s)
-        # the across path ends in s's column class and the down path starts
-        # with its row class: these are their letters in the spelling
-        h_end = _LETTER[row0][frozenset(col)]
-        v_start = _LETTER[col0][frozenset(row)]
-        tops = [h for h in across if h[-1] == h_end]
-        sides = [v for v in down if v[0] == v_start]
-        # paths already over the corner's alphabets are not copied
-        if row != row0:
-            to_row = str.maketrans(row0, row)
-            tops = [h.translate(to_row) for h in tops]
-        if col != col0:
-            to_col = str.maketrans(col0, col)
-            sides = [v.translate(to_col) for v in sides]
-        blocks.append((tops, sides))
-    count_law(sum(len(set(tops)) * len(set(sides)) for tops, sides in blocks),
+    tops = _line_words("rows", l, ROW_ALPHABETS)
+    sides = _line_words("cols", k, COL_ALPHABETS)
+    blocks = [([h for h in tops if h[-1] == s],
+               [v for v in sides if v[0] == s]) for s in LETTERS]
+    count_law(sum(len(set(ts)) * len(set(ss)) for ts, ss in blocks),
               k, l, "dawg")
     return stream_fills(blocks, l - 1)
 

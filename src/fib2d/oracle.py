@@ -77,9 +77,10 @@ def oracle_occurrences(w: Grid, R: int, C: int) -> tuple[tuple[int, int], ...]:
 
 
 # every enumeration method by name, as (k, l) -> a stream of the subword
-# texts in sorted order, with every check but dawg's and extend's lane and
-# order checks, which run per top as the stream goes, run before the first
-# text; the CLI's `enum --method` choices and the methods verify() compares
+# texts in sorted order; every check runs before the first text but dawg's
+# and extend's lane checks of later tops and their order check, which run
+# as the stream goes, and the CLI writes nothing before the first text;
+# the CLI's `enum --method` choices and the methods verify() compares
 METHODS = {
     "conjugate": conjugacy.stream_conjugation,
     "dawg": dawg.stream_dawg,

@@ -56,8 +56,8 @@ import pkgutil
 
 import fib2d
 from fib2d import cli, conjugacy, frames, oracle
-from fib2d.dawg import (_LETTER, Digraph, _fmt_node, _line_words, _walk,
-                        build_line_dawg, subword_from_path)
+from fib2d.dawg import (_LETTER, Digraph, _fmt_node, _walk, build_line_dawg,
+                        subword_from_path)
 from fib2d.errors import InternalError, NotAFactor, ShapeMismatch
 from fib2d.word1d import LETTERS, _pair, factors1d, fib_prefix, truncated
 from fib2d.word2d import (COL_ALPHABETS, EMPTY, ROW_ALPHABETS,
@@ -349,10 +349,20 @@ def prefix_conjugates_grids(k, l):
                     "prefix conjugates")
 
 
+def _spelled(orientation: str, length: int, alphabet: str) -> list[str]:
+    """The line DAWG's root paths with `length` edges, each spelled over
+    one line alphabet."""
+    letter = _LETTER[alphabet].__getitem__
+    return ["".join(map(letter, path)) for path in
+            root_paths(build_line_dawg(orientation, length), length)]
+
+
 def dawg_grids(k, l):
+    # the paths over the first line alphabets, each corner's bucket looked
+    # up by its class letters and translated into the corner's alphabets
     row0, col0 = ROW_ALPHABETS[0], COL_ALPHABETS[0]
-    across = _line_words("rows", l, row0)
-    down = _line_words("cols", k, col0)
+    across = _spelled("rows", l, row0)
+    down = _spelled("cols", k, col0)
     words = set()
     for s in LETTERS:
         row, col = row_alphabet_of(s), col_alphabet_of(s)

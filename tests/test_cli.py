@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import json
@@ -17,6 +18,7 @@ from fib2d.errors import EXIT_CODES
 
 from reference import GRID_METHODS, argparse_parser
 from tables import OCC_BLOCK, OCC_BLOCK_AXIS, WORDS_2_2
+from test_word2d import _owners
 
 
 def run(capsys, *argv):
@@ -251,6 +253,33 @@ def test_memory_error_exits_14(capsys, monkeypatch):
     assert len(set(EXIT_CODES.values())) == len(EXIT_CODES)
 
 
+def _names_stdout(node) -> bool:
+    return isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.stdout"
+
+
+def _writes_stdout(node) -> bool:
+    # a method of sys.stdout other than flush and fileno
+    return (isinstance(node, ast.Attribute) and _names_stdout(node.value)
+            and node.attr not in ("flush", "fileno"))
+
+
+def _prints_to_stdout(node) -> bool:
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "print"
+            and not any(kw.arg == "file" for kw in node.keywords))
+
+
+def test_one_writer_frames_stdout():
+    # every command's stdout goes through _write_joined, which writes
+    # nothing before the command's first piece exists; verify's report is
+    # whole before it prints, so its prints are the one exception
+    assert _owners(_writes_stdout) == ["cli._write_joined"]
+    assert set(_owners(_prints_to_stdout)) == {"cli._cmd_verify"}
+    # elsewhere sys.stdout is only flushed or asked for its descriptor
+    assert set(_owners(_names_stdout)) == {
+        "cli._write_joined", "cli._drop_stdout", "cli.main"}
+
+
 # one broken invariant per case: the patch applied, the request, and the
 # complaint expected on stderr; a broken count law gives word2d.count_law's
 # whole message
@@ -260,7 +289,7 @@ INVARIANT_BREAKS = {
                    "dawg", 2, 2, "size (2,2) has 9 subwords, dawg gave 1"),
     "dawg-label": ("dawg._LETTER = {alph: dict.fromkeys(letters, alph[0]) "
                    "for alph, letters in dawg._LETTER.items()}",
-                   "dawg", 2, 2, "size (2,2) has 9 subwords, dawg gave 4"),
+                   "dawg", 2, 2, "size (2,2) has 9 subwords, dawg gave 1"),
     # every row of a lane is its top, so no lane has its span as a column
     "dawg-corner": ("word2d.fill_text = lambda top, side: "
                     "(top + '\\n') * len(side)",
@@ -268,6 +297,11 @@ INVARIANT_BREAKS = {
     "extend-lane": ("word2d.fill_text = lambda top, side: "
                     "(top + '\\n') * len(side)",
                     "extend", 2, 2, "does not have 'ac' as its column 1"),
+    # the column word's prefix holds no side, so no side is found in it
+    "dawg-side": ("word2d.factor_prefix = lambda alphabet, k: ''",
+                  "dawg", 2, 2, "is not a factor of the column word"),
+    "extend-side": ("word2d.factor_prefix = lambda alphabet, k: ''",
+                    "extend", 2, 2, "is not a factor of the column word"),
     "extend-count": ("frames._extend_block = lambda words, alphabet: []",
                      "extend", 2, 2,
                      "size (2,2) has 9 subwords, extension gave 0"),
@@ -299,7 +333,8 @@ INVARIANT_BREAKS = {
 @pytest.mark.parametrize("case", sorted(INVARIANT_BREAKS))
 def test_invariant_checks_survive_optimize(case):
     # python -O strips assert statements; the count laws and the corner
-    # check must still end the run with InternalError's exit code 13
+    # check must still end the run with InternalError's exit code 13, and
+    # with --json too, nothing may reach stdout before the check fails
     patch, method, k, l, complaint = INVARIANT_BREAKS[case]
     # a patch of a name the code no longer has would break nothing
     module, name = patch.split(" = ")[0].split(".")
@@ -312,14 +347,15 @@ def test_invariant_checks_survive_optimize(case):
               "sys.exit(cli.main(sys.argv[1:]))\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(fib2d.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script, "enum", "--method", method,
-         "--k", str(k), "--l", str(l)],
-        capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 13, proc.stderr
-    assert proc.stderr.startswith("error:")
-    assert complaint in proc.stderr
-    assert proc.stdout == ""
+    for form in ([], ["--json"]):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, "enum", "--method", method,
+             "--k", str(k), "--l", str(l), *form],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 13, (form, proc.stderr)
+        assert proc.stderr.startswith("error:")
+        assert complaint in proc.stderr
+        assert proc.stdout == "", form
 
 
 def _run_with_d_tops_ascending(*argv):

@@ -112,10 +112,6 @@ class CountingStdout:
         self.chars += len(s)
         return len(s)
 
-    def writelines(self, lines):
-        for s in lines:
-            self.write(s)
-
     def flush(self):
         pass
 
