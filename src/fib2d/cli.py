@@ -2,10 +2,10 @@
 
 Every command is deterministic: identical flags and input give
 byte-identical output, written in pieces as it is made by one writer,
-_write_joined, which writes nothing before the first piece exists; only
-verify prints its report, once it is whole.  Data errors exit with
-per-error codes (see errors.EXIT_CODES), usage errors and I/O errors (a
-stdout closed early among them) exit 2, a failed verify exits 1.
+_write_joined, which writes nothing before the first piece exists; verify
+writes its report through the same writer, once it is whole.  Data errors
+exit with per-error codes (see errors.EXIT_CODES), usage errors and I/O
+errors (a stdout closed early among them) exit 2, a failed verify exits 1.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ _ENUM_METHODS = oracle.METHODS
 
 # --------------------------------------------------------------- commands --
 
-# characters per write of a long word
-_SLICE = 1 << 16
-
-
 def _write_joined(pieces, sep: str, first: str = "", last: str = "") -> None:
     # the bytes of first + sep.join(pieces) + last, one piece at a time;
     # first goes out with the first piece, or with last if there is none,
@@ -39,7 +35,7 @@ def _write_joined(pieces, sep: str, first: str = "", last: str = "") -> None:
 
 
 def _cmd_gen1d(args) -> int:
-    _write_joined(word1d.prefix_pieces(args.alphabet, args.len, _SLICE), "",
+    _write_joined(word1d.prefix_pieces(args.alphabet, args.len), "",
                   last="\n")
     return 0
 
@@ -108,15 +104,16 @@ def _cmd_verify(args) -> int:
     if args.json:
         import json  # here only: every other request would pay its import
 
-        print(json.dumps(report))
+        lines = [json.dumps(report)]
     else:
-        print(f"size ({report['k']},{report['l']}): "
-              f"expected {report['expected']} subwords")
-        for name in sorted(report["sizes"]):
-            print(f"  {name:<10} {report['sizes'][name]}")
-        print(f"  methods agree: {report['methods_agree']}")
-        print(f"  oracle stable: {report['oracle_stable']}")
-        print("PASS" if report["ok"] else "FAIL")
+        lines = [f"size ({report['k']},{report['l']}): "
+                 f"expected {report['expected']} subwords",
+                 *(f"  {name:<10} {report['sizes'][name]}"
+                   for name in sorted(report["sizes"])),
+                 f"  methods agree: {report['methods_agree']}",
+                 f"  oracle stable: {report['oracle_stable']}",
+                 "PASS" if report["ok"] else "FAIL"]
+    _write_joined(lines, "\n", last="\n")
     return 0 if report["ok"] else 1
 
 

@@ -27,8 +27,6 @@ class when j is even, the other class when j is odd.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .errors import InconsistentJoint, InternalError
 from .word1d import LETTERS, fib, fib_index, fib_prefix
 from .word2d import (COL_ALPHABETS, ROW_ALPHABETS, Grid, col_alphabet_of,
@@ -37,50 +35,39 @@ from .word2d import (COL_ALPHABETS, ROW_ALPHABETS, Grid, col_alphabet_of,
 # abstract classes per orientation, dominant first
 _CLASSES = {"rows": COL_ALPHABETS, "cols": ROW_ALPHABETS}
 
-# one frozenset object per non-empty letter set: Digraph.add_edge hands
-# these out, so the label lookups below hit by identity
-_LABELS = {lab: lab for lab in (frozenset(c) for r in range(1, 5)
-                                for c in combinations("abcd", r))}
-
-# line alphabet -> {label: the one letter of the label in that alphabet},
-# for every label that has exactly one; labels are letters or letter sets
-_LETTER = {alph: {lab: "".join(set(lab) & set(alph))
-                  for lab in [*"abcd", *_LABELS]
-                  if len(set(lab) & set(alph)) == 1}
+# line alphabet -> {class label: the one letter of the class in that
+# alphabet}, for each of the four classes that has exactly one
+_LETTER = {alph: {lab: "".join(lab & set(alph))
+                  for lab in map(frozenset, ROW_ALPHABETS + COL_ALPHABETS)
+                  if len(lab & set(alph)) == 1}
            for alph in ROW_ALPHABETS + COL_ALPHABETS}
 
 
 class Digraph:
     """Rooted digraph with frozenset edge labels and hashable node ids.
 
-    Equal labels over 'abcd' are one shared object.  The out-adjacency is
-    built on the first out() call, and catches up with edges added since,
-    so a graph that is only listed never holds it.
+    The out-adjacency is built on the first out() call and rebuilt after
+    an edge is added, so a graph that is only listed never holds it.
     """
 
     def __init__(self, root):
         self.root = root
         self.nodes = {root}
         self.edges = []
-        self._out = {}
-        self._indexed = 0
-
-    def add_node(self, v) -> None:
-        self.nodes.add(v)
+        self._out = None
 
     def add_edge(self, u, v, label) -> None:
-        lab = frozenset(label)
-        lab = _LABELS.get(lab, lab)
         self.nodes.add(u)
         self.nodes.add(v)
-        self.edges.append((u, v, lab))
+        self.edges.append((u, v, frozenset(label)))
+        self._out = None
 
     def out(self, u):
         """The (target, label) pairs of u's out-edges, in the order added."""
-        if self._indexed < len(self.edges):
-            for src, dst, lab in self.edges[self._indexed:]:
+        if self._out is None:
+            self._out = {}
+            for src, dst, lab in self.edges:
                 self._out.setdefault(src, []).append((dst, lab))
-            self._indexed = len(self.edges)
         return self._out.get(u, [])
 
 
@@ -178,8 +165,7 @@ def _product_listing(base: Digraph, hung: Digraph):
         across.setdefault(u, []).append(((u2, r), lab))
     for v, v2, lab in hung.edges:
         down.setdefault(v, []).append((v2, lab))
-    copy = sorted({r, *down,
-                   *(v2 for outs in down.values() for v2, _ in outs)})
+    copy = sorted(hung.nodes)
     down = {v: sorted(outs, key=order) for v, outs in down.items()}
 
     def nodes():
@@ -204,8 +190,7 @@ def rooted_product(base: Digraph, hung: Digraph) -> Digraph:
     _product_listing lists it."""
     g = Digraph((base.root, hung.root))
     _, nodes, edges = _product_listing(base, hung)
-    for v in nodes:
-        g.add_node(v)
+    g.nodes.update(nodes)
     for u, v, lab in edges:
         g.add_edge(u, v, lab)
     return g
@@ -214,6 +199,8 @@ def rooted_product(base: Digraph, hung: Digraph) -> Digraph:
 # ------------------------------------------------------- path to subword --
 
 def _label(x) -> frozenset:
+    if type(x) not in (str, frozenset):
+        raise ValueError("a label is a letter or a frozenset of letters")
     if isinstance(x, str) and len(x) != 1:
         raise ValueError("a concrete label is a single letter")
     lab = frozenset(x)
@@ -223,18 +210,20 @@ def _label(x) -> frozenset:
 
 
 def _spell(labels, alphabet: str) -> str:
-    """The letters the labels pick from one line alphabet."""
-    try:
-        return "".join(map(_LETTER[alphabet].__getitem__, labels))
-    except (KeyError, TypeError):
-        pass
-    for lab in map(_label, labels):
-        if len(lab & set(alphabet)) > 1:
-            raise ValueError(f"label {set(lab)} is ambiguous over {alphabet!r}")
-        if not lab & set(alphabet):
+    """The letters the labels pick from one line alphabet, each distinct
+    label checked once, in path order."""
+    if not {str, frozenset}.issuperset(map(type, labels)):  # so they hash
+        raise ValueError("a label is a letter or a frozenset of letters")
+    letter = {}
+    for x in dict.fromkeys(labels):
+        picked = _label(x) & set(alphabet)
+        if len(picked) > 1:
+            raise ValueError(f"label {set(x)} is ambiguous over {alphabet!r}")
+        if not picked:
             raise InconsistentJoint(
-                f"label {set(lab)} has no letter in alphabet {alphabet!r}")
-    raise ValueError("a label is a letter or a frozenset of letters")
+                f"label {set(x)} has no letter in alphabet {alphabet!r}")
+        letter[x] = "".join(picked)
+    return "".join(map(letter.__getitem__, labels))
 
 
 def subword_from_path(h_labels, v_labels) -> Grid:

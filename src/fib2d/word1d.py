@@ -28,6 +28,9 @@ from .errors import EmptyWord, InternalError, NotAFactor, TooShort
 # a tuple, so `in` matches whole one-letter strings, not substrings
 LETTERS = tuple("abcd")
 
+# most letters in a piece of prefix_pieces, each cut from one image held whole
+_PIECE = 4096
+
 
 def _pair(alphabet) -> tuple[str, str]:
     # accepts ("b", "a") or "ba"
@@ -98,9 +101,7 @@ def z_stream(n: int, bound: int) -> tuple[int, ...]:
     if bound < 0:
         raise ValueError("bound must be >= 0")
     size = {"a": fib(n, "F12"), "b": fib(n - 1, "F12")}
-    # pieces of at most 4096 letters keep the image and its prefix small
-    letters = chain.from_iterable(
-        prefix_pieces("ab", bound // size["b"] + 1, 4096))
+    letters = chain.from_iterable(prefix_pieces("ab", bound // size["b"] + 1))
     return tuple(takewhile(bound.__gt__,
                            accumulate(map(size.get, letters), initial=0)))
 
@@ -137,16 +138,16 @@ def fib_prefix(alphabet, length: int) -> str:
                     first + second)[:length]
 
 
-def prefix_pieces(alphabet, length: int, most: int):
+def prefix_pieces(alphabet, length: int):
     """fib_prefix(alphabet, length) as the n-th images of its own letters,
-    n >= 1 picked from min(length, most), the last image cut at length:
-    pieces of at most `most` >= 2 letters, each a prefix of one word w_n,
-    held beside the length // fib(n - 1) + 1 letters the images replace.
+    n >= 1 picked from min(length, _PIECE), the last image cut at length:
+    pieces of at most _PIECE letters, each a prefix of one word w_n, held
+    beside the length // fib(n - 1) + 1 letters the images replace.
     """
     first, second = _pair(alphabet)
     if length < 0:
         raise ValueError("length must be >= 0")
-    n = max(1, fib_index(min(length, most), "F12") - 1)
+    n = max(1, fib_index(min(length, _PIECE), "F12") - 1)
     word = fib_word(n, first, first + second)
     size = {first: fib(n, "F12"), second: fib(n - 1, "F12")}
     letters = fib_prefix(alphabet, length // size[second] + 1)
@@ -191,7 +192,7 @@ def _extend_block(words, alphabet) -> list[str]:
     factor: both letters for the reversed length-k prefix, else the letter
     after u's first occurrence in factor_prefix."""
     first, second = _pair(alphabet)
-    k = len(words[0]) if words else 0
+    k = len(words[0])
     p = factor_prefix(alphabet, k)
     special, out = p[:k][::-1], []
     for u in words:

@@ -163,8 +163,7 @@ def product_graph(base, hung):
     hung at every node of base but its root, base edges between the copy
     roots."""
     g = Digraph((base.root, hung.root))
-    for u in base.nodes:
-        g.add_node((u, hung.root))
+    g.nodes.update((u, hung.root) for u in base.nodes)
     for u, u2, lab in base.edges:
         g.add_edge((u, hung.root), (u2, hung.root), lab)
     for u in base.nodes - {base.root}:

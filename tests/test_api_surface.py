@@ -3,7 +3,9 @@
 A name fib2d/__init__.py exports must be used by the library's own code
 (other than its definition), shown in the README's library tour, checked
 by an acceptance criterion, or bound by the benchmark's tracer.  A name
-only unit tests call belongs in tests/reference.py, not in the API.
+only unit tests call belongs in tests/reference.py, not in the API.  The
+package's source stays under a fixed line bound, so code that is added is
+paid for by code that is deleted.
 """
 
 from __future__ import annotations
@@ -47,3 +49,13 @@ def test_every_export_has_a_caller_outside_the_tests(tracer):
         if path.name != "__init__.py":
             used |= _used_names(path)
     assert sorted(_exports() - used) == []
+
+
+# lines of src/fib2d/*.py together, as `wc -l` counts them
+LINE_BOUND = 1800
+
+
+def test_package_stays_under_the_line_bound():
+    lines = sum(path.read_bytes().count(b"\n")
+                for path in PACKAGE.glob("*.py"))
+    assert lines <= LINE_BOUND

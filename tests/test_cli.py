@@ -271,10 +271,10 @@ def _prints_to_stdout(node) -> bool:
 
 def test_one_writer_frames_stdout():
     # every command's stdout goes through _write_joined, which writes
-    # nothing before the command's first piece exists; verify's report is
-    # whole before it prints, so its prints are the one exception
+    # nothing before the command's first piece exists; verify's report too,
+    # once it is whole, so nothing prints to stdout
     assert _owners(_writes_stdout) == ["cli._write_joined"]
-    assert set(_owners(_prints_to_stdout)) == {"cli._cmd_verify"}
+    assert _owners(_prints_to_stdout) == []
     # elsewhere sys.stdout is only flushed or asked for its descriptor
     assert set(_owners(_names_stdout)) == {
         "cli._write_joined", "cli._drop_stdout", "cli.main"}

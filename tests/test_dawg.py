@@ -50,19 +50,6 @@ def test_line_dawg_orientation_classes():
     assert {lab for _, _, lab in g.edges} == {DB, CA}
 
 
-def test_line_dawg_labels_are_letter_table_keys():
-    # one frozenset per distinct label, the very keys of the letter tables,
-    # so label lookups hit by identity
-    keys = [key for table in dawg._LETTER.values() for key in table]
-    rows = dawg.build_line_dawg("rows", 50)
-    cols = dawg.build_line_dawg("cols", 50)
-    small = dawg.rooted_product(dawg.build_line_dawg("rows", 5),
-                                dawg.build_line_dawg("cols", 5))
-    for g in (rows, cols, small):
-        for _, _, lab in g.edges:
-            assert any(lab is key for key in keys), lab
-
-
 def test_line_dawg_rejects_bad_input():
     with pytest.raises(ValueError):
         dawg.build_line_dawg("diagonal", 2)
@@ -273,6 +260,17 @@ def test_subword_from_path_rejects_malformed_labels():
         dawg.subword_from_path((frozenset("dx"),), (DB,))  # not a letter
     with pytest.raises(ValueError):
         dawg.subword_from_path([["d"]], "d")  # neither a letter nor a set
+
+
+@pytest.mark.parametrize("label", [5, {"d"}, ("d",), ["d"]])
+def test_subword_from_path_rejects_labels_of_other_types(label):
+    # only a str or a frozenset is a label, at the corner or inside a path;
+    # an int is not even iterable
+    for h, v in [((label,), "d"), ("d", (label,)), ((label, "d"), "d"),
+                 ("d", ("d", label))]:
+        with pytest.raises(ValueError,
+                           match="a label is a letter or a frozenset of letters"):
+            dawg.subword_from_path(h, v)
 
 
 def test_subword_from_path_checks_the_last_column(monkeypatch):

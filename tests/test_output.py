@@ -41,10 +41,11 @@ def test_gen2d_prints_the_text_of_the_prefix(capsys, rows, cols):
         0, word2d.to_text(word2d.mu_prefix(rows, cols)), "")
 
 
-# F12 numbers: 46 368 is the longest piece that fits one slice, and
-# 75 025 and 121 393 the next two
+# from _PIECE letters on, the image size no longer grows with the length,
+# so 2^16 and 10^6 letters take many pieces; F12 numbers, 46 368, 75 025
+# and 121 393, are words w_n, which end where an image ends
 @pytest.mark.parametrize("length", [
-    0, 1, cli._SLICE, cli._SLICE + 1, 10**6,
+    0, 1, word1d._PIECE, word1d._PIECE + 1, 1 << 16, (1 << 16) + 1, 10**6,
     *(n + d for n in (46368, 75025, 121393) for d in (-1, 0, 1))])
 def test_gen1d_prints_the_word_and_a_newline(capsys, length):
     for alphabet in (x + y for x in "abcd" for y in "abcd" if x != y):

@@ -204,12 +204,13 @@ def test_fib_prefix_chain(alphabet, m, n):
     assert word1d.fib_prefix(alphabet, n)[:m] == word1d.fib_prefix(alphabet, m)
 
 
-@given(st.sampled_from(ALPHABETS), st.integers(0, 400), st.integers(2, 40))
-def test_prefix_pieces_join_to_the_prefix(alphabet, length, most):
-    # the images of the prefix's own letters, each at most `most` long
-    pieces = list(word1d.prefix_pieces(alphabet, length, most))
+@settings(max_examples=100)
+@given(st.sampled_from(ALPHABETS), st.integers(0, 3 * word1d._PIECE))
+def test_prefix_pieces_join_to_the_prefix(alphabet, length):
+    # the images of the prefix's own letters, each at most _PIECE long
+    pieces = list(word1d.prefix_pieces(alphabet, length))
     assert "".join(pieces) == word1d.fib_prefix(alphabet, length)
-    assert all(0 < len(piece) <= most for piece in pieces)
+    assert all(0 < len(piece) <= word1d._PIECE for piece in pieces)
 
 
 def test_alphabet_validation():
@@ -395,7 +396,6 @@ def test_block_step_matches_right_table():
 
 
 def test_block_step_edge_cases(monkeypatch):
-    assert word1d._extend_block([], "ab") == []
     assert word1d._extend_block(("abab",), ("a", "b")) == ["ababa"]
     assert word1d._extend_block(["abab"], "ab") == ["ababa"]
     assert word1d._extend_block(["aba", "bab"], "ab") == ["abaa", "abab",
