@@ -11,14 +11,12 @@ path and a down root path: enumeration walks the two line DAWGs and pairs
 their paths.  The product is only displayed: `dawg-dot` lists its nodes
 and edges in DOT order straight from the two line DAWGs, and
 rooted_product builds a graph from that same listing.  Each path is
-spelled once over the first of its two line alphabets and translated once
-into the second.  An across path's last letter and a down path's first
-letter meet in one corner letter s, so the pairs fall into four corner
-buckets: bucket s pairs the tops that end in s with the sides that start
-with s.  Each text is then cut from its top's lane, whose last column is
-checked, as a stream in sorted order (word2d.stream_fills), so only the
-paths, a lane and a text are held, and a caller writes nothing before the
-first text exists.
+spelled once, across paths over dc and down paths over db.  The frame
+family's reader, word2d.stream_fills, adds their swaps, pairs each top
+with the sides that start with its last letter, the corner letter, and
+cuts each text from its top's lane, whose last column is checked, as a
+stream in sorted order, so only the paths, a lane and a text are held,
+and a caller writes nothing before the first text exists.
 
 Node arithmetic uses fib(n, "F12"): spine edges i-1 -> i carry the i-th
 abstract letter, and shortcut edges F(j)-2 -> F(j+1)-1 carry the dominant
@@ -28,19 +26,19 @@ class when j is even, the other class when j is odd.
 from __future__ import annotations
 
 from .errors import InconsistentJoint, InternalError
-from .word1d import LETTERS, fib, fib_index, fib_prefix
+from .word1d import fib, fib_index, fib_prefix
 from .word2d import (COL_ALPHABETS, ROW_ALPHABETS, Grid, col_alphabet_of,
                      column, count_law, fill, row_alphabet_of, stream_fills)
 
 # abstract classes per orientation, dominant first
 _CLASSES = {"rows": COL_ALPHABETS, "cols": ROW_ALPHABETS}
 
-# line alphabet -> {class label: the one letter of the class in that
-# alphabet}, for each of the four classes that has exactly one
+# line alphabet the paths are spelled over -> {class label: the one letter
+# of the class in that alphabet}, for each of the four classes that has one
 _LETTER = {alph: {lab: "".join(lab & set(alph))
                   for lab in map(frozenset, ROW_ALPHABETS + COL_ALPHABETS)
                   if len(lab & set(alph)) == 1}
-           for alph in ROW_ALPHABETS + COL_ALPHABETS}
+           for alph in ("dc", "db")}
 
 
 class Digraph:
@@ -255,41 +253,32 @@ def subword_from_path(h_labels, v_labels) -> Grid:
 
 # ------------------------------------------------------------- enumeration --
 
-def _line_words(orientation: str, length: int, alphabets) -> list[str]:
-    """The line DAWG's root paths with `length` edges over each of the two
-    line `alphabets`, the first alphabet's first: each path is spelled once
-    over the first, which has one letter in each of the orientation's two
-    classes, and translated once into the second."""
-    first, second = alphabets
-    letter = _LETTER[first].__getitem__
-    words = _walk(build_line_dawg(orientation, length), length,
-                  lambda labels: "".join(map(letter, labels)))
-    to_second = str.maketrans(first, second)
-    return [*words, *(w.translate(to_second) for w in words)]
+def _line_words(orientation: str, length: int, alphabet: str) -> tuple:
+    """The line DAWG's root paths with `length` edges, each spelled over
+    the line `alphabet`, which has one letter in each of the
+    orientation's two classes."""
+    letter = _LETTER[alphabet].__getitem__
+    return _walk(build_line_dawg(orientation, length), length,
+                 lambda labels: "".join(map(letter, labels)))
 
 
 def stream_dawg(k: int, l: int):
     """The texts of all (k+1)(l+1) subwords of size (k,l), as a stream in
     sorted order: one per pair of a length-l root path of the row DAWG and
-    a length-k root path of the column DAWG, decoded per corner bucket as
-    the module docstring says.
+    a length-k root path of the column DAWG, as the module docstring says.
 
-    Bucket s is a block (tops, sides): the tops that end in s and the sides,
-    last columns, that start with s.  word2d.count_law checks the buckets'
-    distinct pairs before the first text, and word2d.stream_fills gives
-    their texts in sorted order, with the corner check per top as the
-    stream goes: each lane's last column must be the span its texts are
-    cut from, so each text ends in its side.
+    The tops are the row paths over dc, the sides, last columns, the
+    column paths over db.  word2d.count_law checks their distinct pairs
+    before the first text, as many as the pairs that share a corner once
+    word2d.stream_fills adds the swaps.  stream_fills then gives the texts
+    in sorted order, checking per top that its lane's last column is the
+    span its texts are cut from, so each text ends in its side.
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
-    tops = _line_words("rows", l, ROW_ALPHABETS)
-    sides = _line_words("cols", k, COL_ALPHABETS)
-    blocks = [([h for h in tops if h[-1] == s],
-               [v for v in sides if v[0] == s]) for s in LETTERS]
-    count_law(sum(len(set(ts)) * len(set(ss)) for ts, ss in blocks),
-              k, l, "dawg")
-    return stream_fills(blocks, l - 1)
+    tops, sides = _line_words("rows", l, "dc"), _line_words("cols", k, "db")
+    count_law(len(set(tops)) * len(set(sides)), k, l, "dawg")
+    return stream_fills(tops, sides, l - 1)
 
 
 def enumerate_dawg(k: int, l: int) -> tuple[str, ...]:

@@ -4,16 +4,19 @@ A factor is pinned down by its first row and first column, which share the
 corner letter: word2d.fill rebuilds the other rows from them.  Growing the
 two frame words on the right and bottom grows the factor; a frame has
 |ext(top)| * |ext(side)| extensions, the paper's 1, 2, 2 or 4 by type: a
-word has two only as the reversed prefix of its length (word1d), so a block
-grows from one prefix.  The frames with corner letter x are exactly the
-pairs of a row factor and a column factor that both start with x, so a
-complete size class is four blocks of words, one per corner letter, and
-growing every word of every block once yields the next complete class.
-Enumeration starts from the blocks of the complete one-line class, grows
-them diagonally until the shorter side reaches its size, and only then cuts
-each pair's text from its top's lane, whose first column is checked, as a
-stream in sorted order (word2d.stream_fills), so only the blocks, a lane
-and a text are ever held.
+word has two only as the reversed prefix of its length (word1d), so a list
+of words grows from one prefix.  The frames with corner letter x are
+exactly the pairs of a row factor and a column factor that both start with
+x, and the words of one line alphabet are those of the other under a letter
+swap that commutes with growing.  So a complete size class is the row
+factors over dc and the column factors over db, and growing every word of
+both once yields the next complete class.  Enumeration starts from the
+complete one-line class, grows it diagonally until the shorter side reaches
+its size, and only then hands the two lists to the frame family's reader,
+word2d.stream_fills, which adds the swaps, pairs the words by corner letter
+and cuts each pair's text from its top's lane, whose first column is
+checked, as a stream in sorted order, so only the two lists, a lane and a
+text are ever held.
 """
 
 from __future__ import annotations
@@ -21,10 +24,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import IncompleteInput, InconsistentJoint
-from .word1d import LETTERS, _extend_block, factors1d
-from .word2d import (COL_ALPHABETS, ROW_ALPHABETS, Grid, classify_lines,
-                     col_alphabet_of, column, count_law, fill,
-                     row_alphabet_of, stream_fills)
+from .word1d import _extend_block, factors1d
+from .word2d import (Grid, classify_lines, col_alphabet_of, column,
+                     count_law, fill, row_alphabet_of, stream_fills)
 # unused here; perfbench/selftest.py checks that the tracer wraps this binding
 from .word2d import subblock  # noqa: F401
 
@@ -80,8 +82,8 @@ def extend_diagonal(frames) -> tuple[FrameTL, ...]:
     size-(k+1,l+1) class out: extensions_of each frame, in the order the
     frames come in.
 
-    The per-frame form of the step that enumerate_extension takes on whole
-    corner-letter blocks.
+    The per-frame form of the step that enumerate_extension takes on its
+    two whole lists of line words.
     """
     fs = tuple(frames)
     if not fs:
@@ -102,31 +104,26 @@ def stream_extension(k: int, l: int):
     """The texts of all (k+1)(l+1) subwords of size (k,l), found by
     repeated extension, as a stream in sorted order.
 
-    The class is kept as one block (tops, sides) per corner letter x: the
-    row and the column factors that start with x, each pair of which is the
-    frame of one subword.  With m = min(k,l), the blocks start from the
-    complete one-line class (k-m+1, l-m+1), whose words are the 1D factors
-    of length |k-l|+1 and single letters.  Each of the m-1 diagonal steps
-    grows every word of every block once.  word2d.count_law checks the
-    distinct pairs of the blocks of every size on the way, before the
-    first text; word2d.stream_fills then cuts each pair of a final block
-    into its text, in sorted order, from its top's lane.
+    The class is kept as one list of tops, the row factors over dc, and
+    one of sides, the column factors over db; word2d.stream_fills adds
+    their swaps and pairs each top with the sides that start with its
+    first letter, each pair the frame of one subword.  With m = min(k,l),
+    the lists start from the complete one-line class (k-m+1, l-m+1), whose
+    words are the 1D factors of length |k-l|+1 and single letters.  Each
+    of the m-1 diagonal steps grows every word of both lists once.
+    word2d.count_law checks the distinct pairs of every size on the way,
+    before the first text; stream_fills then cuts each pair of the final
+    lists into its text, in sorted order, from its top's lane.
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
     m = min(k, l)
-    tops = [u for alph in ROW_ALPHABETS for u in factors1d(l - m + 1, alph)]
-    sides = [u for alph in COL_ALPHABETS for u in factors1d(k - m + 1, alph)]
-    blocks = [([u for u in tops if u[0] == x], [u for u in sides if u[0] == x])
-              for x in LETTERS]
+    tops, sides = factors1d(l - m + 1, "dc"), factors1d(k - m + 1, "db")
     for a, b in zip(range(k - m + 1, k + 1), range(l - m + 1, l + 1)):
-        count_law(sum(len(set(ts)) * len(set(ss)) for ts, ss in blocks),
-                  a, b, "extension")
+        count_law(len(set(tops)) * len(set(sides)), a, b, "extension")
         if a < k:
-            blocks = [(_extend_block(ts, row_alphabet_of(x)),
-                       _extend_block(ss, col_alphabet_of(x)))
-                      for x, (ts, ss) in zip(LETTERS, blocks)]
-    return stream_fills(blocks, 0)
+            tops, sides = _extend_block(tops, "dc"), _extend_block(sides, "db")
+    return stream_fills(tops, sides, 0)
 
 
 def enumerate_extension(k: int, l: int) -> tuple[str, ...]:

@@ -27,6 +27,8 @@ COL_ALPHABETS = ("db", "ca")
 
 # a<->c, b<->d: maps a row word to the word of the companion row alphabet
 _SWAP = str.maketrans("abcd", "cdab")
+# a<->b, c<->d: the same for a column word and the column alphabets
+_SWAP_COL = str.maketrans("abcd", "badc")
 # deletes the letters, leaving what is not one
 _NOT_LETTERS = str.maketrans("", "", "abcd")
 
@@ -65,46 +67,54 @@ def fill_text(top: str, side: str) -> str:
 _ASCENDING = {x: x < swap_row_alphabet(x) for x in LETTERS}
 
 
-def stream_fills(blocks, column: int):
-    """fill_text(top, side) for each top and side of each block
-    (tops, sides), as a stream in sorted order.
+def stream_fills(tops, sides, column: int):
+    """fill_text(top, side) for each top and each side that starts with its
+    corner letter top[column], as a stream in sorted order.
 
-    A block's sides are length-k factors of one column word; let p be its
+    tops are row factors over dc, sides column factors over db; each list
+    gets its swap (swap_row_alphabet; a<->b, c<->d), so the pairs are the
+    frames of all four corner letters.  The sides that start with one
+    letter are length-k factors of one column word; let p be its
     word1d.factor_prefix, which holds them all.  Each top is filled once
-    over the span of p that holds them, its lane, and a text is the k rows
-    of the lane at p.find(side).  A side not in p, or a lane whose 0-based
-    column `column` is not the span, raises InternalError.
+    over the span of p that holds its corner's sides, its lane, and a text
+    is the k rows of the lane at p.find(side).  A side not in p (the spans
+    are built in LETTERS order), a top whose corner starts no side, or a
+    lane whose 0-based column `column` is not the span raises InternalError.
 
     A text's rows are its top or its swap as its side's 0/1 pattern says,
     so the texts come top by top in sorted order, and under one top by the
-    patterns of its block's sides: ascending if top < swap_row_alphabet(top),
+    patterns of its corner's sides: ascending if top < swap_row_alphabet(top),
     else descending.  Each text is checked to be greater than the one
     before, which gives order and distinctness, and is yielded only once
     the text after it has passed, so a break raises InternalError before
     either text of the broken pair is yielded.
     """
-    blocks, spans = [(ts, ss) for ts, ss in blocks if ts and ss], []
-    for tops, sides in blocks:
+    tops = sorted([*tops, *map(swap_row_alphabet, tops)])
+    sides = [*sides, *(v.translate(_SWAP_COL) for v in sides)]
+    w, spans = len(tops[0]) + 1 if tops else 0, {}
+    for x in sorted({v[0] for v in sides}):  # LETTERS order
         # sides that share their first letter x first differ where one has
         # x, a 0, and the other the other letter of x's column alphabet, a
         # 1, so their patterns ascend as they do when x is the smaller
-        x, k, w = sides[0][0], len(sides[0]), len(tops[0]) + 1
         alphabet = col_alphabet_of(x)
-        up = sorted(sides, reverse=x > alphabet.replace(x, ""))
-        p = factor_prefix(alphabet, k)
+        up = sorted([v for v in sides if v[0] == x],
+                    reverse=x > alphabet.replace(x, ""))
+        k, p = len(up[0]), factor_prefix(alphabet, len(up[0]))
         at = list(map(p.find, up))
         if -1 in at:
             raise InternalError(f"side {up[at.index(-1)]!r} is not a factor "
                                 f"of the column word over {alphabet!r}")
         first = min(at)
         cut = [((j - first) * w, (j - first + k) * w) for j in at]
-        spans.append((p[first:max(at) + k], (cut[::-1], cut)))  # by _ASCENDING
+        spans[x] = p[first:max(at) + k], (cut[::-1], cut)  # by _ASCENDING
     prev = ""
-    for top, i in sorted((top, i) for i, (tops, _) in enumerate(blocks)
-                         for top in tops):
-        span, cuts = spans[i]
+    for top in tops:
+        if top[column] not in spans:
+            raise InternalError(f"no side starts with the corner letter "
+                                f"{top[column]!r} of top {top!r}")
+        span, cuts = spans[top[column]]
         lane = fill_text(top, span)
-        if lane[column::len(top) + 1] != span:
+        if lane[column::w] != span:
             raise InternalError(f"the lane of top {top!r} does not have "
                                 f"{span!r} as its column {column + 1}")
         for a, b in cuts[_ASCENDING[top[0]]]:

@@ -5,7 +5,8 @@ A name fib2d/__init__.py exports must be used by the library's own code
 by an acceptance criterion, or bound by the benchmark's tracer.  A name
 only unit tests call belongs in tests/reference.py, not in the API.  The
 package's source stays under a fixed line bound, so code that is added is
-paid for by code that is deleted.
+paid for by code that is deleted, and every name a module imports is read
+in it.
 """
 
 from __future__ import annotations
@@ -59,3 +60,28 @@ def test_package_stays_under_the_line_bound():
     lines = sum(path.read_bytes().count(b"\n")
                 for path in PACKAGE.glob("*.py"))
     assert lines <= LINE_BOUND
+
+
+# the imports no module reads: the re-import perfbench/selftest.py checks
+# the tracer wraps.  fib2d/__init__.py's imports are the exports above
+UNREAD_IMPORTS = [("frames.py", "subblock")]
+
+
+def _unread_imports(path: Path) -> set[str]:
+    """Names the module at path imports, but for the future import
+    `annotations`, that no expression in it reads."""
+    tree = ast.parse(path.read_text())
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return imported - read - {"annotations"}
+
+
+def test_every_import_is_read():
+    unread = [(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
+              if path.name != "__init__.py"
+              for name in sorted(_unread_imports(path))]
+    assert unread == UNREAD_IMPORTS

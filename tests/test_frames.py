@@ -188,11 +188,10 @@ def test_extend_diagonal_matches_per_frame_step():
 
 
 def test_extension_grows_each_distinct_word_once(monkeypatch):
-    # the (a+1)(b+1) frames of a class have at most 2(b+1) distinct top
-    # words and 2(a+1) distinct side words; the per-frame step looks up
-    # 44 278 at (40,40) and 56 028 at (30,70).  Each diagonal step grows
-    # the tops and the sides of four corner-letter blocks, one block step
-    # each: 8 calls a step
+    # the (a+1)(b+1) frames of a class are the swaps and pairs of its b+1
+    # top words over dc and a+1 side words over db; the per-frame step
+    # looks up 44 278 at (40,40) and 56 028 at (30,70).  Each diagonal
+    # step grows the tops and the sides, one block step each: 2 calls a step
     blocks = []
 
     def counted(words, alphabet):
@@ -200,13 +199,13 @@ def test_extension_grows_each_distinct_word_once(monkeypatch):
         return _extend_block(words, alphabet)
 
     monkeypatch.setattr(frames, "_extend_block", counted)
-    for k, l, most in ((40, 40, 3276), (30, 70, 4176)):
+    for k, l, most in ((40, 40, 1638), (30, 70, 2088)):
         m = min(k, l)
         sizes = [(k - m + i, l - m + i) for i in range(1, m)]
-        assert sum(2 * (a + b + 2) for a, b in sizes) == most
+        assert sum(a + b + 2 for a, b in sizes) == most
         blocks.clear()
         frames.enumerate_extension(k, l)
-        assert len(blocks) == 8 * (m - 1)
+        assert len(blocks) == 2 * (m - 1)
         assert 0 < sum(blocks) <= most
 
 

@@ -262,19 +262,21 @@ def test_enum_holds_blocks_not_texts(monkeypatch, method, k, bound):
 # each case's peak ~15% above its measured one in a fresh process, Python
 # 3.11: dawg 3.0 MB at (1100,1) and (1100,2), 2.8 MB at (1,1100) and
 # (2,1100), its paths, and 0.20 MB at (100,100), its blocks, one lane and
-# one text; extend 2.9, 5.2, 2.7 and 5.2 MB at the thin shapes, where the
-# one-line class's factors take the most, and 0.20 MB at (100,100).
+# one text; extend 2.9, 2.9, 2.6 and 2.6 MB at the thin shapes, where the
+# one-line class's factors take the most, and 0.18 MB at (100,100).
 # Filling each text on its own, with dawg's corner-check texts held until
 # their top came, took dawg 7.8, 10.3, 2.8, 2.8 and 2.2 MB; growing each
 # extend block through a cached table of the longer factors took extend
 # 10.7 and 10.5 MB at (1100,2) and (2,1100) and 2.4 MB at (100,100), and
-# caching the one-line class's factors 3.9, 5.5, 3.9 and 5.3 MB
+# caching the one-line class's factors 3.9, 5.5, 3.9 and 5.3 MB, and
+# growing four corner-letter blocks, not one list of tops over dc and one
+# of sides over db, 2.9, 5.2, 2.7 and 5.2 MB
 FRAME_PEAK_PINS = {
     ("dawg", 1100, 1): 3_500_000, ("dawg", 1100, 2): 3_500_000,
     ("dawg", 1, 1100): 3_300_000, ("dawg", 2, 1100): 3_300_000,
     ("dawg", 100, 100): 230_000,
-    ("extend", 1100, 1): 3_350_000, ("extend", 1100, 2): 5_900_000,
-    ("extend", 1, 1100): 3_100_000, ("extend", 2, 1100): 5_900_000,
+    ("extend", 1100, 1): 3_350_000, ("extend", 1100, 2): 3_360_000,
+    ("extend", 1, 1100): 3_100_000, ("extend", 2, 1100): 2_980_000,
     ("extend", 100, 100): 230_000,
 }
 
@@ -330,10 +332,11 @@ def test_verify_holds_only_the_truth(monkeypatch):
 # 14.5 MB in a fresh process (9.0 and 21.7 MB before).  Once extend grew
 # its blocks by a prefix search, not a cached table of the longer
 # factors, they read 4.7 and 9.2 MB.  Once the one-line class's factors
-# were no longer cached, (1100,2) and (2,1100) read 8.1 MB, and every pin
-# sits ~15% above its peak
-VERIFY_PEAK_PINS = {(100, 100): 5_400_000, (1100, 2): 9_300_000,
-                    (2, 1100): 9_350_000}
+# were no longer cached, (1100,2) and (2,1100) read 8.1 MB.  Once extend
+# grew one list of tops and one of sides, not four corner-letter blocks,
+# they read 6.7 and 6.1 MB, and every pin sits ~15% above its peak
+VERIFY_PEAK_PINS = {(100, 100): 5_400_000, (1100, 2): 7_700_000,
+                    (2, 1100): 7_050_000}
 
 
 @pytest.mark.parametrize("k, l, ceiling", [(100, 100, 25_000_000),

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fib2d
-from fib2d import cli, oracle, word1d
+from fib2d import cli, oracle, word1d, word2d
 from fib2d.errors import EmptyWord, InternalError, NotAFactor, TooShort
 
 from reference import (factor_set, factors1d_listkey, right_table, shared,
@@ -410,6 +410,32 @@ def test_block_step_edge_cases(monkeypatch):
                         lambda alphabet, length: "abaab")
     with pytest.raises(InternalError, match="'aab'"):
         word1d._extend_block(["aab"], "ab")
+
+
+# the swaps word2d.stream_fills adds to the row words over dc and the
+# column words over db: each renames the line word of one alphabet into
+# that of the other, so the factors and the block step follow
+SWAPS = {"rows": ("dc", "ba", word2d.swap_row_alphabet),
+         "cols": ("db", "ca", lambda w: w.translate(word2d._SWAP_COL))}
+
+
+@pytest.mark.parametrize("line", sorted(SWAPS))
+def test_factors_of_the_other_alphabet_are_the_swaps(line):
+    first, second, swap = SWAPS[line]
+    for n in range(1, 301):
+        assert word1d.factors1d(n, second) == tuple(
+            map(swap, word1d.factors1d(n, first))), n
+
+
+@pytest.mark.parametrize("line", sorted(SWAPS))
+@settings(deadline=None)
+@given(st.integers(1, 80), st.data())
+def test_block_step_commutes_with_the_swaps(line, k, data):
+    first, second, swap = SWAPS[line]
+    block = data.draw(st.lists(st.sampled_from(word1d.factors1d(k, first)),
+                               min_size=1, max_size=2 * k + 2))
+    assert word1d._extend_block(list(map(swap, block)), second) == list(
+        map(swap, word1d._extend_block(block, first)))
 
 
 def test_special_factor_is_reversed_prefix():

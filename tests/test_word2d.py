@@ -163,38 +163,50 @@ def test_fill_text_is_the_text_of_fill():
                     == word2d.to_text(word2d.fill(top, side))), (top, side)
 
 
-def _blocks(k, l):
-    """The four corner-letter blocks of the frames of size (k,l)."""
-    frames = _consistent_frames(k, l)
-    return [(sorted({t for t, _ in frames if t[0] == x}),
-             sorted({v for _, v in frames if v[0] == x})) for x in "abcd"]
-
-
 @settings(deadline=None)
-@given(st.integers(1, 30), st.integers(1, 30))
-def test_stream_fills_cuts_the_texts_fill_text_fills(k, l):
-    frames = _consistent_frames(k, l)
-    assert tuple(word2d.stream_fills(_blocks(k, l), 0)) == tuple(
-        sorted(word2d.fill_text(top, side) for top, side in frames))
+@given(st.integers(1, 30), st.integers(1, 30), st.randoms())
+def test_stream_fills_cuts_the_texts_fill_text_fills(k, l, rnd):
+    # the tops over dc and the sides over db, in any order
+    tops = list(word1d.factors1d(l, "dc"))
+    sides = list(word1d.factors1d(k, "db"))
+    rnd.shuffle(tops)
+    rnd.shuffle(sides)
+    assert tuple(word2d.stream_fills(tops, sides, 0)) == tuple(
+        sorted(word2d.fill_text(top, side)
+               for top, side in _consistent_frames(k, l)))
 
 
 def test_stream_fills_rejects_a_side_that_is_not_a_factor():
-    # bb is no factor of the column word over (d, b)
-    with pytest.raises(InternalError, match="side 'bb' is not a factor"):
-        next(word2d.stream_fills([(["ba"], ["bd", "bb"])], 0))
+    # bb is no factor of the column word over (d, b), nor is its swap aa
+    # of the one over (c, a); the spans are built in LETTERS order, so aa
+    # is the side reported whatever the hash seed
+    with pytest.raises(InternalError, match="side 'aa' is not a factor"):
+        next(word2d.stream_fills(["dc"], ["bd", "bb"], 0))
 
 
-def test_stream_fills_rejects_a_lane_without_its_span():
-    # each top starts with its sides' first letter, so its lane has the
-    # span as its first column; the first top, aba, has b and d as its
-    # second, where its span, ac, has a and c
-    blocks = _blocks(2, 3)
-    assert len(list(word2d.stream_fills(blocks, 0))) == 12
-    with pytest.raises(InternalError, match="as its column 2"):
-        next(word2d.stream_fills(blocks, 1))
-    # a top that starts with the other letter of the sides' alphabet
-    with pytest.raises(InternalError, match="as its column 1"):
-        next(word2d.stream_fills([(["dcd"], ["bd"])], 0))
+def test_stream_fills_rejects_a_lane_without_its_span(monkeypatch):
+    # each top is handed the sides that start with its letter at `column`,
+    # so its lane has their span as that column; a lane whose every row is
+    # its top has it at neither the first column nor the last
+    tops, sides = word1d.factors1d(3, "dc"), word1d.factors1d(2, "db")
+    for column in (0, 2):
+        assert len(list(word2d.stream_fills(tops, sides, column))) == 12
+    monkeypatch.setattr(word2d, "fill_text",
+                        lambda top, side: (top + "\n") * len(side))
+    for column in (0, 2):
+        with pytest.raises(InternalError,
+                           match=f"as its column {column + 1}"):
+            next(word2d.stream_fills(tops, sides, column))
+
+
+def test_stream_fills_rejects_a_top_whose_corner_starts_no_side():
+    # the side dd and its swap cc start with d and c, so the swap ba of
+    # the top dc has a corner letter, b, that starts no side
+    with pytest.raises(InternalError, match="corner letter 'b' of top 'ba'"):
+        next(word2d.stream_fills(["dc"], ["dd"], 0))
+    # at the last column the corner letters are c and a
+    with pytest.raises(InternalError, match="corner letter 'a' of top 'ba'"):
+        next(word2d.stream_fills(["dc"], ["dd"], 1))
 
 
 @given(st.text(alphabet="abcd", max_size=40))
