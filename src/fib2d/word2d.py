@@ -71,15 +71,19 @@ def stream_fills(tops, sides, column: int):
     """fill_text(top, side) for each top and each side that starts with its
     corner letter top[column], as a stream in sorted order.
 
-    tops are row factors over dc, sides column factors over db; each list
-    gets its swap (swap_row_alphabet; a<->b, c<->d), so the pairs are the
-    frames of all four corner letters.  The sides that start with one
-    letter are length-k factors of one column word; let p be its
+    tops are row factors over dc, sides column factors over db; each also
+    stands for its swap (swap_row_alphabet; a<->b, c<->d), so the pairs
+    are the frames of all four corner letters.  Swaps keep order and every
+    ba word sorts before every dc word, so the tops are sorted once and
+    their swaps made one at a time, ahead of them.  The sides that start
+    with one letter are length-k factors of one column word; let p be its
     word1d.factor_prefix, which holds them all.  Each top is filled once
     over the span of p that holds its corner's sides, its lane, and a text
-    is the k rows of the lane at p.find(side).  A side not in p (the spans
-    are built in LETTERS order), a top whose corner starts no side, or a
-    lane whose 0-based column `column` is not the span raises InternalError.
+    is the k rows of the lane at p.find(side).  p over ca is p over db
+    swapped, so a swapped side's span and place are found with its side's.
+    A side not in p (reported as its swap, over ca: a and c come first in
+    LETTERS order), a top whose corner starts no side, or a lane whose
+    0-based column `column` is not the span raises InternalError.
 
     A text's rows are its top or its swap as its side's 0/1 pattern says,
     so the texts come top by top in sorted order, and under one top by the
@@ -89,10 +93,9 @@ def stream_fills(tops, sides, column: int):
     the text after it has passed, so a break raises InternalError before
     either text of the broken pair is yielded.
     """
-    tops = sorted([*tops, *map(swap_row_alphabet, tops)])
-    sides = [*sides, *(v.translate(_SWAP_COL) for v in sides)]
+    tops = sorted(tops)
     w, spans = len(tops[0]) + 1 if tops else 0, {}
-    for x in sorted({v[0] for v in sides}):  # LETTERS order
+    for x in sorted({v[0] for v in sides}):  # b before d, as a before c
         # sides that share their first letter x first differ where one has
         # x, a 0, and the other the other letter of x's column alphabet, a
         # 1, so their patterns ascend as they do when x is the smaller
@@ -102,23 +105,28 @@ def stream_fills(tops, sides, column: int):
         k, p = len(up[0]), factor_prefix(alphabet, len(up[0]))
         at = list(map(p.find, up))
         if -1 in at:
-            raise InternalError(f"side {up[at.index(-1)]!r} is not a factor "
-                                f"of the column word over {alphabet!r}")
+            raise InternalError(
+                f"side {up[at.index(-1)].translate(_SWAP_COL)!r} is not a "
+                f"factor of the column word over "
+                f"{alphabet.translate(_SWAP_COL)!r}")
         first = min(at)
-        cut = [((j - first) * w, (j - first + k) * w) for j in at]
-        spans[x] = p[first:max(at) + k], (cut[::-1], cut)  # by _ASCENDING
+        span = p[first:max(at) + k]
+        # each text's start in the lane, by ascending pattern, and length
+        cut = [(j - first) * w for j in at], k * w
+        spans[x] = span, cut
+        spans[x.translate(_SWAP_COL)] = span.translate(_SWAP_COL), cut
     prev = ""
-    for top in tops:
+    for top in chain(map(swap_row_alphabet, tops), tops):
         if top[column] not in spans:
             raise InternalError(f"no side starts with the corner letter "
                                 f"{top[column]!r} of top {top!r}")
-        span, cuts = spans[top[column]]
+        span, (starts, size) = spans[top[column]]
         lane = fill_text(top, span)
         if lane[column::w] != span:
             raise InternalError(f"the lane of top {top!r} does not have "
                                 f"{span!r} as its column {column + 1}")
-        for a, b in cuts[_ASCENDING[top[0]]]:
-            text = lane[a:b]
+        for a in starts if _ASCENDING[top[0]] else reversed(starts):
+            text = lane[a:a + size]
             if text <= prev:
                 raise InternalError(
                     f"the texts under top {top!r} are out of sorted order")
@@ -274,12 +282,20 @@ def _keys(b: str, period: int, offsets, w: int):
 
 def _rank(b: str, period: int, offsets, w: int) -> str:
     """One character per window of _keys(b, period, offsets, w), in order:
-    its rank among the distinct windows, so names sort as their texts do."""
+    its rank among the distinct windows, so names sort as their texts do.
+
+    Each window is first named by the order its key is met in; the keys
+    are sorted and dropped before the table from those names to ranks, a
+    list indexed by their ordinals, is built."""
     met = {}  # a name for each key, in the order the keys are met
     names = "".join([met.setdefault(key, chr(len(met)))
                      for key in _keys(b, period, offsets, w)])
-    return names.translate({ord(met[key]): chr(i)
-                            for i, key in enumerate(sorted(met))})
+    firsts = list(map(met.__getitem__, sorted(met)))  # by rank
+    del met  # and with it every key
+    ranks = [""] * len(firsts)
+    for i, name in enumerate(firsts):
+        ranks[ord(name)] = chr(i)
+    return names.translate(ranks)
 
 
 def stream_windows(rows, row_starts, col_starts, k: int, l: int):
@@ -302,6 +318,7 @@ def stream_windows(rows, row_starts, col_starts, k: int, l: int):
     tables = {names[i::c]: j for i, j in enumerate(col_starts)}  # lanes
     cols, height = list(tables.values()), len(rows)
     lanes = "".join(map(spelled.translate, tables))
+    del tables  # before the windows are keyed
     first = dict(zip(_keys(lanes, height, row_starts, k), count()))
     order = [x // r * height + row_starts[x % r]
              for x in map(first.pop, sorted(first))]

@@ -164,15 +164,19 @@ SHAPE_BOUNDS = [((1100, 2), 6_000_000), ((2, 1100), 6_000_000),
 # read 0.60 and 0.81 MB while a second copy of the block names, rearranged
 # into runs h apart, was held.  Keying every window by its k names took
 # 3.0-4.7 MB at the thin shapes, and holding each distinct row window
-# twice up to 6 MB
+# twice up to 6 MB.  Once _rank dropped its keys before its rank table,
+# and the reader its lanes' names before keying the windows, the wide
+# shapes read, in a fresh process, conjugate 0.76 -> 0.49 MB at (1,1100)
+# and 0.76 -> 0.60 MB at (2,1100), oracle 0.72 -> 0.47 and 0.72 -> 0.61
+# MB, and prefix 0.74 -> 0.59 MB at (2,1100), each pin ~15% above
 ENUM_BOUNDS = {
-    ("conjugate", 1100, 2): 880_000, ("conjugate", 2, 1100): 940_000,
-    ("conjugate", 1100, 1): 580_000, ("conjugate", 1, 1100): 880_000,
+    ("conjugate", 1100, 2): 880_000, ("conjugate", 2, 1100): 690_000,
+    ("conjugate", 1100, 1): 580_000, ("conjugate", 1, 1100): 565_000,
     ("conjugate", 100, 100): 3_300_000,
-    ("oracle", 1100, 2): 690_000, ("oracle", 2, 1100): 1_040_000,
-    ("oracle", 1100, 1): 450_000, ("oracle", 1, 1100): 960_000,
+    ("oracle", 1100, 2): 690_000, ("oracle", 2, 1100): 700_000,
+    ("oracle", 1100, 1): 450_000, ("oracle", 1, 1100): 540_000,
     ("oracle", 100, 100): 4_200_000,
-    ("prefix", 1100, 2): 860_000, ("prefix", 2, 1100): 920_000,
+    ("prefix", 1100, 2): 860_000, ("prefix", 2, 1100): 680_000,
     ("prefix", 100, 100): 3_300_000,
 }
 
@@ -270,14 +274,25 @@ def test_enum_holds_blocks_not_texts(monkeypatch, method, k, bound):
 # 10.7 and 10.5 MB at (1100,2) and (2,1100) and 2.4 MB at (100,100), and
 # caching the one-line class's factors 3.9, 5.5, 3.9 and 5.3 MB, and
 # growing four corner-letter blocks, not one list of tops over dc and one
-# of sides over db, 2.9, 5.2, 2.7 and 5.2 MB
+# of sides over db, 2.9, 5.2, 2.7 and 5.2 MB.  Once stream_fills made each
+# swap as its turn came and held no cut tuples, the peaks read dawg
+# 3.0 -> 2.2 MB at (1100,1) and (1100,2), 2.8 -> 2.2 MB at (1,1100) and
+# (2,1100), 0.79 -> 0.65 MB at (500,1), 0.70 -> 0.65 MB at (1,500) and
+# 0.19 -> 0.15 MB at (100,100); extend 2.9 -> 1.4 MB at (1100,1), 2.6 ->
+# 1.3 MB at (1,1100), 2.9 -> 2.6 MB at (1100,2), 2.6 -> 2.6 MB at (2,1100)
+# and 0.18 -> 0.13 MB at (100,100).  Each pin sits ~15% above its new
+# peak and below its old one, but dawg's (100,100) and extend's (1100,2)
+# sit 11% and 13% above, and dawg's (1,500) and extend's (2,1100) are not
+# below: dawg's peak at (1,n) is now its line DAWG walk's, and extend's
+# at (1100,2) and (2,1100) its last diagonal step's
 FRAME_PEAK_PINS = {
-    ("dawg", 1100, 1): 3_500_000, ("dawg", 1100, 2): 3_500_000,
-    ("dawg", 1, 1100): 3_300_000, ("dawg", 2, 1100): 3_300_000,
-    ("dawg", 100, 100): 230_000,
-    ("extend", 1100, 1): 3_350_000, ("extend", 1100, 2): 3_360_000,
-    ("extend", 1, 1100): 3_100_000, ("extend", 2, 1100): 2_980_000,
-    ("extend", 100, 100): 230_000,
+    ("dawg", 1100, 1): 2_570_000, ("dawg", 1100, 2): 2_570_000,
+    ("dawg", 1, 1100): 2_570_000, ("dawg", 2, 1100): 2_570_000,
+    ("dawg", 500, 1): 745_000, ("dawg", 1, 500): 745_000,
+    ("dawg", 100, 100): 165_000,
+    ("extend", 1100, 1): 1_600_000, ("extend", 1100, 2): 2_900_000,
+    ("extend", 1, 1100): 1_530_000, ("extend", 2, 1100): 2_980_000,
+    ("extend", 100, 100): 154_000,
 }
 
 
@@ -334,9 +349,11 @@ def test_verify_holds_only_the_truth(monkeypatch):
 # factors, they read 4.7 and 9.2 MB.  Once the one-line class's factors
 # were no longer cached, (1100,2) and (2,1100) read 8.1 MB.  Once extend
 # grew one list of tops and one of sides, not four corner-letter blocks,
-# they read 6.7 and 6.1 MB, and every pin sits ~15% above its peak
-VERIFY_PEAK_PINS = {(100, 100): 5_400_000, (1100, 2): 7_700_000,
-                    (2, 1100): 7_050_000}
+# they read 6.7 and 6.1 MB.  Once stream_fills held no swapped copies and
+# the window reader dropped its keys and lanes' names early, they read
+# 4.2 and 4.3 MB, and every pin sits ~15% above its peak
+VERIFY_PEAK_PINS = {(100, 100): 5_400_000, (1100, 2): 4_900_000,
+                    (2, 1100): 4_900_000}
 
 
 @pytest.mark.parametrize("k, l, ceiling", [(100, 100, 25_000_000),

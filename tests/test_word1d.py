@@ -412,9 +412,10 @@ def test_block_step_edge_cases(monkeypatch):
         word1d._extend_block(["aab"], "ab")
 
 
-# the swaps word2d.stream_fills adds to the row words over dc and the
+# the swaps word2d.stream_fills pairs with the row words over dc and the
 # column words over db: each renames the line word of one alphabet into
-# that of the other, so the factors and the block step follow
+# that of the other, so the factors, their prefix and the block step
+# follow; stream_fills finds a swapped side's span and places over db
 SWAPS = {"rows": ("dc", "ba", word2d.swap_row_alphabet),
          "cols": ("db", "ca", lambda w: w.translate(word2d._SWAP_COL))}
 
@@ -425,6 +426,8 @@ def test_factors_of_the_other_alphabet_are_the_swaps(line):
     for n in range(1, 301):
         assert word1d.factors1d(n, second) == tuple(
             map(swap, word1d.factors1d(n, first))), n
+        assert word1d.factor_prefix(second, n) == swap(
+            word1d.factor_prefix(first, n)), n
 
 
 @pytest.mark.parametrize("line", sorted(SWAPS))

@@ -178,10 +178,15 @@ def test_stream_fills_cuts_the_texts_fill_text_fills(k, l, rnd):
 
 def test_stream_fills_rejects_a_side_that_is_not_a_factor():
     # bb is no factor of the column word over (d, b), nor is its swap aa
-    # of the one over (c, a); the spans are built in LETTERS order, so aa
-    # is the side reported whatever the hash seed
+    # of the one over (c, a); a comes first in LETTERS order, so aa is the
+    # side reported whatever the hash seed
     with pytest.raises(InternalError, match="side 'aa' is not a factor"):
         next(word2d.stream_fills(["dc"], ["bd", "bb"], 0))
+    # only the sides that start with d fail: c comes before d, so the swap
+    # ccc of ddd is reported, over (c, a)
+    with pytest.raises(InternalError, match="side 'ccc' is not a factor "
+                                            "of the column word over 'ca'"):
+        next(word2d.stream_fills(["dcd"], ["bdd", "ddd"], 0))
 
 
 def test_stream_fills_rejects_a_lane_without_its_span(monkeypatch):
