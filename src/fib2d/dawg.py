@@ -18,9 +18,8 @@ cuts each text from its top's lane, whose last column is checked, as a
 stream in sorted order, so only the paths, a lane and a text are held,
 and a caller writes nothing before the first text exists.
 
-Node arithmetic uses fib(n, "F12"): spine edges i-1 -> i carry the i-th
-abstract letter, and shortcut edges F(j)-2 -> F(j+1)-1 carry the dominant
-class when j is even, the other class when j is odd.
+A line DAWG is its spine and O(log L) shortcuts (Blumer et al., TCS 1985;
+Rytter, TCS 2006), so it is computed from them, not stored (_LineDawg).
 """
 
 from __future__ import annotations
@@ -42,36 +41,47 @@ _LETTER = {alph: {lab: "".join(lab & set(alph))
 
 
 class Digraph:
-    """Rooted digraph with frozenset edge labels and hashable node ids.
-
-    The out-adjacency is built on the first out() call and rebuilt after
-    an edge is added, so a graph that is only listed never holds it.
-    """
+    """Rooted digraph with frozenset edge labels and hashable node ids: the
+    rooted product, as rooted_product builds it."""
 
     def __init__(self, root):
         self.root = root
         self.nodes = {root}
         self.edges = []
-        self._out = None
 
     def add_edge(self, u, v, label) -> None:
         self.nodes.add(u)
         self.nodes.add(v)
         self.edges.append((u, v, frozenset(label)))
-        self._out = None
-
-    def out(self, u):
-        """The (target, label) pairs of u's out-edges, in the order added."""
-        if self._out is None:
-            self._out = {}
-            for src, dst, lab in self.edges:
-                self._out.setdefault(src, []).append((dst, lab))
-        return self._out.get(u, [])
 
 
 # -------------------------------------------------------------- line DAWG --
 
-def build_line_dawg(orientation: str, max_len: int) -> Digraph:
+class _LineDawg:
+    """A truncated line DAWG, computed from its spine and shortcuts, not
+    stored: nodes are 0..top, node i < top has the spine edge i -> i+1,
+    whose class is spine letter i, and some nodes a shortcut as well."""
+
+    root = 0
+
+    def __init__(self, classes, spine: str, shortcuts: dict):
+        self.classes, self._spine, self._shortcuts = classes, spine, shortcuts
+        self.top = len(spine)
+        self.nodes = range(self.top + 1)
+
+    def out(self, i) -> list:
+        """Node i's (target, label) pairs, spine edge first."""
+        spine = [] if i >= self.top else [
+            (i + 1, self.classes[self._spine[i] == "c"])]
+        return spine + self._shortcuts.get(i, [])
+
+    @property
+    def edges(self) -> list:
+        """Every (source, target, label), node by node, in out's order."""
+        return [(i, v, lab) for i in self.nodes for v, lab in self.out(i)]
+
+
+def build_line_dawg(orientation: str, max_len: int) -> _LineDawg:
     """Truncated DAWG of the abstract line word, keeping every root path
     of length <= max_len intact.
     """
@@ -79,23 +89,19 @@ def build_line_dawg(orientation: str, max_len: int) -> Digraph:
         raise ValueError("orientation must be 'rows' or 'cols'")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    dominant, other = (frozenset(s) for s in _CLASSES[orientation])
+    classes = tuple(frozenset(s) for s in _CLASSES[orientation])
     m = fib_index(max_len, "F12") - 1
     # with F(m) <= L < F(m+1), length-L root paths reach F(m+2)-1 + L - F(m)
     top = fib(m + 2, "F12") - 1 + max_len - fib(m, "F12")
+    # node F(j)-2 has the shortcut to F(j+1)-1, for every j >= 1 with
+    # F(j+1)-1 <= top, of the dominant class when j is even
+    shortcuts = {fib(j, "F12") - 2: [(fib(j + 1, "F12") - 1, classes[j % 2])]
+                 for j in range(1, fib_index(top + 1, "F12") - 1)}
     # 'd' stands in for the dominant class in the abstract spine word
-    spine = fib_prefix("dc", top)
-    g = Digraph(0)
-    for i in range(1, top + 1):
-        g.add_edge(i - 1, i, dominant if spine[i - 1] == "d" else other)
-    # every j >= 1 with fib(j + 1) - 1 <= top
-    for j in range(1, fib_index(top + 1, "F12") - 1):
-        g.add_edge(fib(j, "F12") - 2, fib(j + 1, "F12") - 1,
-                   dominant if j % 2 == 0 else other)
-    return g
+    return _LineDawg(classes, fib_prefix("dc", top), shortcuts)
 
 
-def _run(g: Digraph, node, length: int):
+def _run(g: _LineDawg, node, length: int):
     """The labels along single out-edges from node, at most `length` of
     them, and the out-edges of the node where they stop."""
     chain = []
@@ -107,7 +113,7 @@ def _run(g: Digraph, node, length: int):
     return chain, edges
 
 
-def _walk(g: Digraph, length: int, spell) -> tuple:
+def _walk(g: _LineDawg, length: int, spell) -> tuple:
     """Every root path with `length` edges, depth first, as a sequence that
     `spell` makes from label sequences: spell(labels) + spell(more) must
     spell labels + more.
@@ -140,50 +146,42 @@ def _walk(g: Digraph, length: int, spell) -> tuple:
 
 # ----------------------------------------------------------------- product --
 
-def _product_listing(base: Digraph, hung: Digraph):
+def _product_listing(base: _LineDawg, hung: _LineDawg):
     """(names, nodes, edges) of the rooted product of base and hung: the
-    DOT text of each distinct label, and the nodes and the edges, each an
-    iterator in export_dot's order, listed from the two graphs alone.
+    DOT text of each class, and the nodes and the edges, each an iterator
+    in export_dot's order, listed from the two line DAWGs alone.
 
     A copy of `hung` hangs at every node of `base` but its root.  Base
     edges run between the copy roots; within a copy only hung edges exist,
     so root paths take all their base steps first.  No root path of
     positive base length enters a copy at the base root, so none is hung
-    there.  Node (u, v) is node v of the copy at u, so the nodes sort copy
-    by copy, and the few out-edges of each node are sorted on their own.
+    there.  Node (u, v) is node v of the copy at u, so the nodes come copy
+    by copy.  Every edge of a line DAWG runs to a higher node, and out
+    lists a node's edges by target, so the edges of (u, v) within its copy
+    come first and those to the copy roots (u2, 0), u2 > u, after them.
     """
-    names = _names([*base.edges, *hung.edges])
+    names = _names([*base.classes, *hung.classes])
     r = hung.root
-
-    def order(edge):  # (target, label)
-        return edge[0], names[edge[1]]
-
-    across, down = {}, {}
-    for u, u2, lab in base.edges:
-        across.setdefault(u, []).append(((u2, r), lab))
-    for v, v2, lab in hung.edges:
-        down.setdefault(v, []).append((v2, lab))
-    copy = sorted(hung.nodes)
-    down = {v: sorted(outs, key=order) for v, outs in down.items()}
+    down = [hung.out(v) for v in hung.nodes]
 
     def nodes():
-        for u in sorted(base.nodes):
-            for v in ((r,) if u == base.root else copy):
+        for u in base.nodes:
+            for v in ((r,) if u == base.root else hung.nodes):
                 yield u, v
 
     def edges():
         for u, v in nodes():
-            outs = [] if u == base.root else [((u, v2), lab) for v2, lab
-                                              in down.get(v, ())]
+            if u != base.root:
+                for v2, lab in down[v]:
+                    yield (u, v), (u, v2), lab
             if v == r:
-                outs = sorted(outs + across.get(u, []), key=order)
-            for dst, lab in outs:
-                yield (u, v), dst, lab
+                for u2, lab in base.out(u):
+                    yield (u, v), (u2, r), lab
 
     return names, nodes(), edges()
 
 
-def rooted_product(base: Digraph, hung: Digraph) -> Digraph:
+def rooted_product(base: _LineDawg, hung: _LineDawg) -> Digraph:
     """Hang a copy of `hung` at every node of `base` but its root, as
     _product_listing lists it."""
     g = Digraph((base.root, hung.root))
@@ -295,11 +293,10 @@ def _fmt_node(v) -> str:
     return str(v)
 
 
-def _names(edges) -> dict:
-    """Each distinct label of the edges -> its DOT text, the letters comma
-    joined, dominant first."""
-    return {lab: ",".join(sorted(lab, reverse=True))
-            for lab in {e[2] for e in edges}}
+def _names(labels) -> dict:
+    """Each distinct label -> its DOT text, the letters comma joined,
+    dominant first."""
+    return {lab: ",".join(sorted(lab, reverse=True)) for lab in set(labels)}
 
 
 def _dot(root, names, nodes, edges):
@@ -315,22 +312,23 @@ def _dot(root, names, nodes, edges):
     yield "}\n"
 
 
-def export_dot(g: Digraph):
-    """Deterministic DOT text, yielded line by line, each line ending in a
-    newline; nodes and edges sorted, class labels comma joined, dominant
-    first.
+def export_dot(g):
+    """Deterministic DOT text of a line DAWG or a Digraph, yielded line by
+    line, each line ending in a newline; nodes and edges sorted, class
+    labels comma joined, dominant first.
 
     The nodes and edges are sorted before the generator is returned, so
     whatever fails does so before a caller writes a byte; each distinct
     label is formatted once.
     """
-    names = _names(g.edges)
+    edges = g.edges
+    names = _names(lab for _, _, lab in edges)
     nodes = sorted(g.nodes)
-    edges = sorted(g.edges, key=lambda e: (e[0], e[1], names[e[2]]))
+    edges = sorted(edges, key=lambda e: (e[0], e[1], names[e[2]]))
     return _dot(g.root, names, nodes, edges)
 
 
-def export_product_dot(base: Digraph, hung: Digraph):
+def export_product_dot(base: _LineDawg, hung: _LineDawg):
     """export_dot(rooted_product(base, hung)), listed straight from the two
     graphs without building the product."""
     return _dot((base.root, hung.root), *_product_listing(base, hung))

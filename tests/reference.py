@@ -26,6 +26,11 @@ tests list whole root paths or name the right-special factor, so
 its first occurrence; the table of every factor's right extensions, read
 off the longer factors, which it replaced, stays here as its reference.
 
+The line DAWG is computed from its spine and shortcuts; a generic online
+suffix automaton checks it, and `adjacency` gives a hand-built Digraph
+the root and out-edges the walk reads.  `window_places` locates every
+window of a prefix by slicing every place, for the arithmetic locator.
+
 The enumerations return factor texts.  The grid-returning forms they
 replaced stay here as their differential references: `*_grids` gives
 each method's sorted grids, built the way the method built them before,
@@ -53,6 +58,7 @@ import argparse
 import functools
 import importlib
 import pkgutil
+from types import SimpleNamespace
 
 import fib2d
 from fib2d import cli, conjugacy, frames, oracle
@@ -144,9 +150,19 @@ def classify_frame(f) -> str:
     return _TYPES[t_special, l_special]
 
 
-def root_paths(g: Digraph, length: int) -> tuple[tuple[frozenset, ...], ...]:
+def root_paths(g, length: int) -> tuple[tuple[frozenset, ...], ...]:
     """Label sequences of all root paths with `length` edges, depth first."""
     return _walk(g, length, tuple)
+
+
+def adjacency(g: Digraph) -> SimpleNamespace:
+    """g's root and out(u), u's (target, label) pairs in the order added:
+    the two things the walk reads of a line DAWG, for a graph built by
+    hand."""
+    out = {}
+    for u, v, lab in g.edges:
+        out.setdefault(u, []).append((v, lab))
+    return SimpleNamespace(root=g.root, out=lambda u: out.get(u, []))
 
 
 def enumerate_dawg_per_pair(k: int, l: int):
@@ -158,6 +174,49 @@ def enumerate_dawg_per_pair(k: int, l: int):
                          for h in across for v in down}))
 
 
+def suffix_automaton(word: str) -> list[dict[str, int]]:
+    """The transitions of the suffix automaton of word, built online
+    (Blumer et al. 1985): state i < len(word) + 1 is the one made when
+    the i-th letter was read, and any clone comes after them."""
+    trans, link, depth, last = [{}], [-1], [0], 0
+    for ch in word:
+        cur = len(trans)
+        trans.append({})
+        link.append(0)
+        depth.append(depth[last] + 1)
+        p = last
+        while p != -1 and ch not in trans[p]:
+            trans[p][ch] = cur
+            p = link[p]
+        if p != -1:
+            q = trans[p][ch]
+            if depth[q] == depth[p] + 1:
+                link[cur] = q
+            else:
+                clone = len(trans)
+                trans.append(dict(trans[q]))
+                link.append(link[q])
+                depth.append(depth[p] + 1)
+                while p != -1 and trans[p].get(ch) == q:
+                    trans[p][ch] = clone
+                    p = link[p]
+                link[q] = link[cur] = clone
+        last = cur
+    return trans
+
+
+def window_places(k: int, l: int, R: int, C: int) -> dict:
+    """Each (k,l) window of the (R,C) prefix, as a grid -> all its 0-based
+    places, row-major ascending, by slicing every place."""
+    g = mu_prefix(R, C)
+    places = {}
+    for i in range(R - k + 1):
+        for j in range(C - l + 1):
+            w = tuple(row[j:j + l] for row in g[i:i + k])
+            places.setdefault(w, []).append((i, j))
+    return places
+
+
 def product_graph(base, hung):
     """The rooted product of base and hung, built edge by edge: a copy of
     hung at every node of base but its root, base edges between the copy
@@ -166,7 +225,7 @@ def product_graph(base, hung):
     g.nodes.update((u, hung.root) for u in base.nodes)
     for u, u2, lab in base.edges:
         g.add_edge((u, hung.root), (u2, hung.root), lab)
-    for u in base.nodes - {base.root}:
+    for u in set(base.nodes) - {base.root}:
         for v, v2, lab in hung.edges:
             g.add_edge((u, v), (u, v2), lab)
     return g

@@ -94,3 +94,14 @@ OCC_BLOCK_AXIS = (2, 7, 10, 15, 20)
 Z1_BELOW_6 = (0, 2, 3, 5)
 Z2_BELOW_12 = (0, 3, 5, 8, 11)
 Z4_BELOW_30 = (0, 8, 13, 21, 29)
+
+# sha256 of each group of test_golden.CATALOG's request records
+GOLDEN = {
+    "conjugates": "4ed5860c8fef07f5209b0b21f0d765852792dd91b6b2f76e079f29850d384d7c",
+    "dawg-dot": "f8d49af811f2dfd83e01eeeca5efe856fa79fe3629477886408ab614998ae0f0",
+    "enum": "73a924d0e367dbc59c69959a7887917853fdf88997ddac6c27473b356a6433c9",
+    "gen": "e6eab6604b3038f5dff06e0a7fb720cbfecdf300ed95725675ee9b73848548c9",
+    "locate": "ee5d214823d9a1dad77ece79578d2fed81148bbb9f9041ad72262759f5d87069",
+    "usage": "5af626349620c64dea9f836ba1b180c797f7a7a57909cebaab59fcc412489ecd",
+    "verify": "689f4fe372b088cfd85436ec2668d186c151bafc06e1bc5c37d5321b8268db71",
+}

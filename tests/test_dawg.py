@@ -10,9 +10,11 @@ import pytest
 
 from fib2d import cli, dawg, word1d
 from fib2d.errors import InconsistentJoint, InternalError
+from fib2d.word2d import COL_ALPHABETS, ROW_ALPHABETS
 
-from reference import (dot_graph, enumerate_dawg_per_pair, export_dot_text,
-                       product_graph, root_paths, texts)
+from reference import (adjacency, dot_graph, enumerate_dawg_per_pair,
+                       export_dot_text, product_graph, root_paths,
+                       suffix_automaton, texts)
 from tables import PATH_PAIRS_2_2, WORDS_1_1, WORDS_2_2, WORDS_3_3
 
 DB = frozenset("db")
@@ -35,7 +37,7 @@ def _spell(path, alphabet):
 def test_line_dawg_shape_for_max_len_2():
     g = dawg.build_line_dawg("rows", 2)
     assert g.root == 0
-    assert g.nodes == set(range(5))
+    assert set(g.nodes) == set(range(5))
     spine = word1d.fib_prefix("dc", 4)
     expected = [(i - 1, i, DB if spine[i - 1] == "d" else CA) for i in range(1, 5)]
     expected += [(0, 2, CA), (1, 4, DB)]
@@ -48,6 +50,35 @@ def test_line_dawg_orientation_classes():
     assert labels == {DC, BA}
     g = dawg.build_line_dawg("rows", 1)
     assert {lab for _, _, lab in g.edges} == {DB, CA}
+
+
+# every length to 300, and F12 numbers +-1 beyond it
+AUTOMATON_LENGTHS = [*range(1, 301), *(f + d for f in (377, 610, 987, 1597,
+                                                        2584, 4181)
+                                        for d in (-1, 0, 1))]
+
+
+def test_line_dawg_is_the_suffix_automaton_of_its_spine():
+    # the suffix automaton of the spine and two more letters clones no
+    # state, node i of the line DAWG is the state that reads the first i
+    # letters, and the edges are the transitions between states <= top
+    for length in AUTOMATON_LENGTHS:
+        graphs = [dawg.build_line_dawg(o, length) for o in ("rows", "cols")]
+        top = graphs[0].top
+        spine = word1d.fib_prefix("dc", top + 2)
+        trans = suffix_automaton(spine)
+        assert len(trans) == len(spine) + 1, length
+        state = 0
+        for i, ch in enumerate(spine[:top], 1):
+            state = trans[state][ch]
+            assert state == i, (length, i)
+        expected = sorted((s, t, ch) for s in range(top + 1)
+                          for ch, t in trans[s].items() if t <= top)
+        for g, (dominant, other) in zip(graphs, (COL_ALPHABETS,
+                                                 ROW_ALPHABETS)):
+            letter = {frozenset(dominant): "d", frozenset(other): "c"}
+            assert sorted((u, v, letter[lab])
+                          for u, v, lab in g.edges) == expected, length
 
 
 def test_line_dawg_rejects_bad_input():
@@ -136,8 +167,9 @@ def _expire(signum, frame):
 
 
 def test_root_paths_stop_on_single_edge_cycles():
-    # Digraph is public: a run of single edges may close a cycle, and the
-    # walk must still stop at `length`; dead ends give no path
+    # the walk reads any graph's out-edges: a run of single edges may close
+    # a cycle, and the walk must still stop at `length`; dead ends give no
+    # path
     loop = dawg.Digraph(0)
     loop.add_edge(0, 0, "a")
     g = dawg.Digraph(0)
@@ -147,6 +179,7 @@ def test_root_paths_stop_on_single_edge_cycles():
     g.add_edge(2, 1, "d")
     g.add_edge(0, 3, "c")  # dead-end branch
     g.add_edge(3, 4, "a")
+    loop, g = adjacency(loop), adjacency(g)
     A, B, C, D = (frozenset(ch) for ch in "abcd")
     previous = signal.signal(signal.SIGALRM, _expire)
     signal.alarm(3)
@@ -185,6 +218,7 @@ def test_deep_paths_need_no_recursion(capsys):
 def _product_path_pairs(prod, base_len, hung_len):
     # (base labels, hung labels) of every root path of the rooted product
     # that takes base_len base edges, then hung_len edges inside one copy
+    prod = adjacency(prod)
     out = []
     stack = [(prod.root, ())]
     while stack:
@@ -209,7 +243,7 @@ def test_rooted_product_counts_and_containment():
     assert len(prod.edges) == len(g1.edges) + (len(g1.nodes) - 1) * len(g2.edges)
     across = {((u, g2.root), (u2, g2.root), lab) for u, u2, lab in g1.edges}
     down = {((u, v), (u, v2), lab)
-            for u in g1.nodes - {g1.root} for v, v2, lab in g2.edges}
+            for u in set(g1.nodes) - {g1.root} for v, v2, lab in g2.edges}
     assert set(prod.edges) == across | down
 
 
@@ -367,15 +401,3 @@ def test_export_dot_fails_before_its_first_line():
     g.add_edge(0, "x", "d")
     with pytest.raises(TypeError):
         next(dawg.export_dot(g))
-
-
-def test_out_catches_up_with_edges_added_after_it():
-    g = dawg.Digraph(0)
-    assert g.out(0) == []
-    g.add_edge(0, 1, "d")
-    assert g.out(0) == [(1, frozenset("d"))]
-    g.add_edge(0, 2, "cd")
-    g.add_edge(2, 0, "a")
-    assert g.out(0) == [(1, frozenset("d")), (2, frozenset("cd"))]
-    assert g.out(2) == [(0, frozenset("a"))]
-    assert g.out(1) == []

@@ -7,6 +7,7 @@ import pytest
 from fib2d import locator, oracle, word2d
 from fib2d.errors import NotAFactor
 
+from reference import window_places
 from tables import OCC_BLOCK, OCC_BLOCK_AXIS, WORDS_2_2, WORDS_3_3
 
 
@@ -45,3 +46,21 @@ def test_occ2d_matches_window_scan():
 def test_first_occ2d_matches_window_scan():
     for w in WORDS_3_3:
         assert locator.first_occ2d(w) == oracle.oracle_occurrences(w, 40, 40)[0]
+
+
+# every size to (12,12), and the thin sizes to 30
+EVERY_FACTOR_SIZES = sorted({(k, l) for k in range(1, 13) for l in range(1, 13)}
+                            | {(n, 1) for n in range(1, 31)}
+                            | {(1, n) for n in range(1, 31)})
+
+
+@pytest.mark.parametrize("k, l", EVERY_FACTOR_SIZES)
+def test_locate_every_factor_against_a_scan(k, l):
+    # every factor occurs in the prefix that holds them all, and each of
+    # its places there is a product pair, found by slicing every place
+    R, C = oracle.sufficient_bounds(k, l)
+    places = window_places(k, l, R, C)
+    for text in oracle.stream_subwords(k, l, R, C):
+        w = word2d.parse_text(text)
+        assert locator.occ2d(w, R - k + 1, C - l + 1) == tuple(places[w])
+        assert locator.first_occ2d(w) == places[w][0]

@@ -194,13 +194,13 @@ def test_enum_holds_names_not_text(monkeypatch, method, k, l, bound):
 
 
 def test_dawg_dot_product_holds_graph_not_text(monkeypatch):
-    # measured peak, Python 3.11: 3.3 MB, the product's 8 931 nodes and
-    # 9 690 edges and their sorted lists; with the adjacency and the whole
-    # text it took 7.2 MB
-    def walked(self, u):
-        raise AssertionError("the product was walked")
+    # the product is listed from the two line DAWGs, never built: building
+    # its 8 931 nodes and 9 690 edges and sorting them took 3.3 MB, and
+    # with its adjacency and the whole text 7.2 MB
+    def built(self, u, v, label):
+        raise AssertionError("the product was built")
 
-    monkeypatch.setattr(dawg.Digraph, "out", walked)
+    monkeypatch.setattr(dawg.Digraph, "add_edge", built)
     code, chars, peak = traced_peak(monkeypatch, "dawg-dot", "--orientation",
                                     "product", "--max-len", "40")
     monkeypatch.undo()
@@ -211,14 +211,17 @@ def test_dawg_dot_product_holds_graph_not_text(monkeypatch):
 
 
 def test_dawg_dot_product_holds_neither_product_nor_text(monkeypatch):
-    # measured peak, Python 3.11: 0.09 MB, the two line DAWGs and the sorted
-    # out-edges of one node; building the product and sorting its 8 931
+    # measured peak, Python 3.11: 0.011 MB in a fresh process and up to
+    # 0.015 MB here, the two line DAWGs' spines and shortcuts and the hung
+    # one's out-edges, and the bound sits ~15% above the second; with both
+    # line DAWGs' edges, node sets and adjacencies stored it was 0.077 MB
+    # (0.058-0.073 here), and building the product and sorting its 8 931
     # nodes and 9 690 edges took 3.2 MB
     code, chars, peak = traced_peak(monkeypatch, "dawg-dot", "--orientation",
                                     "product", "--max-len", "40")
     assert (code, chars) == (0, len(export_dot_text(dot_graph("product",
                                                               40))))
-    assert peak < 500_000
+    assert peak < 17_000
 
 
 def test_gen1d_holds_one_piece(monkeypatch):
@@ -284,12 +287,19 @@ def test_enum_holds_blocks_not_texts(monkeypatch, method, k, bound):
 # peak and below its old one, but dawg's (100,100) and extend's (1100,2)
 # sit 11% and 13% above, and dawg's (1,500) and extend's (2,1100) are not
 # below: dawg's peak at (1,n) is now its line DAWG walk's, and extend's
-# at (1100,2) and (2,1100) its last diagonal step's
+# at (1100,2) and (2,1100) its last diagonal step's.  Once the line DAWG
+# was computed from its spine and shortcuts, not stored with its edges,
+# node set and adjacency, dawg read 2.23 -> 1.39 MB at (1100,1), 2.23 ->
+# 1.32 MB at (1,1100), 2.23 -> 1.40 MB at (1100,2), 2.23 -> 1.32 MB at
+# (2,1100), 0.65 -> 0.33 MB at (500,1) and (1,500) and 0.148 -> 0.128 MB
+# at (100,100).  Each dawg pin sits ~15% above its new peak and fails at
+# the old code but (100,100)'s: here, after the tests before it, both
+# read 0.125-0.128 MB there, and only a fresh process shows the gain
 FRAME_PEAK_PINS = {
-    ("dawg", 1100, 1): 2_570_000, ("dawg", 1100, 2): 2_570_000,
-    ("dawg", 1, 1100): 2_570_000, ("dawg", 2, 1100): 2_570_000,
-    ("dawg", 500, 1): 745_000, ("dawg", 1, 500): 745_000,
-    ("dawg", 100, 100): 165_000,
+    ("dawg", 1100, 1): 1_600_000, ("dawg", 1100, 2): 1_610_000,
+    ("dawg", 1, 1100): 1_520_000, ("dawg", 2, 1100): 1_520_000,
+    ("dawg", 500, 1): 378_000, ("dawg", 1, 500): 373_000,
+    ("dawg", 100, 100): 147_000,
     ("extend", 1100, 1): 1_600_000, ("extend", 1100, 2): 2_900_000,
     ("extend", 1, 1100): 1_530_000, ("extend", 2, 1100): 2_980_000,
     ("extend", 100, 100): 154_000,
@@ -351,7 +361,9 @@ def test_verify_holds_only_the_truth(monkeypatch):
 # grew one list of tops and one of sides, not four corner-letter blocks,
 # they read 6.7 and 6.1 MB.  Once stream_fills held no swapped copies and
 # the window reader dropped its keys and lanes' names early, they read
-# 4.2 and 4.3 MB, and every pin sits ~15% above its peak
+# 4.2 and 4.3 MB, and every pin sits ~15% above its peak.  Once the line
+# DAWG was computed, not stored, they read 4.0 and 4.0 MB, and (100,100)
+# 4.6 MB, too close to the old peaks for a pin ~15% above to fail there
 VERIFY_PEAK_PINS = {(100, 100): 5_400_000, (1100, 2): 4_900_000,
                     (2, 1100): 4_900_000}
 
