@@ -9,7 +9,7 @@ brute-force oracle that cross-checks everything.
 from .conjugacy import (conjugacy_class, enumerate_conjugation,
                         enumerate_prefix_conjugates, rotate2d,
                         special_conjugate2d)
-from .dawg import (Digraph, build_line_dawg, enumerate_dawg, export_dot,
+from .dawg import (build_line_dawg, enumerate_dawg, export_dot,
                    rooted_product, subword_from_path)
 from .errors import (BadBounds, EmptyWord, Fib2DError, IncompleteInput,
                      InconsistentJoint, InternalError, NotAFactor,

@@ -10,19 +10,22 @@ hung copy is the same graph, so those paths are the pairs of an across root
 path and a down root path: enumeration walks the two line DAWGs and pairs
 their paths.  The product is only displayed: `dawg-dot` lists its nodes
 and edges in DOT order straight from the two line DAWGs, and
-rooted_product builds a graph from that same listing.  Each path is
-spelled once, across paths over dc and down paths over db.  The frame
-family's reader, word2d.stream_fills, adds their swaps, pairs each top
-with the sides that start with its last letter, the corner letter, and
-cuts each text from its top's lane, whose last column is checked, as a
-stream in sorted order, so only the paths, a lane and a text are held,
-and a caller writes nothing before the first text exists.
+rooted_product collects that same listing.  Each path is spelled once,
+across paths over dc and down paths over db.  The frame family's reader,
+word2d.stream_fills, adds their swaps, pairs each top with the sides
+that start with its last letter, the corner letter, and cuts each text
+from its top's lane, whose last column is checked, as a stream in sorted
+order, so only the paths, a lane and a text are held, and a caller
+writes nothing before the first text exists.
 
 A line DAWG is its spine and O(log L) shortcuts (Blumer et al., TCS 1985;
-Rytter, TCS 2006), so it is computed from them, not stored (_LineDawg).
+Rytter, TCS 2006), so it is computed from them, not stored (_LineDawg),
+and its DOT text is read off its out-edges in order: no graph is stored.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 from .errors import InconsistentJoint, InternalError
 from .word1d import fib, fib_index, fib_prefix
@@ -38,21 +41,6 @@ _LETTER = {alph: {lab: "".join(lab & set(alph))
                   for lab in map(frozenset, ROW_ALPHABETS + COL_ALPHABETS)
                   if len(lab & set(alph)) == 1}
            for alph in ("dc", "db")}
-
-
-class Digraph:
-    """Rooted digraph with frozenset edge labels and hashable node ids: the
-    rooted product, as rooted_product builds it."""
-
-    def __init__(self, root):
-        self.root = root
-        self.nodes = {root}
-        self.edges = []
-
-    def add_edge(self, u, v, label) -> None:
-        self.nodes.add(u)
-        self.nodes.add(v)
-        self.edges.append((u, v, frozenset(label)))
 
 
 # -------------------------------------------------------------- line DAWG --
@@ -74,11 +62,6 @@ class _LineDawg:
         spine = [] if i >= self.top else [
             (i + 1, self.classes[self._spine[i] == "c"])]
         return spine + self._shortcuts.get(i, [])
-
-    @property
-    def edges(self) -> list:
-        """Every (source, target, label), node by node, in out's order."""
-        return [(i, v, lab) for i in self.nodes for v, lab in self.out(i)]
 
 
 def build_line_dawg(orientation: str, max_len: int) -> _LineDawg:
@@ -149,7 +132,7 @@ def _walk(g: _LineDawg, length: int, spell) -> tuple:
 def _product_listing(base: _LineDawg, hung: _LineDawg):
     """(names, nodes, edges) of the rooted product of base and hung: the
     DOT text of each class, and the nodes and the edges, each an iterator
-    in export_dot's order, listed from the two line DAWGs alone.
+    in the DOT text's order, listed from the two line DAWGs alone.
 
     A copy of `hung` hangs at every node of `base` but its root.  Base
     edges run between the copy roots; within a copy only hung edges exist,
@@ -181,15 +164,13 @@ def _product_listing(base: _LineDawg, hung: _LineDawg):
     return names, nodes(), edges()
 
 
-def rooted_product(base: _LineDawg, hung: _LineDawg) -> Digraph:
-    """Hang a copy of `hung` at every node of `base` but its root, as
-    _product_listing lists it."""
-    g = Digraph((base.root, hung.root))
+def rooted_product(base: _LineDawg, hung: _LineDawg) -> SimpleNamespace:
+    """Hang a copy of `hung` at every node of `base` but its root: the
+    root, the set of nodes and the list of (source, target, label) edges,
+    as _product_listing lists them."""
     _, nodes, edges = _product_listing(base, hung)
-    g.nodes.update(nodes)
-    for u, v, lab in edges:
-        g.add_edge(u, v, lab)
-    return g
+    return SimpleNamespace(root=(base.root, hung.root), nodes=set(nodes),
+                           edges=list(edges))
 
 
 # ------------------------------------------------------- path to subword --
@@ -312,23 +293,16 @@ def _dot(root, names, nodes, edges):
     yield "}\n"
 
 
-def export_dot(g):
-    """Deterministic DOT text of a line DAWG or a Digraph, yielded line by
-    line, each line ending in a newline; nodes and edges sorted, class
-    labels comma joined, dominant first.
-
-    The nodes and edges are sorted before the generator is returned, so
-    whatever fails does so before a caller writes a byte; each distinct
-    label is formatted once.
-    """
-    edges = g.edges
-    names = _names(lab for _, _, lab in edges)
-    nodes = sorted(g.nodes)
-    edges = sorted(edges, key=lambda e: (e[0], e[1], names[e[2]]))
-    return _dot(g.root, names, nodes, edges)
+def export_dot(g: _LineDawg):
+    """Deterministic DOT text of a line DAWG, yielded line by line, each
+    line ending in a newline; class labels comma joined, dominant first.
+    The nodes are 0..top, and every edge runs to a higher node, out's spine
+    edge first, so out lists the edges in order and none is held."""
+    return _dot(g.root, _names(g.classes), g.nodes,
+                ((u, v, lab) for u in g.nodes for v, lab in g.out(u)))
 
 
 def export_product_dot(base: _LineDawg, hung: _LineDawg):
-    """export_dot(rooted_product(base, hung)), listed straight from the two
+    """DOT text of rooted_product(base, hung), listed straight from the two
     graphs without building the product."""
     return _dot((base.root, hung.root), *_product_listing(base, hung))

@@ -72,8 +72,8 @@ def extensions_of(f: FrameTL) -> tuple[FrameTL, ...]:
         raise InconsistentJoint(
             f"frames start with {frame_t[0]!r} and {frame_l[0]!r}, "
             f"joint {s!r}")
-    tops = _extend_block((frame_t,), row_alphabet_of(s))
-    sides = _extend_block((frame_l,), col_alphabet_of(s))
+    tops = _extend_block([frame_t], row_alphabet_of(s))
+    sides = _extend_block([frame_l], col_alphabet_of(s))
     return tuple([FrameTL(t, l, s) for t in tops for l in sides])
 
 
@@ -110,7 +110,8 @@ def stream_extension(k: int, l: int):
     first letter, each pair the frame of one subword.  With m = min(k,l),
     the lists start from the complete one-line class (k-m+1, l-m+1), whose
     words are the 1D factors of length |k-l|+1 and single letters.  Each
-    of the m-1 diagonal steps grows every word of both lists once.
+    of the m-1 diagonal steps grows every word of both lists once, in
+    place, so one list of each is held, not two.
     word2d.count_law checks the distinct pairs of every size on the way,
     before the first text; stream_fills then cuts each pair of the final
     lists into its text, in sorted order, from its top's lane.
@@ -118,7 +119,8 @@ def stream_extension(k: int, l: int):
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
     m = min(k, l)
-    tops, sides = factors1d(l - m + 1, "dc"), factors1d(k - m + 1, "db")
+    tops = list(factors1d(l - m + 1, "dc"))
+    sides = list(factors1d(k - m + 1, "db"))
     for a, b in zip(range(k - m + 1, k + 1), range(l - m + 1, l + 1)):
         count_law(len(set(tops)) * len(set(sides)), a, b, "extension")
         if a < k:

@@ -187,24 +187,27 @@ def factors1d(k: int, alphabet) -> tuple[str, ...]:
     return tuple(sorted(seen, reverse=first > second))
 
 
-def _extend_block(words, alphabet) -> list[str]:
+def _extend_block(words: list, alphabet) -> list[str]:
     """u + x for each word u, all of one length k, and each x with u + x a
     factor: both letters for the reversed length-k prefix, else the letter
-    after u's first occurrence in factor_prefix."""
+    after u's first occurrence in factor_prefix.  The list `words` is
+    consumed, last word first, so each word is dropped as it grows."""
     first, second = _pair(alphabet)
     k = len(words[0])
     p = factor_prefix(alphabet, k)
     special, out = p[:k][::-1], []
-    for u in words:
+    while words:
+        u = words.pop()
         i = p.find(u)
         if u == special:
-            out += (u + first, u + second)
+            out += (u + second, u + first)
         elif i < 0:
             raise NotAFactor(f"{u!r} does not occur in the infinite word")
         elif i + k >= len(p):
             raise InternalError(f"{u!r} ends the first {len(p)} letters")
         else:
             out.append(u + p[i + k])
+    out.reverse()
     return out
 
 

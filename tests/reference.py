@@ -8,7 +8,9 @@ enumeration replaced, stays here as its differential reference.
 The DOT export yields its text line by line; the whole-string formatter it
 replaced stays here as its differential reference.  The rooted product is
 listed in DOT order straight from the two line DAWGs; the edge-list
-construction it replaced stays here as its differential reference.
+construction it replaced, a stored `Digraph`, stays here as its
+differential reference.  Only the tests list a line DAWG's edges whole,
+so `edges` lives here.
 
 The 1D factor tables sort by a translated 0/1 key, grids check their
 letters with one translate per row, and the command line is read from one
@@ -30,6 +32,8 @@ The line DAWG is computed from its spine and shortcuts; a generic online
 suffix automaton checks it, and `adjacency` gives a hand-built Digraph
 the root and out-edges the walk reads.  `window_places` locates every
 window of a prefix by slicing every place, for the arithmetic locator.
+Memory pins that must read the same in any test order measure one
+request in a fresh interpreter (`fresh_peak`).
 
 The enumerations return factor texts.  The grid-returning forms they
 replaced stay here as their differential references: `*_grids` gives
@@ -57,12 +61,15 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import fib2d
 from fib2d import cli, conjugacy, frames, oracle
-from fib2d.dawg import (_LETTER, Digraph, _fmt_node, _walk, build_line_dawg,
+from fib2d.dawg import (_LETTER, _fmt_node, _walk, build_line_dawg,
                         subword_from_path)
 from fib2d.errors import InternalError, NotAFactor, ShapeMismatch
 from fib2d.word1d import LETTERS, _pair, factors1d, fib_prefix, truncated
@@ -150,6 +157,27 @@ def classify_frame(f) -> str:
     return _TYPES[t_special, l_special]
 
 
+class Digraph:
+    """Rooted digraph with frozenset edge labels and hashable node ids,
+    stored edge by edge."""
+
+    def __init__(self, root):
+        self.root = root
+        self.nodes = {root}
+        self.edges = []
+
+    def add_edge(self, u, v, label) -> None:
+        self.nodes.add(u)
+        self.nodes.add(v)
+        self.edges.append((u, v, frozenset(label)))
+
+
+def edges(g) -> list:
+    """Every (source, target, label) of the line DAWG g, node by node, in
+    out's order."""
+    return [(u, v, lab) for u in g.nodes for v, lab in g.out(u)]
+
+
 def root_paths(g, length: int) -> tuple[tuple[frozenset, ...], ...]:
     """Label sequences of all root paths with `length` edges, depth first."""
     return _walk(g, length, tuple)
@@ -223,27 +251,33 @@ def product_graph(base, hung):
     roots."""
     g = Digraph((base.root, hung.root))
     g.nodes.update((u, hung.root) for u in base.nodes)
-    for u, u2, lab in base.edges:
+    for u, u2, lab in edges(base):
         g.add_edge((u, hung.root), (u2, hung.root), lab)
+    hung_edges = edges(hung)
     for u in set(base.nodes) - {base.root}:
-        for v, v2, lab in hung.edges:
+        for v, v2, lab in hung_edges:
             g.add_edge((u, v), (u, v2), lab)
     return g
 
 
-def dot_graph(orientation: str, max_len: int):
-    """The graph `dawg-dot --orientation` prints."""
+def dot_graph(orientation: str, max_len: int) -> Digraph:
+    """The graph `dawg-dot --orientation` prints, stored edge by edge."""
     if orientation == "product":
         return product_graph(build_line_dawg("rows", max_len),
                              build_line_dawg("cols", max_len))
-    return build_line_dawg(orientation, max_len)
+    line = build_line_dawg(orientation, max_len)
+    g = Digraph(line.root)
+    g.nodes.update(line.nodes)
+    for u, v, lab in edges(line):
+        g.add_edge(u, v, lab)
+    return g
 
 
 def _fmt_label(lab) -> str:
     return ",".join(sorted(lab, reverse=True))
 
 
-def export_dot_text(g) -> str:
+def export_dot_text(g: Digraph) -> str:
     """Deterministic DOT text of g as one string, each label formatted per
     edge."""
     lines = ["digraph {", "  rankdir=LR;"]
@@ -254,6 +288,49 @@ def export_dot_text(g) -> str:
         lines.append(f'  "{_fmt_node(u)}" -> "{_fmt_node(v)}" [label="{_fmt_label(lab)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+# ----------------------------------------------------------------- memory --
+
+_FRESH_PEAK = """\
+import sys, tracemalloc
+from fib2d import cli
+
+class Count:
+    chars = 0
+
+    def write(self, s):
+        Count.chars += len(s)
+        return len(s)
+
+    def flush(self):
+        pass
+
+out, sys.stdout = sys.stdout, Count()
+tracemalloc.start()
+code = cli.main(sys.argv[1:])
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+out.write(f"{code} {Count.chars} {peak}")
+"""
+
+
+def fresh_peak(*argv) -> tuple[int, int, int]:
+    """(exit code, characters written, tracemalloc peak in bytes) of one
+    cli.main request run in a fresh interpreter, its stdout only counted.
+
+    A peak traced in the test process also reads what earlier tests left
+    behind, and so depends on which tests ran before it; a fresh
+    interpreter holds only the imported package."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(fib2d.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_PEAK, *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    if proc.returncode:
+        raise AssertionError(f"fresh interpreter failed: {proc.stderr}")
+    code, chars, peak = map(int, proc.stdout.split())
+    return code, chars, peak
 
 
 # ------------------------------------------------------ replaced checks --

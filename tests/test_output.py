@@ -20,7 +20,8 @@ import pytest
 import fib2d
 from fib2d import cli, conjugacy, dawg, word1d, word2d
 
-from reference import conjugacy_class_rotations, dot_graph, export_dot_text
+from reference import (conjugacy_class_rotations, dot_graph, export_dot_text,
+                       fresh_peak)
 
 ENV = dict(os.environ,
            PYTHONPATH=os.path.dirname(os.path.dirname(fib2d.__file__)))
@@ -197,10 +198,10 @@ def test_dawg_dot_product_holds_graph_not_text(monkeypatch):
     # the product is listed from the two line DAWGs, never built: building
     # its 8 931 nodes and 9 690 edges and sorting them took 3.3 MB, and
     # with its adjacency and the whole text 7.2 MB
-    def built(self, u, v, label):
+    def built(base, hung):
         raise AssertionError("the product was built")
 
-    monkeypatch.setattr(dawg.Digraph, "add_edge", built)
+    monkeypatch.setattr(dawg, "rooted_product", built)
     code, chars, peak = traced_peak(monkeypatch, "dawg-dot", "--orientation",
                                     "product", "--max-len", "40")
     monkeypatch.undo()
@@ -222,6 +223,19 @@ def test_dawg_dot_product_holds_neither_product_nor_text(monkeypatch):
     assert (code, chars) == (0, len(export_dot_text(dot_graph("product",
                                                               40))))
     assert peak < 17_000
+
+
+def test_line_dawg_dot_holds_no_edge_list():
+    # measured peak in a fresh interpreter, Python 3.11: 0.64 MB at
+    # --max-len 100 000 (17.5 MB max RSS), reached while the line DAWG's
+    # spine is built, and the listing adds nothing to it.  Listing every
+    # edge and sorting the nodes and the edges took 57.3 MB (69.3 MB max
+    # RSS).  The pin sits ~15% above.  cols differs only in its two
+    # classes, so only rows is pinned: a run takes ~3 s under tracemalloc
+    code, chars, peak = fresh_peak("dawg-dot", "--orientation", "rows",
+                                   "--max-len", "100000")
+    assert (code, chars) == (0, 14_057_995)
+    assert peak < 740_000
 
 
 def test_gen1d_holds_one_piece(monkeypatch):
@@ -294,22 +308,40 @@ def test_enum_holds_blocks_not_texts(monkeypatch, method, k, bound):
 # (2,1100), 0.65 -> 0.33 MB at (500,1) and (1,500) and 0.148 -> 0.128 MB
 # at (100,100).  Each dawg pin sits ~15% above its new peak and fails at
 # the old code but (100,100)'s: here, after the tests before it, both
-# read 0.125-0.128 MB there, and only a fresh process shows the gain
+# read 0.125-0.128 MB there, and only a fresh process shows the gain.
+# Once extend's block step dropped each word as it grew, extend read
+# 2.56 -> 1.40 MB at (1100,2) and 2.56 -> 1.33 MB at (2,1100), its last
+# diagonal step holding one list, not two; these two pins sit ~15% above
+# and are measured in a fresh interpreter (FRESH_PINS)
 FRAME_PEAK_PINS = {
     ("dawg", 1100, 1): 1_600_000, ("dawg", 1100, 2): 1_610_000,
     ("dawg", 1, 1100): 1_520_000, ("dawg", 2, 1100): 1_520_000,
     ("dawg", 500, 1): 378_000, ("dawg", 1, 500): 373_000,
     ("dawg", 100, 100): 147_000,
-    ("extend", 1100, 1): 1_600_000, ("extend", 1100, 2): 2_900_000,
-    ("extend", 1, 1100): 1_530_000, ("extend", 2, 1100): 2_980_000,
+    ("extend", 1100, 1): 1_600_000, ("extend", 1100, 2): 1_610_000,
+    ("extend", 1, 1100): 1_530_000, ("extend", 2, 1100): 1_530_000,
     ("extend", 100, 100): 154_000,
 }
+
+# the pins measured by reference.fresh_peak, which reads the same in any
+# test order; the others are traced in this process
+FRESH_PINS = {("extend", 1100, 2), ("extend", 2, 1100), ("verify", 1100, 2),
+              ("verify", 2, 1100)}
+
+
+def peak_of(monkeypatch, pin, *argv):
+    """(exit code, characters written, peak) of the request argv, traced
+    as the pin named `pin` is."""
+    if pin in FRESH_PINS:
+        return fresh_peak(*argv)
+    return traced_peak(monkeypatch, *argv)
 
 
 @pytest.mark.parametrize("method, k, l", sorted(FRAME_PEAK_PINS))
 def test_enum_holds_one_lane_not_texts(monkeypatch, method, k, l):
-    code, chars, peak = traced_peak(monkeypatch, "enum", "--method", method,
-                                    "--k", str(k), "--l", str(l))
+    code, chars, peak = peak_of(monkeypatch, (method, k, l), "enum",
+                                "--method", method, "--k", str(k),
+                                "--l", str(l))
     n = (k + 1) * (l + 1)
     assert (code, chars) == (0, n * k * (l + 1) + n - 1)
     assert peak < FRAME_PEAK_PINS[method, k, l]
@@ -363,17 +395,21 @@ def test_verify_holds_only_the_truth(monkeypatch):
 # the window reader dropped its keys and lanes' names early, they read
 # 4.2 and 4.3 MB, and every pin sits ~15% above its peak.  Once the line
 # DAWG was computed, not stored, they read 4.0 and 4.0 MB, and (100,100)
-# 4.6 MB, too close to the old peaks for a pin ~15% above to fail there
-VERIFY_PEAK_PINS = {(100, 100): 5_400_000, (1100, 2): 4_900_000,
-                    (2, 1100): 4_900_000}
+# 4.6 MB, too close to the old peaks for a pin ~15% above to fail there.
+# Once extend's block step dropped each word as it grew, (1100,2) and
+# (2,1100) read 4.01 -> 3.70 and 4.03 -> 3.76 MB in a fresh interpreter,
+# the same under every hash seed tried; those two pins are measured there
+# (FRESH_PINS) and sit between the two peaks, 4% and 3.7% above the new
+VERIFY_PEAK_PINS = {(100, 100): 5_400_000, (1100, 2): 3_850_000,
+                    (2, 1100): 3_900_000}
 
 
 @pytest.mark.parametrize("k, l, ceiling", [(100, 100, 25_000_000),
                                            (1100, 2, 45_000_000),
                                            (2, 1100, 32_000_000)])
 def test_verify_holds_no_output(monkeypatch, k, l, ceiling):
-    code, chars, peak = traced_peak(monkeypatch, "verify", "--k", str(k),
-                                    "--l", str(l))
+    code, chars, peak = peak_of(monkeypatch, ("verify", k, l), "verify",
+                                "--k", str(k), "--l", str(l))
     assert code == 0 and chars > 0
     assert peak < VERIFY_PEAK_PINS[k, l] <= ceiling
 

@@ -391,15 +391,17 @@ def test_block_step_matches_right_table():
             table = right_table(k, alphabet)
             assert sorted(table) == sorted(factors), (alphabet, k)
             assert exts == tuple(map(table.get, factors)), (alphabet, k)
-            assert word1d._extend_block(factors, alphabet) == [
+            assert word1d._extend_block(list(factors), alphabet) == [
                 u + x for u in factors for x in table[u]], (alphabet, k)
 
 
 def test_block_step_edge_cases(monkeypatch):
-    assert word1d._extend_block(("abab",), ("a", "b")) == ["ababa"]
+    assert word1d._extend_block(["abab"], ("a", "b")) == ["ababa"]
     assert word1d._extend_block(["abab"], "ab") == ["ababa"]
-    assert word1d._extend_block(["aba", "bab"], "ab") == ["abaa", "abab",
-                                                          "baba"]
+    # the block is consumed as it grows
+    words = ["aba", "bab"]
+    assert word1d._extend_block(words, "ab") == ["abaa", "abab", "baba"]
+    assert words == []
     # a non-factor in the middle of a block, and a letter off the alphabet
     with pytest.raises(NotAFactor, match="'bb'"):
         word1d._extend_block(["ab", "bb", "ba"], "ab")
@@ -438,7 +440,7 @@ def test_block_step_commutes_with_the_swaps(line, k, data):
     block = data.draw(st.lists(st.sampled_from(word1d.factors1d(k, first)),
                                min_size=1, max_size=2 * k + 2))
     assert word1d._extend_block(list(map(swap, block)), second) == list(
-        map(swap, word1d._extend_block(block, first)))
+        map(swap, word1d._extend_block(list(block), first)))
 
 
 def test_special_factor_is_reversed_prefix():
