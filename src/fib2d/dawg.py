@@ -8,14 +8,14 @@ the column DAWG at every node of the row DAWG gives a graph whose root paths
 of shape (l across, then k down) are exactly the size-(k,l) subwords.  Every
 hung copy is the same graph, so those paths are the pairs of an across root
 path and a down root path: enumeration walks the two line DAWGs and pairs
-their paths.  The product is only displayed: `dawg-dot` lists its nodes
-and edges in DOT order straight from the two line DAWGs, and
-rooted_product collects that same listing.  Each path is spelled once,
-across paths over dc and down paths over db.  The frame family's reader,
-word2d.stream_fills, adds their swaps, pairs each top with the sides
-that start with its last letter, the corner letter, and cuts each text
-from its top's lane, whose last column is checked, as a stream in sorted
-order, so only the paths, a lane and a text are held, and a caller
+their paths.  The product is only displayed: `dawg-dot` writes each hung
+copy from one template, which it formats once, and rooted_product builds
+its nodes and edges straight from the two line DAWGs.  Each path is spelled
+once, across paths over dc and down paths over db.  The frame family's
+reader, word2d.stream_fills, adds their swaps, pairs each top with the
+sides that start with its last letter, the corner letter, and cuts each
+text from its top's lane, whose last column is checked, as a stream in
+sorted order, so only the paths, a lane and a text are held, and a caller
 writes nothing before the first text exists.
 
 A line DAWG is its spine and O(log L) shortcuts (Blumer et al., TCS 1985;
@@ -25,6 +25,7 @@ and its DOT text is read off its out-edges in order: no graph is stored.
 
 from __future__ import annotations
 
+from itertools import islice
 from types import SimpleNamespace
 
 from .errors import InconsistentJoint, InternalError
@@ -127,52 +128,6 @@ def _walk(g: _LineDawg, length: int, spell) -> tuple:
     return tuple(out)
 
 
-# ----------------------------------------------------------------- product --
-
-def _product_listing(base: _LineDawg, hung: _LineDawg):
-    """(names, nodes, edges) of the rooted product of base and hung: the
-    DOT text of each class, and the nodes and the edges, each an iterator
-    in the DOT text's order, listed from the two line DAWGs alone.
-
-    A copy of `hung` hangs at every node of `base` but its root.  Base
-    edges run between the copy roots; within a copy only hung edges exist,
-    so root paths take all their base steps first.  No root path of
-    positive base length enters a copy at the base root, so none is hung
-    there.  Node (u, v) is node v of the copy at u, so the nodes come copy
-    by copy.  Every edge of a line DAWG runs to a higher node, and out
-    lists a node's edges by target, so the edges of (u, v) within its copy
-    come first and those to the copy roots (u2, 0), u2 > u, after them.
-    """
-    names = _names([*base.classes, *hung.classes])
-    r = hung.root
-    down = [hung.out(v) for v in hung.nodes]
-
-    def nodes():
-        for u in base.nodes:
-            for v in ((r,) if u == base.root else hung.nodes):
-                yield u, v
-
-    def edges():
-        for u, v in nodes():
-            if u != base.root:
-                for v2, lab in down[v]:
-                    yield (u, v), (u, v2), lab
-            if v == r:
-                for u2, lab in base.out(u):
-                    yield (u, v), (u2, r), lab
-
-    return names, nodes(), edges()
-
-
-def rooted_product(base: _LineDawg, hung: _LineDawg) -> SimpleNamespace:
-    """Hang a copy of `hung` at every node of `base` but its root: the
-    root, the set of nodes and the list of (source, target, label) edges,
-    as _product_listing lists them."""
-    _, nodes, edges = _product_listing(base, hung)
-    return SimpleNamespace(root=(base.root, hung.root), nodes=set(nodes),
-                           edges=list(edges))
-
-
 # ------------------------------------------------------- path to subword --
 
 def _label(x) -> frozenset:
@@ -266,12 +221,10 @@ def enumerate_dawg(k: int, l: int) -> tuple[str, ...]:
     return tuple(stream_dawg(k, l))
 
 
-# ----------------------------------------------------------------- export --
+# ------------------------------------------------------ product and export --
 
-def _fmt_node(v) -> str:
-    if isinstance(v, tuple):
-        return f"({v[0]},{v[1]})"
-    return str(v)
+_BLOCK = 16  # lines of a hung copy's DOT text per piece
+_HOLE = "#"  # a copy's base node in its template; no DOT text holds it
 
 
 def _names(labels) -> dict:
@@ -280,29 +233,75 @@ def _names(labels) -> dict:
     return {lab: ",".join(sorted(lab, reverse=True)) for lab in set(labels)}
 
 
-def _dot(root, names, nodes, edges):
-    """DOT text, line by line, of nodes and edges already in order, with
-    the label texts `names`."""
-    yield "digraph {\n"
-    yield "  rankdir=LR;\n"
-    for v in nodes:
-        shape = "doublecircle" if v == root else "circle"
-        yield f'  "{_fmt_node(v)}" [shape={shape}];\n'
-    for u, v, lab in edges:
-        yield f'  "{_fmt_node(u)}" -> "{_fmt_node(v)}" [label="{names[lab]}"];\n'
-    yield "}\n"
-
-
 def export_dot(g: _LineDawg):
     """Deterministic DOT text of a line DAWG, yielded line by line, each
     line ending in a newline; class labels comma joined, dominant first.
     The nodes are 0..top, and every edge runs to a higher node, out's spine
     edge first, so out lists the edges in order and none is held."""
-    return _dot(g.root, _names(g.classes), g.nodes,
-                ((u, v, lab) for u in g.nodes for v, lab in g.out(u)))
+    names = _names(g.classes)
+    yield "digraph {\n"
+    yield "  rankdir=LR;\n"
+    for v in g.nodes:
+        shape = "doublecircle" if v == g.root else "circle"
+        yield f'  "{v}" [shape={shape}];\n'
+    for u in g.nodes:
+        for v, lab in g.out(u):
+            yield f'  "{u}" -> "{v}" [label="{names[lab]}"];\n'
+    yield "}\n"
+
+
+def rooted_product(base: _LineDawg, hung: _LineDawg) -> SimpleNamespace:
+    """Hang a copy of `hung` at every node of `base` but its root, which no
+    root path of positive base length enters: the root, the set of nodes,
+    (u, v) node v of the copy at u, and the list of (source, target,
+    label) edges, those between the copy roots first."""
+    r, copies = hung.root, base.nodes[1:]  # a line DAWG's root comes first
+    edges = [((u, r), (u2, r), lab) for u in base.nodes
+             for u2, lab in base.out(u)]
+    edges += [((u, v), (u, v2), lab) for u in copies for v in hung.nodes
+              for v2, lab in hung.out(v)]
+    return SimpleNamespace(root=(base.root, r), edges=edges, nodes={
+        (base.root, r), *((u, v) for u in copies for v in hung.nodes)})
 
 
 def export_product_dot(base: _LineDawg, hung: _LineDawg):
-    """DOT text of rooted_product(base, hung), listed straight from the two
-    graphs without building the product."""
-    return _dot((base.root, hung.root), *_product_listing(base, hung))
+    """DOT text of rooted_product(base, hung) in pieces of whole lines,
+    written from the two line DAWGs: the nodes copy by copy after the
+    root, then each node's edges, those within its copy first, as every
+    edge runs to a higher node; only a copy root (u, r) has base edges.
+    Every copy is the same graph, so its node lines, then its edge lines,
+    are formatted once with _HOLE for u, and written _BLOCK at a time."""
+    names, r = _names([*base.classes, *hung.classes]), hung.root
+    copies = base.nodes[1:]  # a line DAWG's root comes first
+
+    def edge(u, v, u2, v2, lab):
+        return f'  "({u},{v})" -> "({u2},{v2})" [label="{names[lab]}"];\n'
+
+    def blocks(lines):  # joined _BLOCK at a time, never all held at once
+        lines, out = iter(lines), []
+        while block := "".join(islice(lines, _BLOCK)):
+            out.append(block)
+        return out
+
+    def copy(u, template):
+        return (block.replace(_HOLE, str(u)) for block in template)
+
+    def across(u):
+        return (edge(u, r, u2, r, lab) for u2, lab in base.out(u))
+
+    yield ("digraph {\n  rankdir=LR;\n"
+           f'  "({base.root},{r})" [shape=doublecircle];\n')
+    nodes = blocks(f'  "({_HOLE},{v})" [shape=circle];\n'
+                   for v in hung.nodes)
+    for u in copies:
+        yield from copy(u, nodes)
+    del nodes  # every edge line comes after the last node line
+    head, rest = (blocks(edge(_HOLE, v, _HOLE, v2, lab) for v in vs
+                         for v2, lab in hung.out(v))
+                  for vs in (hung.nodes[:1], hung.nodes[1:]))
+    yield from across(base.root)
+    for u in copies:
+        yield from copy(u, head)
+        yield from across(u)
+        yield from copy(u, rest)
+    yield "}\n"

@@ -5,12 +5,12 @@ types live here, read straight off the definition, for the tests that
 check the type table.  The per-pair DAWG decoding, which the library's
 enumeration replaced, stays here as its differential reference.
 
-The DOT export yields its text line by line; the whole-string formatter it
-replaced stays here as its differential reference.  The rooted product is
-listed in DOT order straight from the two line DAWGs; the edge-list
-construction it replaced, a stored `Digraph`, stays here as its
-differential reference.  Only the tests list a line DAWG's edges whole,
-so `edges` lives here.
+The DOT export yields its text in pieces of whole lines; the whole-string
+formatter it replaced stays here as its differential reference, and names
+its nodes itself.  The rooted product and its DOT text are made straight
+from the two line DAWGs; the edge-list construction they replaced, a
+stored `Digraph`, stays here as their differential reference.  Only the
+tests list a line DAWG's edges whole, so `edges` lives here.
 
 The 1D factor tables sort by a translated 0/1 key, grids check their
 letters with one translate per row, and the command line is read from one
@@ -69,8 +69,7 @@ from types import SimpleNamespace
 
 import fib2d
 from fib2d import cli, conjugacy, frames, oracle
-from fib2d.dawg import (_LETTER, _fmt_node, _walk, build_line_dawg,
-                        subword_from_path)
+from fib2d.dawg import _LETTER, _walk, build_line_dawg, subword_from_path
 from fib2d.errors import InternalError, NotAFactor, ShapeMismatch
 from fib2d.word1d import LETTERS, _pair, factors1d, fib_prefix, truncated
 from fib2d.word2d import (COL_ALPHABETS, EMPTY, ROW_ALPHABETS,
@@ -271,6 +270,10 @@ def dot_graph(orientation: str, max_len: int) -> Digraph:
     for u, v, lab in edges(line):
         g.add_edge(u, v, lab)
     return g
+
+
+def _fmt_node(v) -> str:
+    return f"({v[0]},{v[1]})" if isinstance(v, tuple) else str(v)
 
 
 def _fmt_label(lab) -> str:

@@ -99,6 +99,7 @@ Z4_BELOW_30 = (0, 8, 13, 21, 29)
 GOLDEN = {
     "conjugates": "4ed5860c8fef07f5209b0b21f0d765852792dd91b6b2f76e079f29850d384d7c",
     "dawg-dot": "f8d49af811f2dfd83e01eeeca5efe856fa79fe3629477886408ab614998ae0f0",
+    "dawg-dot-large": "d4c94403d8c82042c5f9dff7d3856cfb1d4710f6f33bf79d5cd7c9ae9db53fb7",
     "enum": "73a924d0e367dbc59c69959a7887917853fdf88997ddac6c27473b356a6433c9",
     "gen": "e6eab6604b3038f5dff06e0a7fb720cbfecdf300ed95725675ee9b73848548c9",
     "locate": "ee5d214823d9a1dad77ece79578d2fed81148bbb9f9041ad72262759f5d87069",

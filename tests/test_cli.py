@@ -83,6 +83,24 @@ def test_enum_bytes_equal_whole_output(capsys, method, k, l):
                        for w in grids]) + "\n", "")
 
 
+# thin and transposed shapes, and wide and tall ones: together they reach
+# each of the three ways word2d.stream_windows cuts a text, and
+# word2d.stream_fills at thin shapes; prefix conjugates start at (2,2)
+@pytest.mark.parametrize("method, k, l", [
+    (method, k, l) for method in sorted(oracle.METHODS)
+    for k, l in [(1, 130), (130, 1), (2, 200), (200, 2), (30, 70), (70, 30)]
+    if method != "prefix" or min(k, l) > 1])
+def test_enum_json_bytes_equal_json_dumps_of_plain_texts(capsys, method, k,
+                                                         l):
+    argv = ("enum", "--method", method, "--k", str(k), "--l", str(l))
+    code, out, err = run(capsys, *argv)
+    grids = [text.split("\n") for text in out[:-1].split("\n\n")]
+    assert (code, err, len(grids)) == (0, "", (k + 1) * (l + 1))
+    assert run(capsys, *argv, "--json") == (
+        0, json.dumps([{"rows": k, "cols": l, "data": rows}
+                       for rows in grids]) + "\n", "")
+
+
 # ----------------------------------------------------------------- locate --
 
 def test_locate_from_file(capsys, tmp_path):

@@ -371,7 +371,7 @@ def test_export_dot_is_deterministic():
 
 
 def _dot_lines(orientation, max_len):
-    # the DOT lines `dawg-dot --orientation` prints
+    # the pieces of DOT text `dawg-dot --orientation` prints
     if orientation == "product":
         return list(dawg.export_product_dot(
             dawg.build_line_dawg("rows", max_len),
@@ -379,8 +379,9 @@ def _dot_lines(orientation, max_len):
     return list(dawg.export_dot(dawg.build_line_dawg(orientation, max_len)))
 
 
-# the line DAWGs, listed unsorted, up to F12 numbers +-1 to 4 182 as well
-DOT_LENGTHS = {"product": [*range(1, 13), 40]}
+# the line DAWGs, listed unsorted, up to F12 numbers +-1 to 4 182 as well;
+# the product past 12 at F12 numbers +-1 and at 40
+DOT_LENGTHS = {"product": [*range(1, 13), 20, 21, 22, 33, 34, 35, 40]}
 DOT_LENGTHS["rows"] = DOT_LENGTHS["cols"] = [
     *range(1, 13), 40, *(f + d for f in (13, 21, 34, 55, 89, 144, 233, 377,
                                          610, 987, 1597, 2584, 4181)
@@ -389,17 +390,28 @@ DOT_LENGTHS["rows"] = DOT_LENGTHS["cols"] = [
 
 @pytest.mark.parametrize("orientation", ["rows", "cols", "product"])
 def test_export_dot_lines_join_to_whole_text_reference(orientation):
+    # a line DAWG is written one line per piece, the product in pieces of
+    # whole lines
     for max_len in DOT_LENGTHS[orientation]:
         lines = _dot_lines(orientation, max_len)
-        assert all(line.endswith("\n") and line.count("\n") == 1
-                   for line in lines)
+        assert all(line.endswith("\n") for line in lines)
+        if orientation != "product":
+            assert all(line.count("\n") == 1 for line in lines)
         assert "".join(lines) == export_dot_text(
             dot_graph(orientation, max_len)), (orientation, max_len)
 
 
+def test_product_dot_writes_a_copy_a_block_of_lines_at_a_time():
+    # every hung copy is written from one template, dawg._BLOCK lines to a
+    # piece: 1 420 pieces at --max-len 40, where a piece per line took
+    # 18 624
+    assert len(_dot_lines("product", 40)) < 2000
+
+
 def test_product_listing_is_the_product_in_dot_order():
-    # rooted_product is built from the listing that dawg-dot prints, so
-    # both are checked against the product built edge by edge
+    # rooted_product and the DOT text dawg-dot prints are each made from
+    # the two line DAWGs, and both are checked against the product built
+    # edge by edge
     for max_rows, max_cols in [*((n, n) for n in range(1, 13)), (3, 8),
                                (8, 3), (40, 40)]:
         rows = dawg.build_line_dawg("rows", max_rows)

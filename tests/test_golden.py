@@ -60,10 +60,10 @@ def _conjugates():
             for m, n in ((0, 0), (1, 3), (3, 3), (4, 2), (5, 5))]
 
 
-def _dawg_dot():
+def _dawg_dot(lengths):
     return [(("dawg-dot", "--orientation", orientation, "--max-len", str(n)),
              "") for orientation in ("rows", "cols", "product")
-            for n in (*range(1, 14), 40)]
+            for n in lengths]
 
 
 def _usage():
@@ -72,7 +72,9 @@ def _usage():
 
 
 CATALOG = {"enum": _enum, "verify": _verify, "gen": _gen, "locate": _locate,
-           "conjugates": _conjugates, "dawg-dot": _dawg_dot, "usage": _usage}
+           "conjugates": _conjugates,
+           "dawg-dot": lambda: _dawg_dot((*range(1, 14), 40)),
+           "dawg-dot-large": lambda: _dawg_dot((55, 89, 100)), "usage": _usage}
 
 
 class HashingStdout:

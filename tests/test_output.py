@@ -217,12 +217,26 @@ def test_dawg_dot_product_holds_neither_product_nor_text(monkeypatch):
     # one's out-edges, and the bound sits ~15% above the second; with both
     # line DAWGs' edges, node sets and adjacencies stored it was 0.077 MB
     # (0.058-0.073 here), and building the product and sorting its 8 931
-    # nodes and 9 690 edges took 3.2 MB
+    # nodes and 9 690 edges took 3.2 MB.  Once each copy was written from
+    # one template of its lines, it read 0.014 MB both here and in a fresh
+    # process: the copy's edge lines outweigh the hung DAWG's out-edges
     code, chars, peak = traced_peak(monkeypatch, "dawg-dot", "--orientation",
                                     "product", "--max-len", "40")
     assert (code, chars) == (0, len(export_dot_text(dot_graph("product",
                                                               40))))
     assert peak < 17_000
+
+
+def test_dawg_dot_product_holds_one_copy_template():
+    # measured peak in a fresh interpreter, Python 3.11: 30 469 B at
+    # --max-len 200, the two line DAWGs and one hung copy's edge lines,
+    # formatted once with a hole for the copy's base node, the node lines
+    # dropped before the edges; listing the hung DAWG's out-edges and
+    # formatting every line took 57 853 B.  The pin sits ~15% above
+    code, chars, peak = fresh_peak("dawg-dot", "--orientation", "product",
+                                   "--max-len", "200")
+    assert (code, chars) == (0, 13_755_244)
+    assert peak < 35_000
 
 
 def test_line_dawg_dot_holds_no_edge_list():
