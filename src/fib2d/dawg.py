@@ -19,12 +19,14 @@ sorted order, so only the paths, a lane and a text are held, and a caller
 writes nothing before the first text exists.
 
 A line DAWG is its spine and O(log L) shortcuts (Blumer et al., TCS 1985;
-Rytter, TCS 2006), so it is computed from them, not stored (_LineDawg),
-and its DOT text is read off its out-edges in order: no graph is stored.
+Rytter, TCS 2006), so it is computed from them, not stored (_LineDawg).
+Its DOT text is read off its out-edges in order, and its root paths copy
+the spine, spelled once, a slice per branch point: no graph is stored.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import islice
 from types import SimpleNamespace
 
@@ -49,20 +51,23 @@ _LETTER = {alph: {lab: "".join(lab & set(alph))
 class _LineDawg:
     """A truncated line DAWG, computed from its spine and shortcuts, not
     stored: nodes are 0..top, node i < top has the spine edge i -> i+1,
-    whose class is spine letter i, and some nodes a shortcut as well."""
+    whose class is spine letter i's, and some nodes a shortcut as well."""
 
     root = 0
 
     def __init__(self, classes, spine: str, shortcuts: dict):
-        self.classes, self._spine, self._shortcuts = classes, spine, shortcuts
+        self.classes, self.spine, self.shortcuts = classes, spine, shortcuts
         self.top = len(spine)
         self.nodes = range(self.top + 1)
 
+    def label(self, ch: str) -> frozenset:
+        """The class of a spine edge whose spine letter is ch."""
+        return self.classes[ch == "c"]
+
     def out(self, i) -> list:
         """Node i's (target, label) pairs, spine edge first."""
-        spine = [] if i >= self.top else [
-            (i + 1, self.classes[self._spine[i] == "c"])]
-        return spine + self._shortcuts.get(i, [])
+        spine = [] if i >= self.top else [(i + 1, self.label(self.spine[i]))]
+        return spine + self.shortcuts.get(i, [])
 
 
 def build_line_dawg(orientation: str, max_len: int) -> _LineDawg:
@@ -83,49 +88,6 @@ def build_line_dawg(orientation: str, max_len: int) -> _LineDawg:
                  for j in range(1, fib_index(top + 1, "F12") - 1)}
     # 'd' stands in for the dominant class in the abstract spine word
     return _LineDawg(classes, fib_prefix("dc", top), shortcuts)
-
-
-def _run(g: _LineDawg, node, length: int):
-    """The labels along single out-edges from node, at most `length` of
-    them, and the out-edges of the node where they stop."""
-    chain = []
-    edges = g.out(node)
-    while len(edges) == 1 and len(chain) < length:
-        node, lab = edges[0]
-        chain.append(lab)
-        edges = g.out(node)
-    return chain, edges
-
-
-def _walk(g: _LineDawg, length: int, spell) -> tuple:
-    """Every root path with `length` edges, depth first, as a sequence that
-    `spell` makes from label sequences: spell(labels) + spell(more) must
-    spell labels + more.
-
-    A line DAWG is a spine with O(log L) shortcut edges, so most nodes have
-    one out-edge.  The run of single edges from each node the walk reaches
-    is found and spelled once and copied into the path as one piece, so the
-    walk steps once per branch point, not once per path prefix.  A run
-    stops after `length` labels, so a cycle of single edges ends too.
-    """
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    out = []
-    runs = {}
-    stack = [(g.root, spell(()))]
-    while stack:
-        node, path = stack.pop()
-        run = runs.get(node)
-        if run is None:
-            chain, edges = _run(g, node, length)
-            run = runs[node] = (spell(chain), [(dst, spell((lab,)))
-                                               for dst, lab in reversed(edges)])
-        path += run[0]
-        if len(path) >= length:
-            out.append(path[:length])
-            continue
-        stack += [(dst, path + step) for dst, step in run[1]]
-    return tuple(out)
 
 
 # ------------------------------------------------------- path to subword --
@@ -188,12 +150,29 @@ def subword_from_path(h_labels, v_labels) -> Grid:
 # ------------------------------------------------------------- enumeration --
 
 def _line_words(orientation: str, length: int, alphabet: str) -> tuple:
-    """The line DAWG's root paths with `length` edges, each spelled over
-    the line `alphabet`, which has one letter in each of the
-    orientation's two classes."""
+    """The line DAWG's root paths with `length` edges, depth first, each
+    spelled over the line `alphabet`, which has one letter in each of the
+    orientation's two classes.
+
+    Most nodes have only their spine edge, so the spine is spelled once and
+    a path copies it a slice at a time, from a node to the next shortcut
+    source or the top, then takes each out-edge there: the walk steps once
+    per branch point, not once per path prefix.
+    """
+    g = build_line_dawg(orientation, length)
     letter = _LETTER[alphabet].__getitem__
-    return _walk(build_line_dawg(orientation, length), length,
-                 lambda labels: "".join(map(letter, labels)))
+    spine = g.spine.translate({ord(ch): letter(g.label(ch)) for ch in "dc"})
+    stops = [*sorted(g.shortcuts), g.top]
+    out, stack = [], [(g.root, "")]
+    while stack:
+        node, path = stack.pop()
+        stop = min(stops[bisect_left(stops, node)], node + length - len(path))
+        path += spine[node:stop]
+        if len(path) == length:
+            out.append(path)
+            continue
+        stack += [(v, path + letter(lab)) for v, lab in reversed(g.out(stop))]
+    return tuple(out)
 
 
 def stream_dawg(k: int, l: int):

@@ -223,10 +223,9 @@ _MU_TOP = str.maketrans({"d": "dc", "c": "d", "b": "dc", "a": "d"})
 _MU_BOTTOM = str.maketrans({"d": "ba", "c": "b", "b": None, "a": None})
 
 
-def _square_step(g: Grid, rows: int | None = None,
-                 cols: int | None = None) -> Grid:
+def _square_step(g: Grid, rows: int, cols: int) -> Grid:
     """The image of g under the square substitution, keeping only its
-    first `rows` rows and `cols` columns (all of them by default).
+    first `rows` rows and `cols` columns.
 
     Each distinct row is substituted and cropped once, and equal image
     rows are one string, so the image is built already cropped and holds

@@ -21,16 +21,19 @@ loop over truncated words it replaced stays here as its reference.
 
 The oracle locates a pattern by scanning the prefix rows with str.find.
 Its earlier window scan, the column-band cutter (`bands`, `windows`,
-`band_occurrences`), stays here as the new scan's differential reference.  Only the
-tests list whole root paths or name the right-special factor, so
-`root_paths`, a view of dawg._walk, and `special_factor`, read off
-`right_table`, live here.  The library grows a word by the letter after
-its first occurrence; the table of every factor's right extensions, read
-off the longer factors, which it replaced, stays here as its reference.
+`band_occurrences`), stays here as the new scan's differential
+reference.  The library walks a line DAWG along its spelled spine, a slice
+per branch point; the generic walk over any graph's out-edges, with its
+memo of runs, which it replaced, stays here as `root_paths`, its
+differential reference, giving label tuples.  Only the tests name the
+right-special factor, so `special_factor`, read off `right_table`, lives
+here.  The library grows a word by the letter after its first occurrence;
+the table of every factor's right extensions, read off the longer factors,
+which it replaced, stays here as its reference.
 
 The line DAWG is computed from its spine and shortcuts; a generic online
 suffix automaton checks it, and `adjacency` gives a hand-built Digraph
-the root and out-edges the walk reads.  `window_places` locates every
+the root and out-edges `root_paths` reads.  `window_places` locates every
 window of a prefix by slicing every place, for the arithmetic locator.
 Memory pins that must read the same in any test order measure one
 request in a fresh interpreter (`fresh_peak`).
@@ -69,7 +72,7 @@ from types import SimpleNamespace
 
 import fib2d
 from fib2d import cli, conjugacy, frames, oracle
-from fib2d.dawg import _LETTER, _walk, build_line_dawg, subword_from_path
+from fib2d.dawg import _LETTER, build_line_dawg, subword_from_path
 from fib2d.errors import InternalError, NotAFactor, ShapeMismatch
 from fib2d.word1d import LETTERS, _pair, factors1d, fib_prefix, truncated
 from fib2d.word2d import (COL_ALPHABETS, EMPTY, ROW_ALPHABETS,
@@ -177,9 +180,45 @@ def edges(g) -> list:
     return [(u, v, lab) for u in g.nodes for v, lab in g.out(u)]
 
 
+def _run(g, node, length: int):
+    """The labels along single out-edges from node, at most `length` of
+    them, and the out-edges of the node where they stop."""
+    chain = []
+    edges = g.out(node)
+    while len(edges) == 1 and len(chain) < length:
+        node, lab = edges[0]
+        chain.append(lab)
+        edges = g.out(node)
+    return chain, edges
+
+
 def root_paths(g, length: int) -> tuple[tuple[frozenset, ...], ...]:
-    """Label sequences of all root paths with `length` edges, depth first."""
-    return _walk(g, length, tuple)
+    """Label sequences of all root paths with `length` edges, depth first.
+
+    The walk reads any graph's root and out-edges.  The run of single
+    edges from each node the walk reaches is found once and copied into
+    the path as one piece, so the walk steps once per branch point, not
+    once per path prefix.  A run stops after `length` labels, so a cycle
+    of single edges ends too.
+    """
+    if length < 0:
+        raise ValueError("length must be >= 0")
+    out = []
+    runs = {}
+    stack = [(g.root, ())]
+    while stack:
+        node, path = stack.pop()
+        run = runs.get(node)
+        if run is None:
+            chain, edges = _run(g, node, length)
+            run = runs[node] = (tuple(chain), [(dst, (lab,)) for dst, lab
+                                               in reversed(edges)])
+        path += run[0]
+        if len(path) >= length:
+            out.append(path[:length])
+            continue
+        stack += [(dst, path + step) for dst, step in run[1]]
+    return tuple(out)
 
 
 def adjacency(g: Digraph) -> SimpleNamespace:
@@ -487,7 +526,7 @@ def prefix_conjugates_grids(k, l):
                     "prefix conjugates")
 
 
-def _spelled(orientation: str, length: int, alphabet: str) -> list[str]:
+def spelled_paths(orientation: str, length: int, alphabet: str) -> list[str]:
     """The line DAWG's root paths with `length` edges, each spelled over
     one line alphabet."""
     letter = _LETTER[alphabet].__getitem__
@@ -499,8 +538,8 @@ def dawg_grids(k, l):
     # the paths over the first line alphabets, each corner's bucket looked
     # up by its class letters and translated into the corner's alphabets
     row0, col0 = ROW_ALPHABETS[0], COL_ALPHABETS[0]
-    across = _spelled("rows", l, row0)
-    down = _spelled("cols", k, col0)
+    across = spelled_paths("rows", l, row0)
+    down = spelled_paths("cols", k, col0)
     words = set()
     for s in LETTERS:
         row, col = row_alphabet_of(s), col_alphabet_of(s)

@@ -302,8 +302,8 @@ def test_one_writer_frames_stdout():
 # complaint expected on stderr; a broken count law gives word2d.count_law's
 # whole message
 INVARIANT_BREAKS = {
-    "dawg-count": ("dawg._walk = lambda g, n, spell, walk=dawg._walk: "
-                   "walk(g, n, spell)[:1]",
+    "dawg-count": ("dawg._line_words = lambda *a, words=dawg._line_words: "
+                   "words(*a)[:1]",
                    "dawg", 2, 2, "size (2,2) has 9 subwords, dawg gave 1"),
     "dawg-label": ("dawg._LETTER = {alph: dict.fromkeys(letters, alph[0]) "
                    "for alph, letters in dawg._LETTER.items()}",

@@ -14,7 +14,8 @@ from fib2d.word2d import COL_ALPHABETS, ROW_ALPHABETS
 
 from reference import (Digraph, adjacency, dot_graph, edges,
                        enumerate_dawg_per_pair, export_dot_text,
-                       product_graph, root_paths, suffix_automaton, texts)
+                       product_graph, root_paths, spelled_paths,
+                       suffix_automaton, texts)
 from tables import PATH_PAIRS_2_2, WORDS_1_1, WORDS_2_2, WORDS_3_3
 
 DB = frozenset("db")
@@ -131,7 +132,9 @@ def _walk_reference(g, length):
 
 
 def test_root_paths_match_walk_reference():
-    # same paths in the same depth-first order
+    # same paths in the same depth-first order: the reference walk against
+    # one step per path prefix, and the library's spine walk, spelled over
+    # its line alphabet, against the reference walk
     for orientation in ("rows", "cols"):
         for length in range(1, 61):
             for max_len in (length, 2 * length):
@@ -141,25 +144,32 @@ def test_root_paths_match_walk_reference():
         for length in (500, 1100):
             g = dawg.build_line_dawg(orientation, length)
             assert root_paths(g, length) == _walk_reference(g, length)
+    for orientation, alphabet in (("rows", "dc"), ("cols", "db")):
+        for length in AUTOMATON_LENGTHS:
+            assert list(dawg._line_words(orientation, length, alphabet)) \
+                == spelled_paths(orientation, length, alphabet), \
+                (orientation, length)
 
 
-def test_root_paths_step_per_branch_point():
-    # the walk asks for a node's out-edges about once per node, not once
-    # per path prefix (~length**2 / 2)
-    for orientation in ("rows", "cols"):
+def test_root_paths_step_per_branch_point(monkeypatch):
+    # the walk asks for out-edges only where it branches: L + 1 paths of
+    # length L branch at L nodes, where following single edges one at a
+    # time asks at every node on the way
+    calls = 0
+    out = dawg._LineDawg.out
+
+    def counted(g, u):
+        nonlocal calls
+        calls += 1
+        return out(g, u)
+
+    monkeypatch.setattr(dawg._LineDawg, "out", counted)
+    for orientation, alphabet in (("rows", "dc"), ("cols", "db")):
         for length in (40, 500, 1100):
-            g = dawg.build_line_dawg(orientation, length)
             calls = 0
-            out = g.out
-
-            def counted(u):
-                nonlocal calls
-                calls += 1
-                return out(u)
-
-            g.out = counted
-            assert len(root_paths(g, length)) == length + 1
-            assert calls <= 10 * length, (orientation, length, calls)
+            words = dawg._line_words(orientation, length, alphabet)
+            assert len(words) == length + 1
+            assert calls <= length, (orientation, length, calls)
 
 
 def _expire(signum, frame):
@@ -167,9 +177,9 @@ def _expire(signum, frame):
 
 
 def test_root_paths_stop_on_single_edge_cycles():
-    # the walk reads any graph's out-edges: a run of single edges may close
-    # a cycle, and the walk must still stop at `length`; dead ends give no
-    # path
+    # the reference walk reads any graph's out-edges: a run of single edges
+    # may close a cycle, and the walk must still stop at `length`; dead
+    # ends give no path
     loop = Digraph(0)
     loop.add_edge(0, 0, "a")
     g = Digraph(0)
