@@ -25,7 +25,8 @@ Its earlier window scan, the column-band cutter (`bands`, `windows`,
 reference.  The library walks a line DAWG along its spelled spine, a slice
 per branch point; the generic walk over any graph's out-edges, with its
 memo of runs, which it replaced, stays here as `root_paths`, its
-differential reference, giving label tuples.  Only the tests name the
+differential reference; it spells each run once, as label tuples or as
+words, whichever its caller asks for.  Only the tests name the
 right-special factor, so `special_factor`, read off `right_table`, lives
 here.  The library grows a word by the letter after its first occurrence;
 the table of every factor's right extensions, read off the longer factors,
@@ -35,8 +36,8 @@ The line DAWG is computed from its spine and shortcuts; a generic online
 suffix automaton checks it, and `adjacency` gives a hand-built Digraph
 the root and out-edges `root_paths` reads.  `window_places` locates every
 window of a prefix by slicing every place, for the arithmetic locator.
-Memory pins that must read the same in any test order measure one
-request in a fresh interpreter (`fresh_peak`).
+Every memory pin and scaling gate measures one request in a fresh
+interpreter (`fresh_peak`), so that it reads the same in any test order.
 
 The enumerations return factor texts.  The grid-returning forms they
 replaced stay here as their differential references: `*_grids` gives
@@ -192,26 +193,28 @@ def _run(g, node, length: int):
     return chain, edges
 
 
-def root_paths(g, length: int) -> tuple[tuple[frozenset, ...], ...]:
-    """Label sequences of all root paths with `length` edges, depth first.
+def root_paths(g, length: int, spell) -> tuple:
+    """All root paths with `length` edges, depth first, each made by spell
+    from its list of labels: `tuple` gives label tuples, a function that
+    joins each label's letter gives words.
 
     The walk reads any graph's root and out-edges.  The run of single
-    edges from each node the walk reaches is found once and copied into
-    the path as one piece, so the walk steps once per branch point, not
-    once per path prefix.  A run stops after `length` labels, so a cycle
-    of single edges ends too.
+    edges from each node the walk reaches is found and spelled once and
+    copied into the path as one piece, so the walk steps once per branch
+    point, not once per path prefix.  A run stops after `length` labels,
+    so a cycle of single edges ends too.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
     out = []
     runs = {}
-    stack = [(g.root, ())]
+    stack = [(g.root, spell([]))]
     while stack:
         node, path = stack.pop()
         run = runs.get(node)
         if run is None:
             chain, edges = _run(g, node, length)
-            run = runs[node] = (tuple(chain), [(dst, (lab,)) for dst, lab
+            run = runs[node] = (spell(chain), [(dst, spell([lab])) for dst, lab
                                                in reversed(edges)])
         path += run[0]
         if len(path) >= length:
@@ -234,8 +237,8 @@ def adjacency(g: Digraph) -> SimpleNamespace:
 def enumerate_dawg_per_pair(k: int, l: int):
     """All size-(k,l) subwords, each (across, down) root path pair of the
     line DAWGs decoded on its own by subword_from_path, sorted."""
-    across = root_paths(build_line_dawg("rows", l), l)
-    down = root_paths(build_line_dawg("cols", k), k)
+    across = root_paths(build_line_dawg("rows", l), l, tuple)
+    down = root_paths(build_line_dawg("cols", k), k, tuple)
     return tuple(sorted({subword_from_path(h, v)
                          for h in across for v in down}))
 
@@ -359,18 +362,22 @@ out.write(f"{code} {Count.chars} {peak}")
 
 def fresh_peak(*argv) -> tuple[int, int, int]:
     """(exit code, characters written, tracemalloc peak in bytes) of one
-    cli.main request run in a fresh interpreter, its stdout only counted.
+    cli.main request run in a fresh interpreter, its stdout only counted
+    and its stderr written to this process's stderr.
 
     A peak traced in the test process also reads what earlier tests left
     behind, and so depends on which tests ran before it; a fresh
-    interpreter holds only the imported package."""
+    interpreter holds only the imported package.  It starts with -S: the
+    site module, and what its .pth files import, are not the package's,
+    and they can take longer to start than the package takes to import."""
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(fib2d.__file__)))
-    proc = subprocess.run([sys.executable, "-c", _FRESH_PEAK, *argv],
+    proc = subprocess.run([sys.executable, "-S", "-c", _FRESH_PEAK, *argv],
                           env=env, capture_output=True, text=True,
                           timeout=120)
     if proc.returncode:
         raise AssertionError(f"fresh interpreter failed: {proc.stderr}")
+    sys.stderr.write(proc.stderr)
     code, chars, peak = map(int, proc.stdout.split())
     return code, chars, peak
 
@@ -530,8 +537,8 @@ def spelled_paths(orientation: str, length: int, alphabet: str) -> list[str]:
     """The line DAWG's root paths with `length` edges, each spelled over
     one line alphabet."""
     letter = _LETTER[alphabet].__getitem__
-    return ["".join(map(letter, path)) for path in
-            root_paths(build_line_dawg(orientation, length), length)]
+    return list(root_paths(build_line_dawg(orientation, length), length,
+                           lambda labels: "".join(map(letter, labels))))
 
 
 def dawg_grids(k, l):

@@ -93,14 +93,14 @@ def test_root_path_counts():
     for orientation in ("rows", "cols"):
         g = dawg.build_line_dawg(orientation, 20)
         for length in range(1, 21):
-            assert len(root_paths(g, length)) == length + 1
+            assert len(root_paths(g, length, tuple)) == length + 1
 
 
 def test_root_path_counts_at_exact_truncation():
     # the truncation for max_len L must not lose any length-L path
     for length in range(1, 21):
         g = dawg.build_line_dawg("rows", length)
-        assert len(root_paths(g, length)) == length + 1
+        assert len(root_paths(g, length, tuple)) == length + 1
 
 
 def test_root_paths_spell_line_factors():
@@ -108,7 +108,7 @@ def test_root_paths_spell_line_factors():
     for orientation, alphabets in (("rows", ("dc", "ba")), ("cols", ("db", "ca"))):
         g = dawg.build_line_dawg(orientation, 8)
         for length in range(1, 9):
-            paths = root_paths(g, length)
+            paths = root_paths(g, length, tuple)
             for alphabet in alphabets:
                 spelled = {_spell(p, alphabet) for p in paths}
                 assert spelled == set(word1d.factors1d(length, alphabet))
@@ -139,11 +139,12 @@ def test_root_paths_match_walk_reference():
         for length in range(1, 61):
             for max_len in (length, 2 * length):
                 g = dawg.build_line_dawg(orientation, max_len)
-                assert root_paths(g, length) == \
+                assert root_paths(g, length, tuple) == \
                     _walk_reference(g, length), (orientation, length, max_len)
         for length in (500, 1100):
             g = dawg.build_line_dawg(orientation, length)
-            assert root_paths(g, length) == _walk_reference(g, length)
+            assert root_paths(g, length, tuple) == \
+                _walk_reference(g, length)
     for orientation, alphabet in (("rows", "dc"), ("cols", "db")):
         for length in AUTOMATON_LENGTHS:
             assert list(dawg._line_words(orientation, length, alphabet)) \
@@ -194,18 +195,19 @@ def test_root_paths_stop_on_single_edge_cycles():
     previous = signal.signal(signal.SIGALRM, _expire)
     signal.alarm(3)
     try:
-        assert root_paths(loop, 5) == ((A,) * 5,)
-        assert root_paths(g, 3) == ((A, A, A), (A, A, B), (A, A, C),
-                                    (A, B, C), (A, C, A), (B, C, D))
+        assert root_paths(loop, 5, tuple) == ((A,) * 5,)
+        assert root_paths(g, 3, tuple) == ((A, A, A), (A, A, B), (A, A, C),
+                                           (A, B, C), (A, C, A), (B, C, D))
         for length in range(9):
             for h in (loop, g):
-                assert root_paths(h, length) == _walk_reference(h, length)
-        assert root_paths(g, 200)[-1] == (B,) + (C, D) * 99 + (C,)
+                assert root_paths(h, length, tuple) == \
+                    _walk_reference(h, length)
+        assert root_paths(g, 200, tuple)[-1] == (B,) + (C, D) * 99 + (C,)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     with pytest.raises(ValueError):
-        root_paths(g, -1)
+        root_paths(g, -1, tuple)
 
 
 def test_deep_paths_need_no_recursion(capsys):
@@ -215,7 +217,7 @@ def test_deep_paths_need_no_recursion(capsys):
     sys.setrecursionlimit(1000)
     try:
         g = dawg.build_line_dawg("cols", 1100)
-        assert len(root_paths(g, 1100)) == 1101
+        assert len(root_paths(g, 1100, tuple)) == 1101
         code = cli.main(["enum", "--method", "dawg", "--k", "1", "--l", "1001"])
     finally:
         sys.setrecursionlimit(limit)
@@ -266,7 +268,8 @@ def test_product_paths_pair_line_paths():
             rows = dawg.build_line_dawg("rows", l)
             cols = dawg.build_line_dawg("cols", k)
             pairs = _product_path_pairs(dawg.rooted_product(rows, cols), l, k)
-            expected = set(product(root_paths(rows, l), root_paths(cols, k)))
+            expected = set(product(root_paths(rows, l, tuple),
+                                   root_paths(cols, k, tuple)))
             assert len(pairs) == len(set(pairs)) == (k + 1) * (l + 1)
             assert set(pairs) == expected
 

@@ -303,7 +303,10 @@ def test_factor_bound_has_one_home():
 
 
 def test_factors1d_keeps_nothing():
-    # measured, Python 3.11: a table cached per length kept ~1.3 MB here
+    # what one call leaves held, not a peak, so it is traced in this
+    # process: what earlier tests left behind is held before the call and
+    # after it alike.  Measured, Python 3.11: a table cached per length
+    # kept ~1.3 MB
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
