@@ -164,6 +164,8 @@ def count_law(n: int, k: int, l: int, method: str) -> None:
 def dims(w: Grid) -> tuple[int, int]:
     if not w:
         return (0, 0)
+    if not w[0]:
+        raise ShapeMismatch("grids with empty rows do not exist")
     return (len(w), len(w[0]))
 
 

@@ -1,53 +1,47 @@
 """Reference helpers shared by the test modules.
 
-The library grows frames without naming their type, so the paper's frame
-types live here, read straight off the definition, for the tests that
-check the type table.  The per-pair DAWG decoding, which the library's
-enumeration replaced, stays here as its differential reference.
+Every enumeration's whole output is checked against the rotation coding
+of tests/rotation.py, which shares nothing with the package.  Each
+reference here checks one piece of the library by another reading of it,
+most often the code that piece replaced.
 
-The DOT export yields its text in pieces of whole lines; the whole-string
-formatter it replaced stays here as its differential reference, and names
-its nodes itself.  The rooted product and its DOT text are made straight
-from the two line DAWGs; the edge-list construction they replaced, a
-stored `Digraph`, stays here as their differential reference.  Only the
-tests list a line DAWG's edges whole, so `edges` lives here.
+Frames.  The library grows frames without naming their type, so
+`classify_frame` reads the paper's frame types off the definition.  It
+tests for `special_factor`, the right-special factor, read off
+`right_table`: every factor's right extensions, read off the longer
+factors, which growing a word by the letter after its first occurrence
+replaced.
 
-The 1D factor tables sort by a translated 0/1 key, grids check their
-letters with one translate per row, and the command line is read from one
-table; the per-letter sort key, the per-letter check and the argparse
-parser they replaced stay here as their differential references.  A 1D
-factor's shortest truncated index is read off its first occurrence; the
-loop over truncated words it replaced stays here as its reference.
+DAWGs.  `root_paths` is the generic walk over any graph's out-edges, with
+a memo of runs, which the walk along the spelled spine replaced;
+`spelled_paths` spells its paths over a line alphabet, and `adjacency`
+gives a hand-built `Digraph` the root and out-edges the walk reads.
+`suffix_automaton`, built online, checks the line DAWG computed from its
+spine and shortcuts.  `enumerate_dawg_per_pair` is the per-pair path
+decoding the DAWG enumeration replaced.  `edges` lists a line DAWG's
+edges whole; `product_graph` and `dot_graph` store the rooted product
+and each `dawg-dot` graph edge by edge, and `export_dot_text` formats one
+as a single string: the forms that the DOT export, made straight from
+the line DAWGs in pieces of whole lines, replaced.
 
-The oracle locates a pattern by scanning the prefix rows with str.find.
-Its earlier window scan, the column-band cutter (`bands`, `windows`,
-`band_occurrences`), stays here as the new scan's differential
-reference.  The library walks a line DAWG along its spelled spine, a slice
-per branch point; the generic walk over any graph's out-edges, with its
-memo of runs, which it replaced, stays here as `root_paths`, its
-differential reference; it spells each run once, as label tuples or as
-words, whichever its caller asks for.  Only the tests name the
-right-special factor, so `special_factor`, read off `right_table`, lives
-here.  The library grows a word by the letter after its first occurrence;
-the table of every factor's right extensions, read off the longer factors,
-which it replaced, stays here as its reference.
+1D words.  `factors1d_listkey` sorts the factors by per-letter ranks, as
+before the translated 0/1 key; `factor_set` holds them as a set; and
+`shortest_truncated_index_loop` tries truncated words in turn, as before
+the index was read off the first occurrence.
 
-The line DAWG is computed from its spine and shortcuts; a generic online
-suffix automaton checks it, and `adjacency` gives a hand-built Digraph
-the root and out-edges `root_paths` reads.  `window_places` locates every
-window of a prefix by slicing every place, for the arithmetic locator.
-Every memory pin and scaling gate measures one request in a fresh
-interpreter (`fresh_peak`), so that it reads the same in any test order.
+Grids.  `as_grid_loop` checks letters one at a time, as before one
+translate per row.  `conjugacy_class_rotations` is the sorted set of
+every row/column rotation, which the grid's own-size windows taken
+cyclically replaced.  `window_places` locates every window of a prefix by
+slicing every place, for the arithmetic locator, and `band_occurrences`
+finds a pattern among the windows of the column bands (`bands`), the
+scan that the oracle's str.find over the prefix rows replaced.  `texts`
+gives each grid's text.
 
-The enumerations return factor texts.  The grid-returning forms they
-replaced stay here as their differential references: `*_grids` gives
-each method's sorted grids, built the way the method built them before,
-with equal rows shared and every pair filled by word2d.fill; the oracle's
-windows come from the band cutter.
-
-The conjugacy class is read as the grid's own-size windows taken
-cyclically; the set of every row/column rotation, sorted, which it
-replaced, stays here as `conjugacy_class_rotations`.
+The command line is read from one table; `argparse_parser` is the
+parser it replaced.  Every memory pin and scaling gate measures one
+request in a fresh interpreter (`fresh_peak`), so that it reads the same
+in any test order.
 
 Sharing rule.  A value that several tests of one module compute alike, a
 reference or a library result they all check, is made once by a function
@@ -72,13 +66,12 @@ import sys
 from types import SimpleNamespace
 
 import fib2d
-from fib2d import cli, conjugacy, frames, oracle
+from fib2d import cli
 from fib2d.dawg import _LETTER, build_line_dawg, subword_from_path
 from fib2d.errors import InternalError, NotAFactor, ShapeMismatch
-from fib2d.word1d import LETTERS, _pair, factors1d, fib_prefix, truncated
-from fib2d.word2d import (COL_ALPHABETS, EMPTY, ROW_ALPHABETS,
-                          col_alphabet_of, column, dims, fib_array, fill,
-                          mu_prefix, row_alphabet_of, to_text)
+from fib2d.word1d import _pair, factors1d, fib_prefix, truncated
+from fib2d.word2d import (EMPTY, col_alphabet_of, dims, mu_prefix,
+                          row_alphabet_of, to_text)
 
 
 _PACKAGE = [fib2d] + [importlib.import_module(f"fib2d.{info.name}")
@@ -488,20 +481,7 @@ def argparse_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# ------------------------------------------- grid-returning enumerations --
-
-def _corners(base, row_starts, col_starts, k, l, method):
-    windows = {}
-    for w in set(base):
-        cyclic = w + w[:l - 1]
-        windows[w] = [cyclic[j:j + l] for j in col_starts]
-    lanes = [windows[w] for w in base + base[:k - 1]]
-    out = {col[i:i + k] for col in zip(*lanes) for i in row_starts}
-    if len(out) != (k + 1) * (l + 1):
-        raise InternalError(f"size ({k},{l}) has {(k + 1) * (l + 1)} "
-                            f"subwords, {method} gave {len(out)}")
-    return tuple(sorted(out))
-
+# --------------------------------------- rotations, paths and bands --
 
 def conjugacy_class_rotations(w):
     """All distinct row/column rotations of w, sorted: each distinct row
@@ -516,73 +496,12 @@ def conjugacy_class_rotations(w):
                          for col in zip(*lanes) for i in range(rows)}))
 
 
-def conjugation_grids(k, l):
-    q = conjugacy.special_conjugate2d(conjugacy._cover_index(k),
-                                      conjugacy._cover_index(l))
-    rows, cols = dims(q)
-    return _corners(q, [-i % rows for i in range(k + 1)],
-                    [-j % cols for j in range(l + 1)], k, l, "conjugation")
-
-
-def prefix_conjugates_grids(k, l):
-    m = conjugacy._cover_index(k) - 1
-    n = conjugacy._cover_index(l) - 1
-    return _corners(fib_array(m + 1, n + 1),
-                    conjugacy._prefix_rotations(k, m),
-                    conjugacy._prefix_rotations(l, n), k, l,
-                    "prefix conjugates")
-
-
 def spelled_paths(orientation: str, length: int, alphabet: str) -> list[str]:
     """The line DAWG's root paths with `length` edges, each spelled over
     one line alphabet."""
     letter = _LETTER[alphabet].__getitem__
     return list(root_paths(build_line_dawg(orientation, length), length,
                            lambda labels: "".join(map(letter, labels))))
-
-
-def dawg_grids(k, l):
-    # the paths over the first line alphabets, each corner's bucket looked
-    # up by its class letters and translated into the corner's alphabets
-    row0, col0 = ROW_ALPHABETS[0], COL_ALPHABETS[0]
-    across = spelled_paths("rows", l, row0)
-    down = spelled_paths("cols", k, col0)
-    words = set()
-    for s in LETTERS:
-        row, col = row_alphabet_of(s), col_alphabet_of(s)
-        h_end = _LETTER[row0][frozenset(col)]
-        v_start = _LETTER[col0][frozenset(row)]
-        to_row, to_col = str.maketrans(row0, row), str.maketrans(col0, col)
-        tops = [h.translate(to_row) for h in across if h[-1] == h_end]
-        sides = [v.translate(to_col) for v in down if v[0] == v_start]
-        ends = {t[-1]: i for i, t in enumerate(tops)}.values()
-        for side in sides:
-            grids = [fill(top, side) for top in tops]
-            for i in ends:
-                if column(grids[i], len(tops[i])) != side:
-                    raise InternalError(
-                        f"grid {grids[i]} does not end in column {side!r}")
-            words.update(grids)
-    if len(words) != (k + 1) * (l + 1):
-        raise InternalError(f"{len(across) * len(down)} path pairs gave "
-                            f"{len(words)} subwords")
-    return tuple(sorted(words))
-
-
-def extension_grids(k, l):
-    m = min(k, l)
-    tops = [u for alph in ROW_ALPHABETS for u in factors1d(l - m + 1, alph)]
-    sides = [u for alph in COL_ALPHABETS for u in factors1d(k - m + 1, alph)]
-    blocks = [([u for u in tops if u[0] == x], [u for u in sides if u[0] == x])
-              for x in LETTERS]
-    for _ in range(m - 1):
-        blocks = [(frames._extend_block(ts, row_alphabet_of(x)),
-                   frames._extend_block(ss, col_alphabet_of(x)))
-                  for x, (ts, ss) in zip(LETTERS, blocks)]
-    grids = [fill(t, s) for ts, ss in blocks for t in ts for s in ss]
-    if len(grids) != (k + 1) * (l + 1):
-        raise InternalError(f"extension gave {len(grids)}")
-    return tuple(sorted(grids))
 
 
 def bands(l: int, R: int, C: int):
@@ -598,42 +517,10 @@ def bands(l: int, R: int, C: int):
         yield j, tuple([rows[r] for r in g])
 
 
-def windows(k: int, l: int, R: int, C: int):
-    """((i, j), window) for every 0-based (k,l) window of the (R,C) prefix,
-    each a slice of its column band."""
-    for j, band in bands(l, R, C):
-        for i in range(R - k + 1):
-            yield (i, j), band[i:i + k]
-
-
 def band_occurrences(w, R: int, C: int) -> tuple[tuple[int, int], ...]:
     """All 0-based offsets where w matches inside the (R,C) prefix,
-    row-major ascending, found among the windows of the band cutter."""
+    row-major ascending, found among the windows sliced from the bands."""
     rows, cols = dims(w)
-    return tuple(sorted(at for at, win in windows(rows, cols, R, C)
-                        if win == w))
-
-
-def oracle_grids(k, l, R, C):
-    if k > l:
-        # tall windows named by their rows joined; each name keeps its
-        # first offset, and only those windows are cut out of their band
-        cut, first = [], {}
-        for j, band in bands(l, R, C):
-            text = "".join(band)
-            for i in range(R - k + 1):
-                first.setdefault(text[i * l:(i + k) * l], (i, j))
-            cut.append(band)
-        return tuple([cut[j][i:i + k]
-                      for i, j in map(first.__getitem__, sorted(first))])
-    return tuple(sorted({win for _, win in windows(k, l, R, C)}))
-
-
-# method name, as in oracle.METHODS -> (k, l) -> sorted grids
-GRID_METHODS = {
-    "conjugate": conjugation_grids,
-    "dawg": dawg_grids,
-    "extend": extension_grids,
-    "oracle": lambda k, l: oracle_grids(k, l, *oracle.sufficient_bounds(k, l)),
-    "prefix": prefix_conjugates_grids,
-}
+    return tuple(sorted((i, j) for j, band in bands(cols, R, C)
+                        for i in range(R - rows + 1)
+                        if band[i:i + rows] == w))

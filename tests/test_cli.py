@@ -16,7 +16,8 @@ import fib2d
 from fib2d import cli, oracle, word1d, word2d
 from fib2d.errors import EXIT_CODES
 
-from reference import GRID_METHODS, argparse_parser
+import rotation
+from reference import argparse_parser
 from tables import OCC_BLOCK, OCC_BLOCK_AXIS, WORDS_2_2
 from test_word2d import _owners
 
@@ -69,18 +70,17 @@ def test_enum_json(capsys):
 @pytest.mark.parametrize("k, l", [(3, 3), (10, 1), (1, 10), (2, 2)])
 def test_enum_bytes_equal_whole_output(capsys, method, k, l):
     # the streamed writer must print exactly what rendering the whole list
-    # of grids at once would
+    # of the rotation texts at once would
     argv = ("enum", "--method", method, "--k", str(k), "--l", str(l))
     if method == "prefix" and min(k, l) < 2:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (11, "") and err.startswith("error:")
         return
-    grids = GRID_METHODS[method](k, l)
-    assert run(capsys, *argv) == (
-        0, "\n".join(map(word2d.to_text, grids)), "")
+    texts = list(rotation.texts(k, l))
+    assert run(capsys, *argv) == (0, "\n".join(texts), "")
     assert run(capsys, *argv, "--json") == (
-        0, json.dumps([{"rows": k, "cols": l, "data": list(w)}
-                       for w in grids]) + "\n", "")
+        0, json.dumps([{"rows": k, "cols": l, "data": text.splitlines()}
+                       for text in texts]) + "\n", "")
 
 
 # thin and transposed shapes, and wide and tall ones: together they reach
@@ -403,7 +403,7 @@ def test_order_check_survives_optimize(method):
     assert proc.returncode == 13, proc.stderr
     assert proc.stderr.startswith("error:")
     assert "out of sorted order" in proc.stderr
-    correct = "\n".join(word2d.to_text(w) for w in GRID_METHODS[method](3, 3))
+    correct = "\n".join(rotation.texts(3, 3))
     assert proc.stdout and correct.startswith(proc.stdout)
     assert proc.stdout != correct
 

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fib2d import conjugacy, word1d, word2d
-from fib2d.errors import EmptyWord, InternalError, OutOfRange
+from fib2d.errors import EmptyWord, InternalError, OutOfRange, ShapeMismatch
 
 from reference import texts
 from tables import (Q_2_2, Q_3_3, ROTATION_PREFIXES_3_3, WORDS_1_1,
@@ -33,6 +33,11 @@ def test_rotate2d_rejects_empty():
         conjugacy.rotate2d(word2d.EMPTY, 1, 1)
 
 
+def test_rotate2d_rejects_an_empty_row():
+    with pytest.raises(ShapeMismatch, match="empty rows"):
+        conjugacy.rotate2d(("",), 1, 1)
+
+
 @given(st.integers(0, len(WORDS_3_3) - 1),
        st.integers(-9, 9), st.integers(-9, 9))
 def test_rotate2d_round_trip(idx, i, j):
@@ -53,6 +58,11 @@ def test_conjugacy_class_of_small_grids():
         ("ab", "cd"), ("ba", "dc"), ("cd", "ab"), ("dc", "ba"))
     # a 2x3 grid has at most 6 rotations, all distinct here
     assert len(conjugacy.conjugacy_class(word2d.fib_array(2, 3))) == 6
+
+
+def test_conjugacy_class_rejects_an_empty_row():
+    with pytest.raises(ShapeMismatch, match="empty rows"):
+        conjugacy.conjugacy_class(("",))
 
 
 def test_conjugacy_class_size_law():

@@ -8,11 +8,14 @@ two conjugation methods and the oracle read theirs with
 word2d.stream_windows, so a fault in one reader moves one family only.
 The graph is read from the package's source: a name refers to what the
 module's own definitions and its imports from the package bind it to.
+The rotation reference every method is checked against,
+tests/rotation.py, stays off the package and the other references.
 """
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import fib2d
@@ -150,3 +153,17 @@ def test_each_method_has_one_reader_and_no_other_method():
         home = {name.split(".")[0] for name in refs}
         assert len(home) == 1, (method, home)
         assert not _inside(names, METHOD_MODULES - home), method
+
+
+def test_the_rotation_reference_imports_only_the_standard_library():
+    path = Path(__file__).with_name("rotation.py")
+    nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    imported = {alias.name for n in nodes if isinstance(n, ast.Import)
+                for alias in n.names} | {
+        "." * n.level + (n.module or "") for n in nodes
+        if isinstance(n, ast.ImportFrom)}
+    assert imported
+    # neither fib2d nor reference, nor a relative import, is a stdlib name
+    foreign = {name for name in imported
+               if name.split(".")[0] not in sys.stdlib_module_names}
+    assert not foreign, foreign

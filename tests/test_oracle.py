@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fib2d import cli, conjugacy, dawg, frames, oracle, word2d
-from fib2d.errors import BadBounds
+from fib2d.errors import BadBounds, ShapeMismatch
 
-from reference import band_occurrences, texts, windows
+import rotation
+from reference import band_occurrences, texts
 from tables import OCC_BLOCK, WORDS_1_1, WORDS_2_2, WORDS_3_3
 
 
@@ -44,14 +45,6 @@ def test_oracle_subwords_rejects_small_prefix():
         oracle.oracle_subwords(0, 1, 5, 5)
 
 
-def _windows_reference(k, l, R, C):
-    # one generator per window, as before the band harvest
-    g = word2d.mu_prefix(R, C)
-    return tuple(sorted({tuple(row[j:j + l] for row in g[i:i + k])
-                         for i in range(R - k + 1)
-                         for j in range(C - l + 1)}))
-
-
 def _occurrences_reference(w, R, C):
     # letter-by-letter matching, as before the band harvest
     g = word2d.mu_prefix(R, C)
@@ -63,26 +56,15 @@ def _occurrences_reference(w, R, C):
 
 
 def test_oracle_subwords_matches_window_reference():
+    # the rotation coding reads no prefix, so a bound too small to hold
+    # every factor shows as a missing text
     sizes = [(k, l) for k in range(1, 13) for l in range(1, 13)]
     sizes += [(300, 1), (1, 300), (300, 2), (2, 300), (30, 70), (70, 30),
               (1100, 1)]
     for k, l in sizes:
         R, C = oracle.sufficient_bounds(k, l)
         assert oracle.oracle_subwords(k, l, R, C) == \
-            texts(_windows_reference(k, l, R, C)), (k, l)
-
-
-def test_oracle_windows_share_equal_rows():
-    # windows are slices of column bands that cut each distinct prefix row
-    # once, so equal rows of a window are one object and the row objects
-    # do not grow with the number of windows
-    for k, l in [(300, 2), (2, 300), (2, 1100), (40, 40)]:
-        R, C = oracle.sufficient_bounds(k, l)
-        grids = [win for _, win in windows(k, l, R, C)]
-        for g in grids:
-            assert len({id(r) for r in g}) == len(set(g)), (k, l)
-        objects = {id(r) for g in grids for r in g}
-        assert len(objects) <= (C - l + 1) * len(set(word2d.mu_prefix(R, C)))
+            tuple(rotation.texts(k, l)), (k, l)
 
 
 def test_oracle_occurrences_matches_letter_scan():
@@ -98,6 +80,11 @@ def test_oracle_occurrences_matches_letter_scan():
         R, C = rng.randint(k, 80), rng.randint(l, 80)
         assert oracle.oracle_occurrences(w, R, C) == \
             _occurrences_reference(w, R, C), (w, R, C)
+
+
+def test_oracle_occurrences_rejects_an_empty_row():
+    with pytest.raises(ShapeMismatch, match="empty rows"):
+        oracle.oracle_occurrences(("",), 3, 3)
 
 
 def test_oracle_occurrences_match_band_scan():

@@ -19,6 +19,7 @@ import fib2d
 from fib2d import cli, oracle, word1d, word2d
 from fib2d.errors import EmptyWord, InternalError, NotAFactor, TooShort
 
+import rotation
 from reference import (factor_set, factors1d_listkey, right_table, shared,
                        shortest_truncated_index_loop, special_factor)
 from tables import (FACTORS_4_AB, OCC_ABAB_BELOW_33, Q_4_AB, Z1_BELOW_6,
@@ -270,6 +271,20 @@ def test_factors1d_order_matches_per_letter_key():
         for k in range(1, 101):
             assert word1d.factors1d(k, alphabet) == factors1d_listkey(
                 k, alphabet), (alphabet, k)
+
+
+def test_factors1d_are_the_rotation_codings():
+    # the rotation coding reads no prefix of the word; 0 is the dominant
+    # letter, and the codings sorted are factors1d's order in each line
+    # alphabet, which sorts the dominant letter first.  Every k <= 300, and
+    # the F12 numbers 377 to 1597 and their neighbours
+    fibs = [word1d.fib(n, "F12") for n in range(12, 16)]
+    for k in [*range(1, 301), *(f + d for f in fibs for d in (-1, 0, 1))]:
+        codings = sorted(rotation.line_words(k))
+        for alphabet in (*word2d.ROW_ALPHABETS, *word2d.COL_ALPHABETS):
+            spell = str.maketrans("01", alphabet)
+            assert tuple(u.translate(spell) for u in codings) == \
+                word1d.factors1d(k, alphabet), (alphabet, k)
 
 
 def test_factors1d_rejects_bad_k():
