@@ -16,7 +16,7 @@ from itertools import zip_longest
 import pytest
 
 import fib2d
-from fib2d import oracle
+from fib2d import dawg, frames, oracle
 
 import rotation
 
@@ -38,6 +38,21 @@ def test_texts_are_the_texts_of_the_parent_grids(method):
         for n, (got, want) in enumerate(zip_longest(texts,
                                                     rotation.texts(k, l))):
             assert got == want, (method, k, l, n)
+
+
+@pytest.mark.parametrize("method, stream", [
+    ("dawg", dawg.stream_dawg), ("extend", frames.stream_extension)])
+def test_frame_streams_are_the_texts_of_the_parent_grids(method, stream):
+    # dawg and extend fill their blocks in sorted order and never sort, so
+    # the first text of a large size comes without the rest being built
+    assert oracle.METHODS[method] is stream
+    for k, l in [(k, l) for k in range(1, 13) for l in range(1, 13)]:
+        texts = stream(k, l)
+        assert iter(texts) is texts, (method, k, l)
+        assert list(texts) == list(rotation.texts(k, l)), (method, k, l)
+    for k, l in [(1100, 1100), (1, 1100), (1100, 1)]:
+        assert next(stream(k, l)) == next(iter(rotation.texts(k, l))), (
+            method, k, l)
 
 
 def test_tall_enumeration_builds_no_row_tuples(monkeypatch):
