@@ -164,9 +164,12 @@ def count_law(n: int, k: int, l: int, method: str) -> None:
 def dims(w: Grid) -> tuple[int, int]:
     if not w:
         return (0, 0)
-    if not w[0]:
+    width = len(w[0])
+    if not width:
         raise ShapeMismatch("grids with empty rows do not exist")
-    return (len(w), len(w[0]))
+    if any(len(row) != width for row in w):
+        raise ShapeMismatch("rows have unequal lengths")
+    return (len(w), width)
 
 
 def as_grid(rows) -> Grid:

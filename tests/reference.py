@@ -24,8 +24,7 @@ and each `dawg-dot` graph edge by edge, and `export_dot_text` formats one
 as a single string: the forms that the DOT export, made straight from
 the line DAWGs in pieces of whole lines, replaced.
 
-1D words.  `factors1d_listkey` sorts the factors by per-letter ranks, as
-before the translated 0/1 key; `factor_set` holds them as a set; and
+1D words.  `factor_set` holds the factors as a set, and
 `shortest_truncated_index_loop` tries truncated words in turn, as before
 the index was read off the first occurrence.
 
@@ -41,7 +40,8 @@ gives each grid's text.
 The command line is read from one table; `argparse_parser` is the
 parser it replaced.  Every memory pin and scaling gate measures one
 request in a fresh interpreter (`fresh_peak`), so that it reads the same
-in any test order.
+in any test order.  Every child interpreter imports the package through
+`PACKAGE_ENV`, and `run_optimized` runs a script under python -O.
 
 Sharing rule.  A value that several tests of one module compute alike, a
 reference or a library result they all check, is made once by a function
@@ -69,7 +69,7 @@ import fib2d
 from fib2d import cli
 from fib2d.dawg import _LETTER, build_line_dawg, subword_from_path
 from fib2d.errors import InternalError, NotAFactor, ShapeMismatch
-from fib2d.word1d import _pair, factors1d, fib_prefix, truncated
+from fib2d.word1d import factors1d, truncated
 from fib2d.word2d import (EMPTY, col_alphabet_of, dims, mu_prefix,
                           row_alphabet_of, to_text)
 
@@ -194,8 +194,7 @@ def root_paths(g, length: int, spell) -> tuple:
     The walk reads any graph's root and out-edges.  The run of single
     edges from each node the walk reaches is found and spelled once and
     copied into the path as one piece, so the walk steps once per branch
-    point, not once per path prefix.  A run stops after `length` labels,
-    so a cycle of single edges ends too.
+    point, not once per path prefix.  A run stops after `length` labels.
     """
     if length < 0:
         raise ValueError("length must be >= 0")
@@ -328,7 +327,22 @@ def export_dot_text(g: Digraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-# ----------------------------------------------------------------- memory --
+# ---------------------------------------------------------- subprocesses --
+
+PACKAGE_ENV = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(fib2d.__file__)))
+
+_OPTIMIZED = "import sys\nif __debug__:\n    sys.exit('not optimized')\n"
+
+
+def run_optimized(script: str, *argv) -> subprocess.CompletedProcess:
+    """script run by python -O with argv as its arguments, stdout and
+    stderr captured as text; it exits at once, 'not optimized', if assert
+    statements still run.  sys is imported for it."""
+    return subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED + script,
+                           *argv], capture_output=True, text=True,
+                          env=PACKAGE_ENV, timeout=60)
+
 
 _FRESH_PEAK = """\
 import sys, tracemalloc
@@ -363,10 +377,8 @@ def fresh_peak(*argv) -> tuple[int, int, int]:
     interpreter holds only the imported package.  It starts with -S: the
     site module, and what its .pth files import, are not the package's,
     and they can take longer to start than the package takes to import."""
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(fib2d.__file__)))
     proc = subprocess.run([sys.executable, "-S", "-c", _FRESH_PEAK, *argv],
-                          env=env, capture_output=True, text=True,
+                          env=PACKAGE_ENV, capture_output=True, text=True,
                           timeout=120)
     if proc.returncode:
         raise AssertionError(f"fresh interpreter failed: {proc.stderr}")
@@ -376,17 +388,6 @@ def fresh_peak(*argv) -> tuple[int, int, int]:
 
 
 # ------------------------------------------------------ replaced checks --
-
-def factors1d_listkey(k: int, alphabet) -> tuple[str, ...]:
-    """The k+1 length-k factors, sorted by a list of per-letter ranks."""
-    first, second = _pair(alphabet)
-    w = fib_prefix((first, second), 4 * k + 8)
-    seen = {w[i:i + k] for i in range(len(w) - k + 1)}
-    if len(seen) != k + 1:
-        raise InternalError(f"{len(seen)} factors of length {k}")
-    order = {first: 0, second: 1}
-    return tuple(sorted(seen, key=lambda u: [order[c] for c in u]))
-
 
 @shared
 def factor_set(k: int, alphabet) -> frozenset[str]:

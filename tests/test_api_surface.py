@@ -6,7 +6,9 @@ by an acceptance criterion, or bound by the benchmark's tracer.  A name
 only unit tests call belongs in tests/reference.py, not in the API.  The
 package's source stays under a fixed line bound, so code that is added is
 paid for by code that is deleted, and every name a module imports is read
-in it.
+in it.  Every top-level name of tests/reference.py is used by a test
+module, or read by another reference that is, so no reference outlives
+the tests that read it.
 """
 
 from __future__ import annotations
@@ -85,3 +87,42 @@ def test_every_import_is_read():
               if path.name != "__init__.py"
               for name in sorted(_unread_imports(path))]
     assert unread == UNREAD_IMPORTS
+
+
+def _reads(stmt) -> set[str]:
+    """The names a statement reads."""
+    return {node.id for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def _binds(stmt) -> set[str]:
+    """The names a top-level statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+        return {alias.asname or alias.name.split(".")[0]
+                for alias in stmt.names} - {"annotations"}
+    if isinstance(stmt, ast.Assign):
+        return {node.id for target in stmt.targets
+                for node in ast.walk(target) if isinstance(node, ast.Name)}
+    return set()
+
+
+def test_every_reference_is_used():
+    tests = ROOT / "tests"
+    reads, imported = {}, set()
+    for stmt in ast.parse((tests / "reference.py").read_text()).body:
+        for name in _binds(stmt):
+            reads[name] = _reads(stmt)
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            imported |= _binds(stmt)
+    # an import is used only by the references that read it
+    live = (set(reads) - imported) & set().union(
+        *(_used_names(path) for path in tests.glob("*.py")
+          if path.name != "reference.py"))
+    todo = list(live)
+    while todo:
+        found = reads[todo.pop()] & set(reads) - live
+        live |= found
+        todo += found
+    assert sorted(set(reads) - live) == []

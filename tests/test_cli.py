@@ -6,7 +6,6 @@ import ast
 import contextlib
 import io
 import json
-import os
 import subprocess
 import sys
 
@@ -17,7 +16,7 @@ from fib2d import cli, oracle, word1d, word2d
 from fib2d.errors import EXIT_CODES
 
 import rotation
-from reference import argparse_parser
+from reference import PACKAGE_ENV, argparse_parser, run_optimized
 from tables import OCC_BLOCK, OCC_BLOCK_AXIS, WORDS_2_2
 from test_word2d import _owners
 
@@ -46,16 +45,6 @@ def test_enum_prints_canonical_blocks(capsys):
     code, out, _ = run(capsys, "enum", "--k", "2", "--l", "2")
     assert code == 0
     assert out == "\n".join(word2d.to_text(w) for w in WORDS_2_2)
-
-
-def test_enum_methods_print_identical_bytes(capsys):
-    outputs = set()
-    for method in ("dawg", "extend", "conjugate", "prefix", "oracle"):
-        code, out, _ = run(capsys, "enum", "--k", "2", "--l", "2",
-                           "--method", method)
-        assert code == 0
-        outputs.add(out)
-    assert len(outputs) == 1
 
 
 def test_enum_json(capsys):
@@ -357,19 +346,12 @@ def test_invariant_checks_survive_optimize(case):
     # a patch of a name the code no longer has would break nothing
     module, name = patch.split(" = ")[0].split(".")
     assert hasattr(getattr(fib2d, module), name), f"{module}.{name} is gone"
-    script = ("import sys\n"
-              "if __debug__:\n"
-              "    sys.exit('not optimized')\n"
-              "from fib2d import cli, conjugacy, dawg, frames, word2d\n"
+    script = ("from fib2d import cli, conjugacy, dawg, frames, word2d\n"
               f"{patch}\n"
               "sys.exit(cli.main(sys.argv[1:]))\n")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(
-        os.path.dirname(fib2d.__file__)))
     for form in ([], ["--json"]):
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script, "enum", "--method", method,
-             "--k", str(k), "--l", str(l), *form],
-            capture_output=True, text=True, env=env, timeout=60)
+        proc = run_optimized(script, "enum", "--method", method,
+                             "--k", str(k), "--l", str(l), *form)
         assert proc.returncode == 13, (form, proc.stderr)
         assert proc.stderr.startswith("error:")
         assert complaint in proc.stderr
@@ -380,16 +362,9 @@ def _run_with_d_tops_ascending(*argv):
     # python -O, with the side order reversed under the tops that start
     # with d, which breaks the order of dawg and extend under the first
     assert word2d._ASCENDING["d"] is False
-    script = ("import sys\n"
-              "if __debug__:\n"
-              "    sys.exit('not optimized')\n"
-              "from fib2d import cli, word2d\n"
-              "word2d._ASCENDING = dict(word2d._ASCENDING, d=True)\n"
-              "sys.exit(cli.main(sys.argv[1:]))\n")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(
-        os.path.dirname(fib2d.__file__)))
-    return subprocess.run([sys.executable, "-O", "-c", script, *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return run_optimized("from fib2d import cli, word2d\n"
+                         "word2d._ASCENDING = dict(word2d._ASCENDING, d=True)\n"
+                         "sys.exit(cli.main(sys.argv[1:]))\n", *argv)
 
 
 @pytest.mark.parametrize("method", ["dawg", "extend"])
@@ -466,12 +441,10 @@ def test_output_is_the_same_under_every_hash_seed():
               "from fib2d import cli\n"
               f"for argv in {HASH_SEED_CATALOG!r}:\n"
               "    sys.stdout.write(f'\\0{cli.main(argv)}\\0')\n")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(
-        os.path.dirname(fib2d.__file__)))
     outs = []
     for seed in ("0", "1"):
         proc = subprocess.run([sys.executable, "-c", script],
-                              env=dict(env, PYTHONHASHSEED=seed),
+                              env=dict(PACKAGE_ENV, PYTHONHASHSEED=seed),
                               capture_output=True, timeout=60)
         assert (proc.returncode, proc.stderr) == (0, b""), seed
         outs.append(proc.stdout)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from fib2d import cli, conjugacy, dawg, frames, oracle, word2d
 from fib2d.errors import BadBounds, ShapeMismatch
 
-import rotation
 from reference import band_occurrences, texts
 from tables import OCC_BLOCK, WORDS_1_1, WORDS_2_2, WORDS_3_3
 
@@ -55,18 +54,6 @@ def _occurrences_reference(w, R, C):
                  if all(g[i + r][j:j + cols] == w[r] for r in range(rows)))
 
 
-def test_oracle_subwords_matches_window_reference():
-    # the rotation coding reads no prefix, so a bound too small to hold
-    # every factor shows as a missing text
-    sizes = [(k, l) for k in range(1, 13) for l in range(1, 13)]
-    sizes += [(300, 1), (1, 300), (300, 2), (2, 300), (30, 70), (70, 30),
-              (1100, 1)]
-    for k, l in sizes:
-        R, C = oracle.sufficient_bounds(k, l)
-        assert oracle.oracle_subwords(k, l, R, C) == \
-            tuple(rotation.texts(k, l)), (k, l)
-
-
 def test_oracle_occurrences_matches_letter_scan():
     for w in WORDS_2_2 + WORDS_3_3:
         assert oracle.oracle_occurrences(w, 40, 40) == \
@@ -85,6 +72,11 @@ def test_oracle_occurrences_matches_letter_scan():
 def test_oracle_occurrences_rejects_an_empty_row():
     with pytest.raises(ShapeMismatch, match="empty rows"):
         oracle.oracle_occurrences(("",), 3, 3)
+
+
+def test_oracle_occurrences_rejects_a_ragged_grid():
+    with pytest.raises(ShapeMismatch, match="rows have unequal lengths"):
+        oracle.oracle_occurrences(("a", ""), 3, 3)
 
 
 def test_oracle_occurrences_match_band_scan():

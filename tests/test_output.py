@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import ast
 import json
-import os
 import re
 import subprocess
 import sys
@@ -19,14 +18,10 @@ from pathlib import Path
 
 import pytest
 
-import fib2d
 from fib2d import cli, conjugacy, dawg, word1d, word2d
 
-from reference import (conjugacy_class_rotations, dot_graph, export_dot_text,
-                       fresh_peak)
-
-ENV = dict(os.environ,
-           PYTHONPATH=os.path.dirname(os.path.dirname(fib2d.__file__)))
+from reference import (PACKAGE_ENV, conjugacy_class_rotations, dot_graph,
+                       export_dot_text, fresh_peak)
 
 
 def run(capsys, *argv):
@@ -388,7 +383,7 @@ def test_closed_stdout_exits_2(tmp_path, command, unbuffered):
     factor.write_text("d\n")
     argv, head = CLOSED_EARLY[command]
     argv = [a.replace("{file}", str(factor)) for a in argv]
-    env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
+    env = {k: v for k, v in PACKAGE_ENV.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen([sys.executable, "-m", "fib2d.cli", *argv],
@@ -418,6 +413,6 @@ def test_importing_the_cli_does_not_import_json():
               "fib2d.cli.main(['gen1d', '--len', '3'])\n"
               "print(sorted({'argparse', 'gettext', 'json', 'locale'}"
               " & set(sys.modules)))\n")
-    proc = subprocess.run([sys.executable, "-c", script], env=ENV,
+    proc = subprocess.run([sys.executable, "-c", script], env=PACKAGE_ENV,
                           capture_output=True, text=True, timeout=60)
     assert (proc.stdout, proc.stderr) == ("False\nbab\n[]\n", "")

@@ -3,8 +3,9 @@
 A factor's text is its rows, each ending in a newline, as word2d.to_text
 prints them.  The parent grid, the 2D Fibonacci word, is read as the
 coding of two rotations (tests/rotation.py), which shares nothing with
-any method; each method's stream is checked against it text by text, and
-tall shapes are checked to build no row tuples at all.
+any method; each method's stream is checked against it text by text, as
+is each tuple form at the smallest sizes, and tall shapes are checked to
+build no row tuples at all.
 """
 
 from __future__ import annotations
@@ -16,14 +17,14 @@ from itertools import zip_longest
 import pytest
 
 import fib2d
-from fib2d import dawg, frames, oracle
+from fib2d import conjugacy, dawg, frames, oracle
 
 import rotation
 
 SIZES = [(k, l) for k in range(1, 13) for l in range(1, 13)]
 SIZES += [(40, 40), (30, 70), (70, 30), (100, 100),
           (1100, 1), (1, 1100), (1100, 2), (2, 1100),
-          (300, 1), (1, 300), (300, 2), (2, 300)]
+          (300, 1), (1, 300), (300, 2), (2, 300), (150, 1), (1, 150)]
 
 
 @pytest.mark.parametrize("method", sorted(oracle.METHODS))
@@ -40,16 +41,23 @@ def test_texts_are_the_texts_of_the_parent_grids(method):
             assert got == want, (method, k, l, n)
 
 
+@pytest.mark.parametrize("enum", [
+    dawg.enumerate_dawg, frames.enumerate_extension,
+    conjugacy.enumerate_conjugation, conjugacy.enumerate_prefix_conjugates],
+    ids=lambda enum: enum.__name__)
+def test_tuple_forms_are_the_texts_of_the_parent_grids(enum):
+    # prefix conjugates exist only from size (2,2) on
+    first = 2 if enum is conjugacy.enumerate_prefix_conjugates else 1
+    for k in range(first, 4):
+        assert enum(k, k) == tuple(rotation.texts(k, k)), k
+
+
 @pytest.mark.parametrize("method, stream", [
     ("dawg", dawg.stream_dawg), ("extend", frames.stream_extension)])
 def test_frame_streams_are_the_texts_of_the_parent_grids(method, stream):
     # dawg and extend fill their blocks in sorted order and never sort, so
     # the first text of a large size comes without the rest being built
     assert oracle.METHODS[method] is stream
-    for k, l in [(k, l) for k in range(1, 13) for l in range(1, 13)]:
-        texts = stream(k, l)
-        assert iter(texts) is texts, (method, k, l)
-        assert list(texts) == list(rotation.texts(k, l)), (method, k, l)
     for k, l in [(1100, 1100), (1, 1100), (1100, 1)]:
         assert next(stream(k, l)) == next(iter(rotation.texts(k, l))), (
             method, k, l)

@@ -5,9 +5,6 @@ from __future__ import annotations
 import ast
 import bisect
 import io
-import os
-import subprocess
-import sys
 import tracemalloc
 from itertools import permutations, repeat
 
@@ -15,12 +12,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import fib2d
 from fib2d import cli, oracle, word1d, word2d
 from fib2d.errors import EmptyWord, InternalError, NotAFactor, TooShort
 
 import rotation
-from reference import (factor_set, factors1d_listkey, right_table, shared,
+from reference import (factor_set, right_table, run_optimized, shared,
                        shortest_truncated_index_loop, special_factor)
 from tables import (FACTORS_4_AB, OCC_ABAB_BELOW_33, Q_4_AB, Z1_BELOW_6,
                     Z2_BELOW_12, Z4_BELOW_30)
@@ -263,25 +259,16 @@ def test_factors1d_matches_window_scan():
             assert set(word1d.factors1d(k, alphabet)) == windows, k
 
 
-def test_factors1d_order_matches_per_letter_key():
-    # the plain sort, reversed when first > second, orders factors as the
-    # per-letter rank list did, in each line alphabet and with the letters
-    # in their own order
-    for alphabet in ("dc", "ba", "db", "ca", "ab", "cd"):
-        for k in range(1, 101):
-            assert word1d.factors1d(k, alphabet) == factors1d_listkey(
-                k, alphabet), (alphabet, k)
-
-
 def test_factors1d_are_the_rotation_codings():
     # the rotation coding reads no prefix of the word; 0 is the dominant
     # letter, and the codings sorted are factors1d's order in each line
-    # alphabet, which sorts the dominant letter first.  Every k <= 300, and
-    # the F12 numbers 377 to 1597 and their neighbours
+    # alphabet and in ab and cd, whose letters are in their own order:
+    # factors1d sorts the dominant letter first.  Every k <= 300, and the
+    # F12 numbers 377 to 1597 and their neighbours
     fibs = [word1d.fib(n, "F12") for n in range(12, 16)]
     for k in [*range(1, 301), *(f + d for f in fibs for d in (-1, 0, 1))]:
         codings = sorted(rotation.line_words(k))
-        for alphabet in (*word2d.ROW_ALPHABETS, *word2d.COL_ALPHABETS):
+        for alphabet in ("dc", "ba", "db", "ca", "ab", "cd"):
             spell = str.maketrans("01", alphabet)
             assert tuple(u.translate(spell) for u in codings) == \
                 word1d.factors1d(k, alphabet), (alphabet, k)
@@ -613,10 +600,7 @@ def test_invariant_checks_survive_optimize(case):
     # python -O strips assert statements; these paper invariants must still
     # raise InternalError, whose exit code is 13
     patch, call, complaint = INVARIANT_BREAKS[case]
-    script = ("import sys\n"
-              "if __debug__:\n"
-              "    sys.exit('not optimized')\n"
-              "from fib2d import word1d\n"
+    script = ("from fib2d import word1d\n"
               "from fib2d.errors import EXIT_CODES, InternalError\n"
               f"{patch}\n"
               "try:\n"
@@ -624,10 +608,7 @@ def test_invariant_checks_survive_optimize(case):
               "except InternalError as exc:\n"
               "    print(f'error: {exc}', file=sys.stderr)\n"
               "    sys.exit(EXIT_CODES[type(exc)])\n")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(
-        os.path.dirname(fib2d.__file__)))
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = run_optimized(script)
     assert proc.returncode == 13, proc.stderr
     assert proc.stderr.startswith("error:")
     assert complaint in proc.stderr

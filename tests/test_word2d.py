@@ -111,6 +111,11 @@ def test_column_is_one_based():
         word2d.column(F33, 4)
 
 
+def test_column_rejects_a_ragged_grid():
+    with pytest.raises(ShapeMismatch, match="rows have unequal lengths"):
+        word2d.column(("ab", "c"), 2)
+
+
 def test_text_round_trip():
     assert word2d.to_text(F33) == "dcd\nbab\ndcd\n"
     assert word2d.parse_text("dcd\nbab\ndcd\n") == F33
@@ -510,6 +515,11 @@ def test_subblock():
         word2d.subblock(F33, (1, 1), (4, 3))
     with pytest.raises(OutOfDomain):
         word2d.subblock(F33, (0, 1), (2, 2))
+
+
+def test_subblock_rejects_a_ragged_grid():
+    with pytest.raises(ShapeMismatch, match="rows have unequal lengths"):
+        word2d.subblock(("ab", "c"), (1, 1), (2, 2))
 
 
 def test_classify_lines():
