@@ -60,11 +60,10 @@ def _cmd_enum(args) -> int:
 
 def _cmd_locate(args) -> int:
     if args.file == "-":
-        text = sys.stdin.read()
+        w = word2d.parse_text(sys.stdin.read())
     else:
         with open(args.file, encoding="ascii") as fh:
-            text = fh.read()
-    w = word2d.parse_text(text)
+            w = word2d.parse_text(fh.read())
     first, xs, ys = locator.occ_axes(w, args.row_bound, args.col_bound)
     # the bytes of json.dumps({"first", "occurrences", "row_bound",
     # "col_bound"}), written one row of the product at a time

@@ -21,7 +21,7 @@ text are ever held.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import IncompleteInput, InconsistentJoint
 from .word1d import _extend_block, factors1d
@@ -31,12 +31,8 @@ from .word2d import (Grid, classify_lines, col_alphabet_of, column,
 from .word2d import subblock  # noqa: F401
 
 
-class FrameTL(NamedTuple):
-    """First row, first column, and their shared corner letter."""
-
-    frame_t: str
-    frame_l: str
-    s_joint: str
+FrameTL = namedtuple("FrameTL", "frame_t frame_l s_joint")
+FrameTL.__doc__ = "First row, first column, and their shared corner letter."
 
 
 def frame_tl(w: Grid) -> FrameTL:

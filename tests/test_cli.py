@@ -156,15 +156,24 @@ def test_locate_searches_each_frame_word_once(capsys, monkeypatch):
     # a zero bound on the other axis does not hide a negative one
     (word2d.to_text(OCC_BLOCK), ("-1", "0"), 2),
     (word2d.to_text(OCC_BLOCK), ("0", "-1"), 2),
+    ("dé\n", ("5", "5"), 2),              # not ASCII: the decode fails
 ])
 def test_locate_errors_leave_stdout_empty(capsys, tmp_path, text, bounds,
                                           exit_code):
     path = tmp_path / "block.txt"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     code, out, err = run(capsys, "locate", "--file", str(path),
                          "--row-bound", bounds[0], "--col-bound", bounds[1])
     assert (code, out) == (exit_code, "")
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_locate_rejects_a_non_ascii_letter_on_stdin(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("dé\n"))
+    code, out, err = run(capsys, "locate", "--file", "-",
+                         "--row-bound", "5", "--col-bound", "5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 # ------------------------------------------------------------- conjugates --
@@ -450,6 +459,17 @@ def test_output_is_the_same_under_every_hash_seed():
         outs.append(proc.stdout)
     assert outs[0].split(b"\0")[1::2] == [b"0"] * len(HASH_SEED_CATALOG)
     assert outs[0] == outs[1]
+
+
+def test_the_package_loads_no_typing():
+    # typing brings re, enum, contextlib and a dozen more modules that no
+    # line of the package reads; -S keeps out what site's .pth files load
+    proc = subprocess.run([sys.executable, "-S", "-c",
+                           "import sys\nimport fib2d.cli\n"
+                           "print('typing' in sys.modules)"],
+                          env=PACKAGE_ENV, capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 # ----------------------------------------------------------------- parser --

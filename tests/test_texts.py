@@ -27,6 +27,26 @@ SIZES += [(40, 40), (30, 70), (70, 30), (100, 100),
           (300, 1), (1, 300), (300, 2), (2, 300), (150, 1), (1, 150)]
 
 
+def assert_same_text(got, want, where):
+    """Raise AssertionError unless got == want, naming where, both lengths
+    and the first differing offset with a short excerpt of each side; a
+    missing text is None.
+
+    A bare assert would have pytest diff the two sides, which takes
+    minutes on texts of a megabyte."""
+    if got == want:
+        return
+    if got is None or want is None:
+        ended = "got" if got is None else "want"
+        raise AssertionError(f"{where}: the {ended} stream ended first")
+    n = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y),
+             min(len(got), len(want)))
+    raise AssertionError(
+        f"{where}: lengths {len(got)} and {len(want)}, first difference at "
+        f"{n}: got {got[max(n - 20, 0):n + 20]!r}, "
+        f"want {want[max(n - 20, 0):n + 20]!r}")
+
+
 @pytest.mark.parametrize("method", sorted(oracle.METHODS))
 def test_texts_are_the_texts_of_the_parent_grids(method):
     # each method streams its texts, so neither side holds a whole output
@@ -38,7 +58,7 @@ def test_texts_are_the_texts_of_the_parent_grids(method):
         assert iter(texts) is texts, (method, k, l)
         for n, (got, want) in enumerate(zip_longest(texts,
                                                     rotation.texts(k, l))):
-            assert got == want, (method, k, l, n)
+            assert_same_text(got, want, (method, k, l, n))
 
 
 @pytest.mark.parametrize("enum", [
@@ -59,8 +79,8 @@ def test_frame_streams_are_the_texts_of_the_parent_grids(method, stream):
     # the first text of a large size comes without the rest being built
     assert oracle.METHODS[method] is stream
     for k, l in [(1100, 1100), (1, 1100), (1100, 1)]:
-        assert next(stream(k, l)) == next(iter(rotation.texts(k, l))), (
-            method, k, l)
+        assert_same_text(next(stream(k, l)), next(iter(rotation.texts(k, l))),
+                         (method, k, l))
 
 
 def test_tall_enumeration_builds_no_row_tuples(monkeypatch):
