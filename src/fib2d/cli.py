@@ -8,8 +8,6 @@ exit with per-error codes (see errors.EXIT_CODES), usage errors and I/O
 errors (a stdout closed early among them) exit 2, a failed verify exits 1.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 from types import SimpleNamespace

@@ -11,8 +11,6 @@ or a sorted tuple (enumerate_*).  The class itself is read by the same
 cyclic window reader: its grids are the grid's own-size windows.
 """
 
-from __future__ import annotations
-
 from .errors import EmptyWord, InternalError, OutOfRange
 from .word1d import fib, fib_index, special_conjugate1d
 from .word2d import Grid, count_law, dims, fib_array, stream_windows

@@ -24,8 +24,6 @@ Its DOT text is read off its out-edges in order, and its root paths copy
 the spine, spelled once, a slice per branch point: no graph is stored.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left
 from itertools import islice
 from types import SimpleNamespace

@@ -47,7 +47,7 @@ class OutOfRange(Fib2DError):
 
 
 class BadBounds(Fib2DError):
-    """Scan bounds are negative or smaller than the pattern."""
+    """The oracle's prefix is smaller than the window or pattern it scans."""
 
 
 class InternalError(Fib2DError):

@@ -19,8 +19,6 @@ checked, as a stream in sorted order, so only the two lists, a lane and a
 text are ever held.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .errors import IncompleteInput, InconsistentJoint

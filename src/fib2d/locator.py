@@ -8,8 +8,6 @@ line-structured grid is the fill of its frame, so it is a factor iff both
 frame words are; the 1D searches raise NotAFactor when one is not.
 """
 
-from __future__ import annotations
-
 from .frames import frame_tl
 from .word1d import _first_occ, _occ_from
 from .word2d import Grid, col_alphabet_of, row_alphabet_of

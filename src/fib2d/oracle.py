@@ -12,8 +12,6 @@ double the bound side by side, one text at a time, so it holds no whole
 output.
 """
 
-from __future__ import annotations
-
 from itertools import zip_longest
 
 from . import conjugacy, dawg, frames

@@ -18,8 +18,6 @@ prefix extends on the right by both letters, and all of them occur in its
 first 4k + 8 letters, factor_prefix, which every search for a factor reads.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from itertools import accumulate, chain, takewhile
 

@@ -9,8 +9,6 @@ Rows of the infinite grid are over {d,c} or {b,a} (d, b dominant), columns
 over {d,b} or {c,a}.  Within any factor, lines sharing an alphabet are equal.
 """
 
-from __future__ import annotations
-
 from itertools import chain, count, islice, repeat
 from math import isqrt
 

@@ -70,8 +70,7 @@ UNREAD_IMPORTS = [("frames.py", "subblock")]
 
 
 def _unread_imports(path: Path) -> set[str]:
-    """Names the module at path imports, but for the future import
-    `annotations`, that no expression in it reads."""
+    """Names the module at path imports that no expression in it reads."""
     tree = ast.parse(path.read_text())
     imported = {alias.asname or alias.name.split(".")[0]
                 for node in ast.walk(tree)
@@ -79,7 +78,7 @@ def _unread_imports(path: Path) -> set[str]:
                 for alias in node.names}
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    return imported - read - {"annotations"}
+    return imported - read
 
 
 def test_every_import_is_read():

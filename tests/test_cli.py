@@ -10,6 +10,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fib2d
 from fib2d import cli, oracle, word1d, word2d
@@ -463,13 +465,17 @@ def test_output_is_the_same_under_every_hash_seed():
 
 def test_the_package_loads_no_typing():
     # typing brings re, enum, contextlib and a dozen more modules that no
-    # line of the package reads; -S keeps out what site's .pth files load
+    # line of the package reads, and every annotation the package writes
+    # evaluates on Python 3.10, so no module needs __future__ either; -S
+    # keeps out what site's .pth files load
     proc = subprocess.run([sys.executable, "-S", "-c",
                            "import sys\nimport fib2d.cli\n"
-                           "print('typing' in sys.modules)"],
+                           "print('typing' in sys.modules,"
+                           " '__future__' in sys.modules)"],
                           env=PACKAGE_ENV, capture_output=True, text=True,
                           timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "False False\n", "")
 
 
 # ----------------------------------------------------------------- parser --
@@ -648,3 +654,69 @@ def test_parser_stops_at_the_first_unknown_argument(argv):
     code, out, _ = parse_with(by_argparse, argv)
     assert code == 0 and out
     assert parse_with(by_table, argv)[:2] == (2, "")
+
+
+# words an argv may hold besides a command's own options: values of every
+# kind, unknown options, stray words, "--" and help
+ODD = ["", "-", "--", "-1", "-0", "-7\n", "-1.5", "-.5", "1.5", "+1_0", " 5 ",
+       "x", "x y", "-x y", "a=b", "-x", "-j", "-hx", "--bogus", "--bogus=1",
+       "-h", "--help", "--he", "-h=1", "--help=x", "gen1d", "DAWG"]
+
+
+def _value(kind):
+    if kind is int:
+        usual = st.integers(-20, 40).map(str)
+    else:
+        usual = st.sampled_from(kind if isinstance(kind, tuple)
+                                else ("ba", "dc", "-", "block.txt"))
+    return st.one_of(usual, usual, st.sampled_from(ODD))
+
+
+@st.composite
+def argvs(draw):
+    """An argv of one command's options, each zero to two times under a
+    unique prefix, in either value form, shuffled with odd words."""
+    command = draw(st.sampled_from([*cli._COMMANDS, "gen", ""]))
+    table = cli._COMMANDS[command][2] if command in cli._COMMANDS else {}
+    items = [[word] for word in draw(st.lists(st.sampled_from(ODD),
+                                              max_size=2))]
+    for opt, (kind, _) in table.items():
+        for _ in range(draw(st.sampled_from((0, 1, 1, 2)))):
+            name = opt[:draw(st.integers(3, len(opt)))]
+            if kind is bool:
+                items.append([name])
+                continue
+            value = draw(_value(kind))
+            # argparse before Python 3.13 reads --opt=-- as an empty list, a
+            # defect 3.13 mended; the table parser reads it as 3.13 does
+            if draw(st.booleans()) and (value != "--"
+                                        or sys.version_info >= (3, 13)):
+                items.append([f"{name}={value}"])
+            else:
+                items.append([name, value])
+    argv = [word for item in draw(st.permutations(items)) for word in item]
+    return tuple([command] + argv if command else argv)
+
+
+def _stops_before_help(argv, err) -> bool:
+    """STOPS_BEFORE_HELP's rule: the table parser stopped at an unknown
+    word that argv holds before its first help word."""
+    _, stop, word = err.partition("unrecognized or ambiguous argument: ")
+    helps = [i for i, arg in enumerate(argv)
+             if arg == "-h" or len(arg) > 2 and "--help".startswith(arg)]
+    return bool(stop) and word[:-1] in argv[:helps[0]]
+
+
+@settings(max_examples=400, deadline=None)
+@given(argvs())
+def test_parser_reads_generated_argv_as_argparse(argv):
+    want, got = parse_with(by_argparse, argv), parse_with(by_table, argv)
+    if want[0] == 2:
+        assert want[1] == "" and got[:2] == (2, "")
+    elif want[0] == 0 and got[0] == 2:
+        assert got[1] == "" and _stops_before_help(argv, got[2])
+    elif want[0] == 0:
+        assert (got[0], got[2]) == (0, "")
+        assert got[1].startswith("usage: fib2d")
+    else:
+        assert got == want
