@@ -24,9 +24,8 @@ from .word1d import (factors1d, fib, fib_prefix, fib_word, first_occ1d,
                      occ1d, right_extensions, rotate1d,
                      shortest_truncated_index, special_conjugate1d,
                      truncated, z_stream, zeck_repr)
-from .word2d import (EMPTY, Grid, as_grid, classify_lines, col_alphabet_of,
-                     column, dims, fib_array, fill, fill_text, mu_prefix,
-                     parse_text, row_alphabet_of, subblock, swap_row_alphabet,
-                     to_text)
+from .word2d import (Grid, classify_lines, col_alphabet_of, column, dims,
+                     fib_array, fill, fill_text, mu_prefix, parse_text,
+                     row_alphabet_of, subblock, swap_row_alphabet, to_text)
 
 __version__ = "0.1.0"

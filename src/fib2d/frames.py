@@ -22,7 +22,7 @@ text are ever held.
 from collections import namedtuple
 
 from .errors import IncompleteInput, InconsistentJoint
-from .word1d import _extend_block, factors1d
+from .word1d import _extend_block, _grow, factor_prefix, factors1d
 from .word2d import (Grid, classify_lines, col_alphabet_of, column,
                      count_law, fill, row_alphabet_of, stream_fills)
 # unused here; perfbench/selftest.py checks that the tracer wraps this binding
@@ -99,27 +99,29 @@ def stream_extension(k: int, l: int):
     repeated extension, as a stream in sorted order.
 
     The class is kept as one list of tops, the row factors over dc, and
-    one of sides, the column factors over db; word2d.stream_fills adds
-    their swaps and pairs each top with the sides that start with its
+    one of sides, the column factors over db, each word held as its first
+    occurrence in its line word's word1d.factor_prefix; word2d.stream_fills
+    adds their swaps and pairs each top with the sides that start with its
     first letter, each pair the frame of one subword.  With m = min(k,l),
     the lists start from the complete one-line class (k-m+1, l-m+1), whose
     words are the 1D factors of length |k-l|+1 and single letters.  Each
-    of the m-1 diagonal steps grows every word of both lists once, in
-    place, so one list of each is held, not two.
-    word2d.count_law checks the distinct pairs of every size on the way,
+    of the m-1 diagonal steps grows both lists once (word1d._grow).
+    word2d.count_law checks the distinct offsets of every size on the way,
     before the first text; stream_fills then cuts each pair of the final
-    lists into its text, in sorted order, from its top's lane.
+    words, sliced once, into its text, in sorted order, from its top's lane.
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
     m = min(k, l)
-    tops = list(factors1d(l - m + 1, "dc"))
-    sides = list(factors1d(k - m + 1, "db"))
+    p, q = factor_prefix("dc", l), factor_prefix("db", k)
+    tops = list(map(p.find, factors1d(l - m + 1, "dc")))
+    sides = list(map(q.find, factors1d(k - m + 1, "db")))
     for a, b in zip(range(k - m + 1, k + 1), range(l - m + 1, l + 1)):
         count_law(len(set(tops)) * len(set(sides)), a, b, "extension")
         if a < k:
-            tops, sides = _extend_block(tops, "dc"), _extend_block(sides, "db")
-    return stream_fills(tops, sides, 0)
+            tops, sides = _grow(tops, p, b), _grow(sides, q, a)
+    return stream_fills([p[i:i + l] for i in tops],
+                        [q[i:i + k] for i in sides], 0)
 
 
 def enumerate_extension(k: int, l: int) -> tuple[str, ...]:

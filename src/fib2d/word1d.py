@@ -185,28 +185,39 @@ def factors1d(k: int, alphabet) -> tuple[str, ...]:
     return tuple(sorted(seen, reverse=first > second))
 
 
+def _grow(starts: list, p: str, k: int) -> list[int]:
+    """The offsets in p, a prefix of the infinite word, of the words that
+    grow from the length-k words first occurring at `starts`, as
+    _extend_block orders them.  Each offset i stays, for u + p[i + k].  The
+    reversed length-k prefix is a suffix of the shortest palindromic prefix
+    of fib(n, "F12") - 2 >= k letters and first occurs there; it also grows
+    by its other letter, found after it, first letter first."""
+    i = fib(fib_index(k + 1, "F12"), "F12") - 2 - k
+    if i not in starts:
+        return starts
+    u, x = p[i:i + k], p[1] if p[i + k] == p[0] else p[0]
+    if u != p[:k][::-1]:
+        raise InternalError(f"{u!r} at {i} is not the reversed prefix")
+    t = p.find(u + x, i + 1)
+    if t < 0:
+        raise InternalError(f"{u + x!r} is not in the first {len(p)} letters")
+    j = starts.index(i)
+    return starts[:j] + ([t, i] if x == p[0] else [i, t]) + starts[j + 1:]
+
+
 def _extend_block(words: list, alphabet) -> list[str]:
     """u + x for each word u, all of one length k, and each x with u + x a
     factor: both letters for the reversed length-k prefix, else the letter
-    after u's first occurrence in factor_prefix.  The list `words` is
-    consumed, last word first, so each word is dropped as it grows."""
-    first, second = _pair(alphabet)
+    after u's first occurrence in factor_prefix (_grow)."""
     k = len(words[0])
     p = factor_prefix(alphabet, k)
-    special, out = p[:k][::-1], []
-    while words:
-        u = words.pop()
-        i = p.find(u)
-        if u == special:
-            out += (u + second, u + first)
-        elif i < 0:
+    starts = list(map(p.find, words))
+    for u, i in zip(words, starts):
+        if i < 0:
             raise NotAFactor(f"{u!r} does not occur in the infinite word")
-        elif i + k >= len(p):
+        if i + k >= len(p):
             raise InternalError(f"{u!r} ends the first {len(p)} letters")
-        else:
-            out.append(u + p[i + k])
-    out.reverse()
-    return out
+    return [p[i:i + k + 1] for i in _grow(starts, p, k)]
 
 
 def right_extensions(u: str, alphabet) -> tuple[str, ...]:

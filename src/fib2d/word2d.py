@@ -18,8 +18,6 @@ from .word1d import LETTERS, factor_prefix, fib_word
 
 Grid = tuple[str, ...]
 
-EMPTY: Grid = ()
-
 ROW_ALPHABETS = ("dc", "ba")
 COL_ALPHABETS = ("db", "ca")
 
@@ -73,15 +71,15 @@ def stream_fills(tops, sides, column: int):
     stands for its swap (swap_row_alphabet; a<->b, c<->d), so the pairs
     are the frames of all four corner letters.  Swaps keep order and every
     ba word sorts before every dc word, so the tops are sorted once and
-    their swaps made one at a time, ahead of them.  The sides that start
-    with one letter are length-k factors of one column word; let p be its
-    word1d.factor_prefix, which holds them all.  Each top is filled once
-    over the span of p that holds its corner's sides, its lane, and a text
-    is the k rows of the lane at p.find(side).  p over ca is p over db
-    swapped, so a swapped side's span and place are found with its side's.
-    A side not in p (reported as its swap, over ca: a and c come first in
-    LETTERS order), a top whose corner starts no side, or a lane whose
-    0-based column `column` is not the span raises InternalError.
+    their swaps made one at a time, ahead of them.  The sides are
+    length-k factors of the column word over db; let p be its
+    word1d.factor_prefix, built once, which holds them all.  Each top is
+    filled once over the span of p that holds its corner's sides, its lane,
+    and a text is the k rows of the lane at p.find(side).  p over ca is p
+    over db swapped, so a swapped side's span and place are found with its
+    side's.  A side not in p (reported as its swap, over ca: a and c come
+    first in LETTERS order), a top whose corner starts no side, or a lane
+    whose 0-based column `column` is not the span raises InternalError.
 
     A text's rows are its top or its swap as its side's 0/1 pattern says,
     so the texts come top by top in sorted order, and under one top by the
@@ -93,20 +91,18 @@ def stream_fills(tops, sides, column: int):
     """
     tops = sorted(tops)
     w, spans = len(tops[0]) + 1 if tops else 0, {}
+    k = len(sides[0]) if sides else 0
+    p = factor_prefix("db", k)
     for x in sorted({v[0] for v in sides}):  # b before d, as a before c
         # sides that share their first letter x first differ where one has
-        # x, a 0, and the other the other letter of x's column alphabet, a
-        # 1, so their patterns ascend as they do when x is the smaller
-        alphabet = col_alphabet_of(x)
-        up = sorted([v for v in sides if v[0] == x],
-                    reverse=x > alphabet.replace(x, ""))
-        k, p = len(up[0]), factor_prefix(alphabet, len(up[0]))
+        # x, a 0, and the other the other letter of db, a 1, so their
+        # patterns ascend as they do when x is the smaller, b
+        up = sorted([v for v in sides if v[0] == x], reverse=x == "d")
         at = list(map(p.find, up))
         if -1 in at:
             raise InternalError(
                 f"side {up[at.index(-1)].translate(_SWAP_COL)!r} is not a "
-                f"factor of the column word over "
-                f"{alphabet.translate(_SWAP_COL)!r}")
+                f"factor of the column word over 'ca'")
         first = min(at)
         span = p[first:max(at) + k]
         # each text's start in the lane, by ascending pattern, and length
@@ -170,23 +166,6 @@ def dims(w: Grid) -> tuple[int, int]:
     return (len(w), width)
 
 
-def as_grid(rows) -> Grid:
-    """Freeze a sequence of row strings into a grid, validating the shape."""
-    g = tuple(rows)
-    if not g:
-        return EMPTY
-    width = len(g[0])
-    if width == 0:
-        raise ShapeMismatch("grids with empty rows do not exist")
-    for row in g:
-        if len(row) != width:
-            raise ShapeMismatch("rows have unequal lengths")
-        bad = row.translate(_NOT_LETTERS)
-        if bad:
-            raise ValueError(f"letter {bad[0]!r} outside 'abcd'")
-    return g
-
-
 def column(w: Grid, j: int) -> str:
     """1-based column of w as a string."""
     rows, cols = dims(w)
@@ -200,7 +179,16 @@ def to_text(w: Grid) -> str:
 
 
 def parse_text(s: str) -> Grid:
-    return as_grid([line for line in s.splitlines() if line.strip()])
+    """The grid of the lines of s that are not blank, each checked for the
+    first line's width, then for its letters."""
+    g = tuple([line for line in s.splitlines() if line.strip()])
+    for row in g:
+        if len(row) != len(g[0]):
+            raise ShapeMismatch("rows have unequal lengths")
+        bad = row.translate(_NOT_LETTERS)
+        if bad:
+            raise ValueError(f"letter {bad[0]!r} outside 'abcd'")
+    return g
 
 
 # -------------------------------------------------------- Fibonacci grids --

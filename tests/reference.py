@@ -28,7 +28,7 @@ the line DAWGs in pieces of whole lines, replaced.
 `shortest_truncated_index_loop` tries truncated words in turn, as before
 the index was read off the first occurrence.
 
-Grids.  `as_grid_loop` checks letters one at a time, as before one
+Grids.  `parse_text_loop` checks letters one at a time, as before one
 translate per row.  `conjugacy_class_rotations` is the sorted set of
 every row/column rotation, which the grid's own-size windows taken
 cyclically replaced.  `window_places` locates every window of a prefix by
@@ -38,7 +38,8 @@ scan that the oracle's str.find over the prefix rows replaced.  `texts`
 gives each grid's text.
 
 The command line is read from one table; `argparse_parser` is the
-parser it replaced.  Every memory pin and scaling gate measures one
+parser it replaced.  `run` makes one request in-process and reads its
+output off pytest's capsys.  Every memory pin and scaling gate measures one
 request in a fresh interpreter (`fresh_peak`), so that it reads the same
 in any test order.  Every child interpreter imports the package through
 `PACKAGE_ENV`, and `run_optimized` runs a script under python -O.
@@ -70,8 +71,8 @@ from fib2d import cli
 from fib2d.dawg import _LETTER, build_line_dawg, subword_from_path
 from fib2d.errors import InternalError, NotAFactor, ShapeMismatch
 from fib2d.word1d import factors1d, truncated
-from fib2d.word2d import (EMPTY, col_alphabet_of, dims, mu_prefix,
-                          row_alphabet_of, to_text)
+from fib2d.word2d import (col_alphabet_of, dims, mu_prefix, row_alphabet_of,
+                          to_text)
 
 
 _PACKAGE = [fib2d] + [importlib.import_module(f"fib2d.{info.name}")
@@ -335,6 +336,13 @@ PACKAGE_ENV = dict(os.environ,
 _OPTIMIZED = "import sys\nif __debug__:\n    sys.exit('not optimized')\n"
 
 
+def run(capsys, *argv):
+    """(exit code, stdout, stderr) of cli.main(argv), run in-process."""
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def run_optimized(script: str, *argv) -> subprocess.CompletedProcess:
     """script run by python -O with argv as its arguments, stdout and
     stderr captured as text; it exits at once, 'not optimized', if assert
@@ -409,16 +417,11 @@ def shortest_truncated_index_loop(u: str, alphabet) -> int:
     return n
 
 
-def as_grid_loop(rows):
-    """word2d.as_grid with its letters checked one at a time."""
-    g = tuple(rows)
-    if not g:
-        return EMPTY
-    width = len(g[0])
-    if width == 0:
-        raise ShapeMismatch("grids with empty rows do not exist")
+def parse_text_loop(s: str):
+    """word2d.parse_text with its letters checked one at a time."""
+    g = tuple(line for line in s.splitlines() if line.strip())
     for row in g:
-        if len(row) != width:
+        if len(row) != len(g[0]):
             raise ShapeMismatch("rows have unequal lengths")
         for ch in row:
             if ch not in "abcd":

@@ -18,15 +18,9 @@ from fib2d import cli, oracle, word1d, word2d
 from fib2d.errors import EXIT_CODES
 
 import rotation
-from reference import PACKAGE_ENV, argparse_parser, run_optimized
+from reference import PACKAGE_ENV, argparse_parser, run, run_optimized
 from tables import OCC_BLOCK, OCC_BLOCK_AXIS, WORDS_2_2
 from test_word2d import _owners
-
-
-def run(capsys, *argv):
-    code = cli.main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 # ------------------------------------------------------------- generation --
@@ -320,11 +314,11 @@ INVARIANT_BREAKS = {
                   "dawg", 2, 2, "is not a factor of the column word"),
     "extend-side": ("word2d.factor_prefix = lambda alphabet, k: ''",
                     "extend", 2, 2, "is not a factor of the column word"),
-    "extend-count": ("frames._extend_block = lambda words, alphabet: []",
+    "extend-count": ("frames._grow = lambda starts, p, k: []",
                      "extend", 2, 2,
                      "size (2,2) has 9 subwords, extension gave 0"),
-    "extend-duplicate": ("frames._extend_block = lambda words, alphabet: "
-                         "[u + alphabet[0] for u in words for _ in 'xx']",
+    "extend-duplicate": ("frames._grow = lambda starts, p, k: "
+                         "[i for i in starts for _ in 'xx']",
                          "extend", 2, 2,
                          "size (2,2) has 9 subwords, extension gave 4"),
     "one-line-count": ("frames.factors1d = lambda k, alph: ()",

@@ -28,7 +28,7 @@ def test_rotate2d_values():
 
 def test_rotate2d_rejects_empty():
     with pytest.raises(EmptyWord):
-        conjugacy.rotate2d(word2d.EMPTY, 1, 1)
+        conjugacy.rotate2d((), 1, 1)
 
 
 def test_rotate2d_rejects_an_empty_row():
@@ -96,7 +96,7 @@ def test_conjugacy_class_shares_equal_rows():
 
 def test_conjugacy_class_rejects_empty():
     with pytest.raises(ValueError):
-        conjugacy.conjugacy_class(word2d.EMPTY)
+        conjugacy.conjugacy_class(())
 
 
 # ------------------------------------------------- distinguished conjugate --

@@ -7,7 +7,7 @@ import pytest
 from fib2d import frames
 from fib2d.errors import (IncompleteInput, InconsistentJoint, InternalError,
                           NotAFactor)
-from fib2d.word1d import _extend_block, factors1d, right_extensions
+from fib2d.word1d import _grow, factor_prefix, factors1d, right_extensions
 from fib2d.word2d import (COL_ALPHABETS, ROW_ALPHABETS, col_alphabet_of, fill,
                           parse_text, row_alphabet_of, subblock)
 
@@ -191,14 +191,15 @@ def test_extension_grows_each_distinct_word_once(monkeypatch):
     # the (a+1)(b+1) frames of a class are the swaps and pairs of its b+1
     # top words over dc and a+1 side words over db; the per-frame step
     # looks up 44 278 at (40,40) and 56 028 at (30,70).  Each diagonal
-    # step grows the tops and the sides, one block step each: 2 calls a step
+    # step grows the tops and the sides, one offset step each: 2 calls a
+    # step
     blocks = []
 
-    def counted(words, alphabet):
-        blocks.append(len(words))
-        return _extend_block(words, alphabet)
+    def counted(starts, p, k):
+        blocks.append(len(starts))
+        return _grow(starts, p, k)
 
-    monkeypatch.setattr(frames, "_extend_block", counted)
+    monkeypatch.setattr(frames, "_grow", counted)
     for k, l, most in ((40, 40, 1638), (30, 70, 2088)):
         m = min(k, l)
         sizes = [(k - m + i, l - m + i) for i in range(1, m)]
@@ -207,6 +208,47 @@ def test_extension_grows_each_distinct_word_once(monkeypatch):
         frames.enumerate_extension(k, l)
         assert len(blocks) == 2 * (m - 1)
         assert 0 < sum(blocks) <= most
+
+
+class _Finds(str):
+    """A line word's prefix that counts the finds made in it."""
+
+    finds = 0
+
+    def find(self, *args):
+        self.finds += 1
+        return super().find(*args)
+
+
+def test_extension_finds_once_per_diagonal_step(monkeypatch):
+    # a word's first occurrence is that of the word it grows into, so a
+    # diagonal step finds only the reversed prefix's other extension: at
+    # most one find in each line word's prefix, where the block step made
+    # one per word.  The one-line class is found word by word, before any
+    # step, and nothing else is found in them
+    made, steps = [], []
+
+    def prefix(alphabet, k):
+        made.append(_Finds(factor_prefix(alphabet, k)))
+        return made[-1]
+
+    def step(starts, p, k):
+        before = p.finds
+        grown = _grow(starts, p, k)
+        steps.append(p.finds - before)
+        return grown
+
+    monkeypatch.setattr(frames, "factor_prefix", prefix)
+    monkeypatch.setattr(frames, "_grow", step)
+    for k, l in ((40, 40), (30, 70), (70, 30), (1, 9), (300, 2), (2, 300)):
+        m = min(k, l)
+        made.clear()
+        steps.clear()
+        frames.stream_extension(k, l)
+        assert len(steps) == 2 * (m - 1), (k, l)
+        assert max(steps, default=0) <= 1, (k, l)
+        assert [p.finds for p in made] == [
+            l - m + 2 + sum(steps[0::2]), k - m + 2 + sum(steps[1::2])], (k, l)
 
 
 # ------------------------------------------------------------- enumeration --

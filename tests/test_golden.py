@@ -1,119 +1,87 @@
-"""The command line's bytes, pinned by digest.
+"""The command line's bytes, pinned by digest, on every interpreter.
 
-A fixed catalog of requests runs through cli.main in-process.  For each
-request the record is its argv, its stdin, its exit code, the sha256 of
-its stdout and its stderr text; each group of requests is pinned by the
-sha256 of its records, kept in tables.GOLDEN, so a failure names its
+golden.py runs a fixed catalog of requests through cli.main and sums each
+group up by one sha256; tables.GOLDEN keeps them, so a failure names its
 group.  A change that alters any output on purpose updates the digest of
 its group and says which requests changed and why.
 
-To see which request of a group moved, print records(group) on both
-trees and compare.
+The package supports every CPython from 3.10 on, so the same digests are
+read under each other feature version found on this machine, in a child
+python -S that must load neither typing nor __future__.
 """
 
 from __future__ import annotations
 
-import hashlib
-import io
 import json
+import os
+import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from fib2d import cli, oracle
-
+from golden import CATALOG, digest
+from reference import PACKAGE_ENV
 from tables import GOLDEN
-
-SIZES = [(k, l) for k in range(13) for l in range(13)]
-FACTOR = "dcd\nbab\ndcd\n"
-
-
-def _enum():
-    return [(("enum", "--method", method, "--k", str(k), "--l", str(l))
-             + json, "") for method in sorted(oracle.METHODS)
-            for json in ((), ("--json",)) for k, l in SIZES]
-
-
-def _verify():
-    return [(("verify", "--k", str(k), "--l", str(l)) + json, "")
-            for json in ((), ("--json",)) for k, l in SIZES]
-
-
-def _gen():
-    return [*((("gen1d", "--alphabet", alphabet, "--len", str(n)), "")
-              for alphabet in ("ba", "dc")
-              for n in (0, 1, 4096, 4097, 65537)),
-            *((("gen2d", "--rows", str(r), "--cols", str(c)), "")
-              for r, c in ((1, 1), (3, 5), (13, 21), (100, 7), (0, 3)))]
-
-
-def _locate():
-    bounds = (("30", "40"), ("0", "40"), ("30", "0"), ("-1", "40"))
-    return [(("locate", "--file", "-", "--row-bound", x, "--col-bound", y),
-             text) for text in (FACTOR, "cc\naa\n", "dc\nb\n")
-            for x, y in bounds]
-
-
-def _conjugates():
-    return [(("conjugates", "--m", str(m), "--n", str(n)) + special, "")
-            for special in ((), ("--special",))
-            for m, n in ((0, 0), (1, 3), (3, 3), (4, 2), (5, 5))]
-
-
-def _dawg_dot(lengths):
-    return [(("dawg-dot", "--orientation", orientation, "--max-len", str(n)),
-             "") for orientation in ("rows", "cols", "product")
-            for n in lengths]
-
-
-def _usage():
-    return [(("-h",), ""), (("enum", "--k", "2"), ""),
-            (("enum", "--method", "nope", "--k", "1", "--l", "1"), "")]
-
-
-CATALOG = {"enum": _enum, "verify": _verify, "gen": _gen, "locate": _locate,
-           "conjugates": _conjugates,
-           "dawg-dot": lambda: _dawg_dot((*range(1, 14), 40)),
-           "dawg-dot-large": lambda: _dawg_dot((55, 89, 100)), "usage": _usage}
-
-
-class HashingStdout:
-    """A stdout that keeps only the sha256 of what is written to it."""
-
-    def __init__(self):
-        self.sha = hashlib.sha256()
-
-    def write(self, s):
-        self.sha.update(s.encode())
-        return len(s)
-
-    def flush(self):
-        pass
-
-
-def run(argv, stdin: str):
-    """[argv, stdin, exit code, stdout sha256, stderr] of one request."""
-    out, err = HashingStdout(), io.StringIO()
-    saved = sys.stdin, sys.stdout, sys.stderr
-    sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin), out, err
-    try:
-        code = cli.main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    finally:
-        sys.stdin, sys.stdout, sys.stderr = saved
-    return [list(argv), stdin, code, out.sha.hexdigest(), err.getvalue()]
-
-
-def records(group: str) -> list:
-    """The records of every request of a group, in catalog order."""
-    return [run(argv, stdin) for argv, stdin in CATALOG[group]()]
-
-
-def digest(group: str) -> str:
-    return hashlib.sha256(json.dumps(records(group)).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("group", sorted(CATALOG))
 def test_cli_bytes_match_their_digest(group):
     assert digest(group) == GOLDEN[group]
+
+
+_VERSION = "import sys; print(sys.implementation.name, *sys.version_info)"
+
+
+def _interpreters() -> tuple[list[str], dict]:
+    """(the paths searched, {(major, minor): path}): the first CPython of
+    each feature version from 3.10 on, other than the running one, among
+    $(pyenv root)/versions/3.*/bin/python and every python3.X on PATH,
+    each asked for its version at once.  A path that does not start, such
+    as a pyenv shim of a version that is not selected, is no interpreter."""
+    root = os.environ.get("PYENV_ROOT", os.path.expanduser("~/.pyenv"))
+    dirs = os.environ.get("PATH", "").split(os.pathsep)
+    searched = [f"{root}/versions/3.*/bin/python"] + [
+        f"{d}/python3.X" for d in dirs]
+    feature = r"3\.(1\d|[2-9]\d)"  # 3.10 and later, by name
+    paths = [version / "bin" / "python" for version in sorted(
+        Path(root, "versions").glob("3.*"))
+        if re.fullmatch(feature + r"(\.\d+)*", version.name)] + [
+        path for d in dirs if os.path.isdir(d)
+        for path in sorted(Path(d).iterdir())
+        if re.fullmatch("python" + feature, path.name)]
+    probes = {}
+    for path in dict.fromkeys(map(os.path.realpath, paths)):
+        try:
+            probes[path] = subprocess.Popen(
+                [path, "-S", "-c", _VERSION], stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL, text=True)
+        except OSError:
+            pass
+    found = {}
+    for path, probe in probes.items():
+        out = probe.communicate(timeout=30)[0].split()
+        if probe.returncode or out[:1] != ["cpython"]:
+            continue
+        version = tuple(map(int, out[1:3]))
+        if (3, 10) <= version != sys.version_info[:2]:
+            found.setdefault(version, path)
+    return searched, found
+
+
+def test_cli_bytes_match_on_every_interpreter():
+    searched, found = _interpreters()
+    if not found:
+        pytest.skip("no other CPython >= 3.10 in " + ", ".join(searched))
+    env = dict(PACKAGE_ENV, PYTHONDONTWRITEBYTECODE="1")
+    script = str(Path(__file__).with_name("golden.py"))
+    children = {version: subprocess.Popen(
+        [path, "-S", script], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, env=env) for version, path in sorted(found.items())}
+    for version, child in children.items():
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, (found[version], err)
+        report = json.loads(out)
+        assert report["digests"] == GOLDEN, found[version]
+        assert report["loaded"] == [], found[version]

@@ -124,8 +124,8 @@ def test_the_oracle_stays_on_the_substitution():
     for refs in roots + [METHODS["oracle"]]:
         assert not _inside(reach(refs), FILLS | {
             "word2d.swap_row_alphabet", "word1d.factor_prefix",
-            "word1d.factors1d", "word1d._extend_block", "frames", "dawg",
-            "conjugacy"}), refs
+            "word1d.factors1d", "word1d._extend_block", "word1d._grow",
+            "frames", "dawg", "conjugacy"}), refs
     for name in ("oracle.stream_subwords", "oracle.oracle_occurrences"):
         assert "word2d.mu_prefix" in reach({name}), name
 

@@ -18,16 +18,10 @@ from pathlib import Path
 
 import pytest
 
-from fib2d import cli, conjugacy, dawg, word1d, word2d
+from fib2d import conjugacy, dawg, word1d, word2d
 
 from reference import (PACKAGE_ENV, conjugacy_class_rotations, dot_graph,
-                       export_dot_text, fresh_peak)
-
-
-def run(capsys, *argv):
-    code = cli.main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+                       export_dot_text, fresh_peak, run)
 
 
 # ------------------------------------------------------------------ bytes --

@@ -403,10 +403,9 @@ def test_block_step_matches_right_table():
 def test_block_step_edge_cases(monkeypatch):
     assert word1d._extend_block(["abab"], ("a", "b")) == ["ababa"]
     assert word1d._extend_block(["abab"], "ab") == ["ababa"]
-    # the block is consumed as it grows
-    words = ["aba", "bab"]
-    assert word1d._extend_block(words, "ab") == ["abaa", "abab", "baba"]
-    assert words == []
+    # the reversed prefix grows by its first letter first
+    assert word1d._extend_block(["aba", "bab"], "ab") == [
+        "abaa", "abab", "baba"]
     # a non-factor in the middle of a block, and a letter off the alphabet
     with pytest.raises(NotAFactor, match="'bb'"):
         word1d._extend_block(["ab", "bb", "ba"], "ab")
@@ -417,6 +416,27 @@ def test_block_step_edge_cases(monkeypatch):
                         lambda alphabet, length: "abaab")
     with pytest.raises(InternalError, match="'aab'"):
         word1d._extend_block(["aab"], "ab")
+
+
+@pytest.mark.parametrize("alphabet", ["ab", "ba"])
+def test_offset_step_keeps_first_occurrences(alphabet):
+    # grown from the first occurrences of the complete class of length k,
+    # the offsets are the first occurrences of the complete class of
+    # length k + 1, for every k < 200
+    p = word1d.factor_prefix(alphabet, 200)
+    starts = [p.find(u) for u in word1d.factors1d(1, alphabet)]
+    for k in range(1, 200):
+        starts = word1d._grow(starts, p, k)
+        words = [p[i:i + k + 1] for i in starts]
+        assert [p.find(u) for u in words] == starts, k
+        assert sorted(words) == sorted(word1d.factors1d(k + 1, alphabet)), k
+
+
+def test_offset_step_reads_the_reversed_prefix_back():
+    # the offset the step takes for the reversed prefix's first occurrence
+    # is read back: the reversed length-2 prefix, aa, is not at offset 1
+    with pytest.raises(InternalError, match="'ab' at 1 is not the reversed"):
+        word1d._grow([1], "aabab", 2)
 
 
 # the swaps word2d.stream_fills pairs with the row words over dc and the

@@ -16,7 +16,7 @@ from fib2d import word1d, word2d
 from fib2d.errors import (InternalError, NotFibStructured, OutOfDomain,
                           ShapeMismatch)
 
-from reference import as_grid_loop
+from reference import parse_text_loop
 
 F33 = ("dcd", "bab", "dcd")
 
@@ -24,7 +24,7 @@ F33 = ("dcd", "bab", "dcd")
 # ------------------------------------------------------------------ shape --
 
 def test_dims_and_empty():
-    assert word2d.dims(word2d.EMPTY) == (0, 0)
+    assert word2d.dims(()) == (0, 0)
     assert word2d.dims(F33) == (3, 3)
 
 
@@ -72,14 +72,15 @@ def test_texts_are_filled_in_one_place():
 
 
 def test_as_grid_validation():
-    assert word2d.as_grid(["dc", "ba"]) == ("dc", "ba")
-    assert word2d.as_grid([]) == word2d.EMPTY
+    # text read as a grid: parse_text's checks
+    assert word2d.parse_text("dc\nba\n") == ("dc", "ba")
+    assert word2d.parse_text("") == ()
     with pytest.raises(ShapeMismatch):
-        word2d.as_grid(["dc", "b"])
-    with pytest.raises(ShapeMismatch):
-        word2d.as_grid([""])
+        word2d.parse_text("dc\nb\n")
+    # blank lines are dropped, so no row is empty
+    assert word2d.parse_text("\n \n\t\n") == ()
     with pytest.raises(ValueError):
-        word2d.as_grid(["dx"])
+        word2d.parse_text("dx\n")
 
 
 @pytest.mark.parametrize("rows", [
@@ -90,15 +91,40 @@ def test_as_grid_validation():
     ["dc", "ab", "b", "xy"],   # a ragged row before a bad letter
     ["d c", "ba"],
     ["dc", "BA"],
-    ["dcb\n", "dca\n"],
+    ["dcb\t", "dca\t"],        # white space in a line that is not blank
 ])
 def test_as_grid_rejects_as_the_letter_loop(rows):
+    text = "".join(row + "\n" for row in rows)
     with pytest.raises((ValueError, ShapeMismatch)) as loop:
-        as_grid_loop(rows)
+        parse_text_loop(text)
     with pytest.raises((ValueError, ShapeMismatch)) as table:
-        word2d.as_grid(rows)
+        word2d.parse_text(text)
     assert (type(table.value), str(table.value)) == (
         type(loop.value), str(loop.value))
+
+
+_LINES = st.one_of(st.sampled_from(["", " ", "\t", "  \t"]),  # blank
+                   st.text("abcd", min_size=1, max_size=4),
+                   st.text("abcdxB \t-é", max_size=4))
+
+
+@given(st.lists(st.tuples(_LINES, st.sampled_from(["\n", "\r\n"])),
+                max_size=6), st.booleans())
+def test_parse_text_reads_text_as_the_letter_loop(lines, last):
+    # blank, white-space, CRLF and ragged lines and letters outside abcd:
+    # the same grid or the same error, and never an empty row
+    text = "".join(line + end for line, end in lines)
+    if lines and not last:
+        text = text.rstrip("\r\n")  # no line break after the last line
+    try:
+        want = parse_text_loop(text)
+    except (ValueError, ShapeMismatch) as exc:
+        with pytest.raises(type(exc)) as got:
+            word2d.parse_text(text)
+        assert str(got.value) == str(exc)
+    else:
+        assert word2d.parse_text(text) == want
+        assert all(want)
 
 
 def test_column_is_one_based():
@@ -120,7 +146,7 @@ def test_text_round_trip():
     assert word2d.to_text(F33) == "dcd\nbab\ndcd\n"
     assert word2d.parse_text("dcd\nbab\ndcd\n") == F33
     assert word2d.parse_text("dcd\n\nbab\ndcd") == F33  # blank lines ignored
-    assert word2d.to_text(word2d.EMPTY) == ""
+    assert word2d.to_text(()) == ""
 
 
 def test_to_text_matches_per_row_concatenation():
@@ -207,6 +233,22 @@ def test_stream_fills_rejects_a_lane_without_its_span(monkeypatch):
         with pytest.raises(InternalError,
                            match=f"as its column {column + 1}"):
             next(word2d.stream_fills(tops, sides, column))
+
+
+def test_stream_fills_builds_the_column_prefix_once(monkeypatch):
+    # the sides are column words over db, whatever their first letter, so
+    # one prefix holds the sides of both corner letters, d and b
+    built = []
+
+    def prefix(alphabet, k):
+        built.append((alphabet, k))
+        return word1d.factor_prefix(alphabet, k)
+
+    monkeypatch.setattr(word2d, "factor_prefix", prefix)
+    tops, sides = word1d.factors1d(3, "dc"), word1d.factors1d(5, "db")
+    assert {side[0] for side in sides} == {"b", "d"}
+    assert len(list(word2d.stream_fills(tops, sides, 0))) == 24
+    assert built == [("db", 5)]
 
 
 def test_stream_fills_rejects_a_top_whose_corner_starts_no_side():
@@ -570,7 +612,7 @@ def test_classify_lines_matches_per_line_definition():
 
 def test_classify_lines_rejects_foreign_grids():
     with pytest.raises(ValueError):
-        word2d.classify_lines(word2d.EMPTY)
+        word2d.classify_lines(())
     with pytest.raises(NotFibStructured):
         word2d.classify_lines(("da",))  # row mixes the two row alphabets
     with pytest.raises(NotFibStructured):
