@@ -10,18 +10,19 @@ hung copy is the same graph, so those paths are the pairs of an across root
 path and a down root path: enumeration walks the two line DAWGs and pairs
 their paths.  The product is only displayed: `dawg-dot` writes each hung
 copy from one template, which it formats once, and rooted_product builds
-its nodes and edges straight from the two line DAWGs.  Each path is spelled
-once, across paths over dc and down paths over db.  The frame family's
-reader, word2d.stream_fills, adds their swaps, pairs each top with the
-sides that start with its last letter, the corner letter, and cuts each
-text from its top's lane, whose last column is checked, as a stream in
-sorted order, so only the paths, a lane and a text are held, and a caller
-writes nothing before the first text exists.
+its nodes and edges straight from the two line DAWGs.  A path is the
+offset of its word's first occurrence in its line word, across paths read
+over dc and down paths over db.  The frame family's reader,
+word2d.stream_fills, adds their swaps, pairs each top with the sides that
+start with its last letter, the corner letter, and cuts each text from its
+top's lane, whose last column is checked, as a stream in sorted order, so
+only the offsets, a lane and a text are held, and a caller writes nothing
+before the first text exists.
 
 A line DAWG is its spine and O(log L) shortcuts (Blumer et al., TCS 1985;
 Rytter, TCS 2006), so it is computed from them, not stored (_LineDawg).
-Its DOT text is read off its out-edges in order, and its root paths copy
-the spine, spelled once, a slice per branch point: no graph is stored.
+Its DOT text is read off its out-edges in order, and its root paths are
+walked a step per branch point, spelling nothing: no graph is stored.
 """
 
 from bisect import bisect_left
@@ -35,13 +36,6 @@ from .word2d import (COL_ALPHABETS, ROW_ALPHABETS, Grid, col_alphabet_of,
 
 # abstract classes per orientation, dominant first
 _CLASSES = {"rows": COL_ALPHABETS, "cols": ROW_ALPHABETS}
-
-# line alphabet the paths are spelled over -> {class label: the one letter
-# of the class in that alphabet}, for each of the four classes that has one
-_LETTER = {alph: {lab: "".join(lab & set(alph))
-                  for lab in map(frozenset, ROW_ALPHABETS + COL_ALPHABETS)
-                  if len(lab & set(alph)) == 1}
-           for alph in ("dc", "db")}
 
 
 # -------------------------------------------------------------- line DAWG --
@@ -147,30 +141,27 @@ def subword_from_path(h_labels, v_labels) -> Grid:
 
 # ------------------------------------------------------------- enumeration --
 
-def _line_words(orientation: str, length: int, alphabet: str) -> tuple:
-    """The line DAWG's root paths with `length` edges, depth first, each
-    spelled over the line `alphabet`, which has one letter in each of the
-    orientation's two classes.
-
-    Most nodes have only their spine edge, so the spine is spelled once and
-    a path copies it a slice at a time, from a node to the next shortcut
-    source or the top, then takes each out-edge there: the walk steps once
-    per branch point, not once per path prefix.
+def _line_words(length: int) -> list[int]:
+    """The offsets of the line DAWG's root paths with `length` edges,
+    depth first.  Both orientations share the spine and shortcuts, as only
+    their labels differ, and a root path that ends at node j spells spine
+    letters j - length .. j - 1, its word's first occurrence, so no label
+    is read.  Most nodes have only their spine edge, so a path runs along
+    the spine to the next shortcut source or the top, then takes each
+    out-edge there: the walk steps once per branch point, not per prefix.
     """
-    g = build_line_dawg(orientation, length)
-    letter = _LETTER[alphabet].__getitem__
-    spine = g.spine.translate({ord(ch): letter(g.label(ch)) for ch in "dc"})
+    g = build_line_dawg("rows", length)
     stops = [*sorted(g.shortcuts), g.top]
-    out, stack = [], [(g.root, "")]
+    out, stack = [], [(g.root, 0)]
     while stack:
-        node, path = stack.pop()
-        stop = min(stops[bisect_left(stops, node)], node + length - len(path))
-        path += spine[node:stop]
-        if len(path) == length:
-            out.append(path)
+        node, depth = stack.pop()
+        stop = min(stops[bisect_left(stops, node)], node + length - depth)
+        depth += stop - node
+        if depth == length:
+            out.append(stop - length)
             continue
-        stack += [(v, path + letter(lab)) for v, lab in reversed(g.out(stop))]
-    return tuple(out)
+        stack += [(v, depth + 1) for v, _ in reversed(g.out(stop))]
+    return out
 
 
 def stream_dawg(k: int, l: int):
@@ -179,17 +170,17 @@ def stream_dawg(k: int, l: int):
     a length-k root path of the column DAWG, as the module docstring says.
 
     The tops are the row paths over dc, the sides, last columns, the
-    column paths over db.  word2d.count_law checks their distinct pairs
-    before the first text, as many as the pairs that share a corner once
-    word2d.stream_fills adds the swaps.  stream_fills then gives the texts
-    in sorted order, checking per top that its lane's last column is the
-    span its texts are cut from, so each text ends in its side.
+    column paths over db, each an offset.  word2d.count_law checks their
+    distinct pairs before the first text, as many as the pairs that share
+    a corner once word2d.stream_fills adds the swaps.  stream_fills then
+    gives the texts in sorted order, checking per top that its lane's last
+    column is the span its texts are cut from, so each text ends in it.
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
-    tops, sides = _line_words("rows", l, "dc"), _line_words("cols", k, "db")
+    tops, sides = _line_words(l), _line_words(k)
     count_law(len(set(tops)) * len(set(sides)), k, l, "dawg")
-    return stream_fills(tops, sides, l - 1)
+    return stream_fills(tops, sides, k, l, l - 1)
 
 
 def enumerate_dawg(k: int, l: int) -> tuple[str, ...]:

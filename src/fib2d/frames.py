@@ -12,11 +12,12 @@ swap that commutes with growing.  So a complete size class is the row
 factors over dc and the column factors over db, and growing every word of
 both once yields the next complete class.  Enumeration starts from the
 complete one-line class, grows it diagonally until the shorter side reaches
-its size, and only then hands the two lists to the frame family's reader,
-word2d.stream_fills, which adds the swaps, pairs the words by corner letter
-and cuts each pair's text from its top's lane, whose first column is
-checked, as a stream in sorted order, so only the two lists, a lane and a
-text are ever held.
+its size, and only then hands the two lists, each word the offset of its
+first occurrence in its line word, to the frame family's reader,
+word2d.stream_fills, as dawg hands it its root paths.  It adds the swaps,
+pairs the words by corner letter and cuts each pair's text from its top's
+lane, whose first column is checked, as a stream in sorted order, so only
+the two lists, a lane and a text are ever held.
 """
 
 from collections import namedtuple
@@ -108,7 +109,7 @@ def stream_extension(k: int, l: int):
     of the m-1 diagonal steps grows both lists once (word1d._grow).
     word2d.count_law checks the distinct offsets of every size on the way,
     before the first text; stream_fills then cuts each pair of the final
-    words, sliced once, into its text, in sorted order, from its top's lane.
+    offsets into its text, in sorted order, from its top's lane.
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
@@ -120,8 +121,7 @@ def stream_extension(k: int, l: int):
         count_law(len(set(tops)) * len(set(sides)), a, b, "extension")
         if a < k:
             tops, sides = _grow(tops, p, b), _grow(sides, q, a)
-    return stream_fills([p[i:i + l] for i in tops],
-                        [q[i:i + k] for i in sides], 0)
+    return stream_fills(tops, sides, k, l, 0)
 
 
 def enumerate_extension(k: int, l: int) -> tuple[str, ...]:

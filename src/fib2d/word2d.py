@@ -63,23 +63,22 @@ def fill_text(top: str, side: str) -> str:
 _ASCENDING = {x: x < swap_row_alphabet(x) for x in LETTERS}
 
 
-def stream_fills(tops, sides, column: int):
+def stream_fills(tops, sides, k: int, l: int, column: int):
     """fill_text(top, side) for each top and each side that starts with its
     corner letter top[column], as a stream in sorted order.
 
-    tops are row factors over dc, sides column factors over db; each also
-    stands for its swap (swap_row_alphabet; a<->b, c<->d), so the pairs
-    are the frames of all four corner letters.  Swaps keep order and every
-    ba word sorts before every dc word, so the tops are sorted once and
-    their swaps made one at a time, ahead of them.  The sides are
-    length-k factors of the column word over db; let p be its
-    word1d.factor_prefix, built once, which holds them all.  Each top is
-    filled once over the span of p that holds its corner's sides, its lane,
-    and a text is the k rows of the lane at p.find(side).  p over ca is p
-    over db swapped, so a swapped side's span and place are found with its
-    side's.  A side not in p (reported as its swap, over ca: a and c come
-    first in LETTERS order), a top whose corner starts no side, or a lane
-    whose 0-based column `column` is not the span raises InternalError.
+    tops are row factors over dc, sides column factors over db, of length
+    l and k, each the offset of its first occurrence in its line word's
+    word1d.factor_prefix; each also stands for its swap (swap_row_alphabet;
+    a<->b, c<->d), so the pairs are the frames of all four corner letters.
+    Swaps keep order and every ba word sorts before every dc word, so the
+    tops are sliced and sorted once and their swaps made one at a time,
+    ahead of them.  Each top is filled once over the span of q, the prefix
+    over db, that holds its corner's sides, its lane, and a text is the k
+    rows of the lane at its side's offset.  q over ca is q over db swapped,
+    so a swapped side's span and place are its side's.  An offset past its
+    prefix, a top whose corner starts no side, or a lane whose 0-based
+    column `column` is not the span raises InternalError.
 
     A text's rows are its top or its swap as its side's 0/1 pattern says,
     so the texts come top by top in sorted order, and under one top by the
@@ -89,22 +88,21 @@ def stream_fills(tops, sides, column: int):
     the text after it has passed, so a break raises InternalError before
     either text of the broken pair is yielded.
     """
-    tops = sorted(tops)
-    w, spans = len(tops[0]) + 1 if tops else 0, {}
-    k = len(sides[0]) if sides else 0
-    p = factor_prefix("db", k)
-    for x in sorted({v[0] for v in sides}):  # b before d, as a before c
+    p, q = factor_prefix("dc", l), factor_prefix("db", k)
+    for offsets, word, n in (tops, p, l), (sides, q, k):
+        if offsets and not 0 <= min(offsets) <= max(offsets) <= len(word) - n:
+            raise InternalError(f"length-{n} words at offsets {min(offsets)}"
+                                f"..{max(offsets)} leave the prefix of "
+                                f"{len(word)}")
+    tops, w, spans = sorted([p[i:i + l] for i in tops]), l + 1, {}
+    for x in sorted({q[i] for i in sides}):  # b before d, as a before c
         # sides that share their first letter x first differ where one has
         # x, a 0, and the other the other letter of db, a 1, so their
         # patterns ascend as they do when x is the smaller, b
-        up = sorted([v for v in sides if v[0] == x], reverse=x == "d")
-        at = list(map(p.find, up))
-        if -1 in at:
-            raise InternalError(
-                f"side {up[at.index(-1)].translate(_SWAP_COL)!r} is not a "
-                f"factor of the column word over 'ca'")
+        at = sorted([i for i in sides if q[i] == x],
+                    key=lambda i: q[i:i + k], reverse=x == "d")
         first = min(at)
-        span = p[first:max(at) + k]
+        span = q[first:max(at) + k]
         # each text's start in the lane, by ascending pattern, and length
         cut = [(j - first) * w for j in at], k * w
         spans[x] = span, cut

@@ -13,8 +13,8 @@ factors, which growing a word by the letter after its first occurrence
 replaced.
 
 DAWGs.  `root_paths` is the generic walk over any graph's out-edges, with
-a memo of runs, which the walk along the spelled spine replaced;
-`spelled_paths` spells its paths over a line alphabet, and `adjacency`
+a memo of runs, which the walk along the spine replaced; `spelled_paths`
+spells its paths over a line alphabet through `_LETTER`, and `adjacency`
 gives a hand-built `Digraph` the root and out-edges the walk reads.
 `suffix_automaton`, built online, checks the line DAWG computed from its
 spine and shortcuts.  `enumerate_dawg_per_pair` is the per-pair path
@@ -68,11 +68,11 @@ from types import SimpleNamespace
 
 import fib2d
 from fib2d import cli
-from fib2d.dawg import _LETTER, build_line_dawg, subword_from_path
+from fib2d.dawg import build_line_dawg, subword_from_path
 from fib2d.errors import InternalError, NotAFactor, ShapeMismatch
 from fib2d.word1d import factors1d, truncated
-from fib2d.word2d import (col_alphabet_of, dims, mu_prefix, row_alphabet_of,
-                          to_text)
+from fib2d.word2d import (COL_ALPHABETS, ROW_ALPHABETS, col_alphabet_of,
+                          dims, mu_prefix, row_alphabet_of, to_text)
 
 
 _PACKAGE = [fib2d] + [importlib.import_module(f"fib2d.{info.name}")
@@ -498,6 +498,14 @@ def conjugacy_class_rotations(w):
     lanes = [turns[r] for r in w]
     return tuple(sorted({col[i:] + col[:i]
                          for col in zip(*lanes) for i in range(rows)}))
+
+
+# line alphabet the paths are spelled over -> {class label: the one letter
+# of the class in that alphabet}, for each of the four classes that has one
+_LETTER = {alph: {lab: "".join(lab & set(alph))
+                  for lab in map(frozenset, ROW_ALPHABETS + COL_ALPHABETS)
+                  if len(lab & set(alph)) == 1}
+           for alph in ("dc", "db")}
 
 
 def spelled_paths(orientation: str, length: int, alphabet: str) -> list[str]:

@@ -299,9 +299,13 @@ INVARIANT_BREAKS = {
     "dawg-count": ("dawg._line_words = lambda *a, words=dawg._line_words: "
                    "words(*a)[:1]",
                    "dawg", 2, 2, "size (2,2) has 9 subwords, dawg gave 1"),
-    "dawg-label": ("dawg._LETTER = {alph: dict.fromkeys(letters, alph[0]) "
-                   "for alph, letters in dawg._LETTER.items()}",
-                   "dawg", 2, 2, "size (2,2) has 9 subwords, dawg gave 1"),
+    # every shortcut one node late: a length-2 walk finds 2 paths, not 3
+    "dawg-shortcut": ("dawg.build_line_dawg = (lambda build: lambda *a: "
+                      "(lambda g: setattr(g, 'shortcuts', {u + 1: [(v + 1, "
+                      "lab) for v, lab in out] for u, out in "
+                      "g.shortcuts.items()}) or g)(build(*a)))"
+                      "(dawg.build_line_dawg)",
+                      "dawg", 2, 2, "size (2,2) has 9 subwords, dawg gave 4"),
     # every row of a lane is its top, so no lane has its span as a column
     "dawg-corner": ("word2d.fill_text = lambda top, side: "
                     "(top + '\\n') * len(side)",
@@ -309,11 +313,11 @@ INVARIANT_BREAKS = {
     "extend-lane": ("word2d.fill_text = lambda top, side: "
                     "(top + '\\n') * len(side)",
                     "extend", 2, 2, "does not have 'ac' as its column 1"),
-    # the column word's prefix holds no side, so no side is found in it
+    # the line words' prefixes are empty, so every offset leaves them
     "dawg-side": ("word2d.factor_prefix = lambda alphabet, k: ''",
-                  "dawg", 2, 2, "is not a factor of the column word"),
+                  "dawg", 2, 2, "0..2 leave the prefix of 0"),
     "extend-side": ("word2d.factor_prefix = lambda alphabet, k: ''",
-                    "extend", 2, 2, "is not a factor of the column word"),
+                    "extend", 2, 2, "0..2 leave the prefix of 0"),
     "extend-count": ("frames._grow = lambda starts, p, k: []",
                      "extend", 2, 2,
                      "size (2,2) has 9 subwords, extension gave 0"),

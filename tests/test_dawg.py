@@ -113,13 +113,27 @@ def test_root_paths_spell_line_factors():
 
 
 def test_root_paths_match_walk_reference():
-    # same paths in the same depth-first order: the library's spine walk
-    # against the reference walk, each spelled over its line alphabet
+    # same paths in the same depth-first order: the library's spine walk,
+    # each path an offset in the line word, against the reference walk,
+    # each spelled over its line alphabet
     for orientation, alphabet in (("rows", "dc"), ("cols", "db")):
         for length in AUTOMATON_LENGTHS:
-            assert list(dawg._line_words(orientation, length, alphabet)) \
+            p = word1d.factor_prefix(alphabet, length)
+            assert [p[i:i + length] for i in dawg._line_words(length)] \
                 == spelled_paths(orientation, length, alphabet), \
                 (orientation, length)
+
+
+def test_root_paths_are_first_occurrences():
+    # a root path ends at the node where its word first ends, so its
+    # offset is its word's first occurrence, the one extension starts from
+    for length in (*range(1, 401), 987, 1596, 2584):
+        at = dawg._line_words(length)
+        assert len(set(at)) == len(at) == length + 1, length
+        p = word1d.factor_prefix("dc", length)
+        assert all(p.find(p[i:i + length]) == i for i in at), length
+        assert set(at) == set(map(p.find, word1d.factors1d(length, "dc"))), \
+            length
 
 
 def test_root_paths_step_per_branch_point(monkeypatch):
@@ -135,12 +149,10 @@ def test_root_paths_step_per_branch_point(monkeypatch):
         return out(g, u)
 
     monkeypatch.setattr(dawg._LineDawg, "out", counted)
-    for orientation, alphabet in (("rows", "dc"), ("cols", "db")):
-        for length in (40, 500, 1100):
-            calls = 0
-            words = dawg._line_words(orientation, length, alphabet)
-            assert len(words) == length + 1
-            assert calls <= length, (orientation, length, calls)
+    for length in (40, 500, 1100):
+        calls = 0
+        assert len(dawg._line_words(length)) == length + 1
+        assert calls <= length, (length, calls)
 
 
 def test_deep_paths_need_no_recursion(capsys):
@@ -273,7 +285,7 @@ def test_enumerate_dawg_matches_per_pair_decoder():
 
 
 def test_enumerate_dawg_spells_paths_not_pairs(monkeypatch):
-    # each path is spelled once by the walk; nothing decodes per pair
+    # the walk gives each path as an offset; nothing decodes per pair
     def forbidden(*args):
         raise AssertionError("per-pair decoding")
 

@@ -137,6 +137,15 @@ def test_dawg_and_extension_read_no_prefix():
         assert "word2d.stream_fills" in names, name
 
 
+def test_dawg_borrows_no_extension_step():
+    # both constructions hand stream_fills first-occurrence offsets, so a
+    # DAWG walk that grew its paths by the extension step would agree with
+    # extend by construction and leave verify's cross-check empty
+    assert not reach({"dawg.stream_dawg"}) & {
+        "word1d._grow", "word1d._extend_block", "word1d.factors1d"}
+    assert "word1d._grow" in reach({"frames.stream_extension"})
+
+
 def test_conjugation_fills_nothing():
     for name in ("conjugacy.stream_conjugation",
                  "conjugacy.stream_prefix_conjugates",

@@ -442,7 +442,7 @@ def test_offset_step_reads_the_reversed_prefix_back():
 # the swaps word2d.stream_fills pairs with the row words over dc and the
 # column words over db: each renames the line word of one alphabet into
 # that of the other, so the factors, their prefix and the block step
-# follow; stream_fills finds a swapped side's span and places over db
+# follow; stream_fills reads a swapped side's span and place over db
 SWAPS = {"rows": ("dc", "ba", word2d.swap_row_alphabet),
          "cols": ("db", "ca", lambda w: w.translate(word2d._SWAP_COL))}
 

@@ -194,71 +194,96 @@ def test_fill_text_is_the_text_of_fill():
                     == word2d.to_text(word2d.fill(top, side))), (top, side)
 
 
+def _offsets(words, alphabet):
+    # each word's first occurrence in the prefix that stream_fills reads
+    p = word1d.factor_prefix(alphabet, len(words[0]))
+    return [p.find(u) for u in words]
+
+
 @settings(deadline=None)
 @given(st.integers(1, 30), st.integers(1, 30), st.randoms())
 def test_stream_fills_cuts_the_texts_fill_text_fills(k, l, rnd):
     # the tops over dc and the sides over db, in any order
-    tops = list(word1d.factors1d(l, "dc"))
-    sides = list(word1d.factors1d(k, "db"))
+    tops = _offsets(word1d.factors1d(l, "dc"), "dc")
+    sides = _offsets(word1d.factors1d(k, "db"), "db")
     rnd.shuffle(tops)
     rnd.shuffle(sides)
-    assert tuple(word2d.stream_fills(tops, sides, 0)) == tuple(
+    assert tuple(word2d.stream_fills(tops, sides, k, l, 0)) == tuple(
         sorted(word2d.fill_text(top, side)
                for top, side in _consistent_frames(k, l)))
 
 
-def test_stream_fills_rejects_a_side_that_is_not_a_factor():
-    # bb is no factor of the column word over (d, b), nor is its swap aa
-    # of the one over (c, a); a comes first in LETTERS order, so aa is the
-    # side reported whatever the hash seed
-    with pytest.raises(InternalError, match="side 'aa' is not a factor"):
-        next(word2d.stream_fills(["dc"], ["bd", "bb"], 0))
-    # only the sides that start with d fail: c comes before d, so the swap
-    # ccc of ddd is reported, over (c, a)
-    with pytest.raises(InternalError, match="side 'ccc' is not a factor "
-                                            "of the column word over 'ca'"):
-        next(word2d.stream_fills(["dcd"], ["bdd", "ddd"], 0))
+def test_stream_fills_rejects_an_offset_outside_the_prefix():
+    # an offset names a word only if the word lies in its prefix: the side
+    # offsets of k = 2 run from 0 to len(q) - 2
+    q = word1d.factor_prefix("db", 2)
+    tops = _offsets(word1d.factors1d(3, "dc"), "dc")
+    sides = _offsets(word1d.factors1d(2, "db"), "db")
+    texts = list(word2d.stream_fills(tops, sides, 2, 3, 0))
+    # the last word of q, read at its last place, is in range
+    last = [len(q) - 2 if q[i:i + 2] == q[-2:] else i for i in sides]
+    assert last != sides
+    assert list(word2d.stream_fills(tops, last, 2, 3, 0)) == texts
+    for bad in (-1, len(q) - 1):
+        with pytest.raises(InternalError, match=f"length-2 words at offsets "
+                                                f"-?[0-9]+..[0-9]+ leave the "
+                                                f"prefix of {len(q)}"):
+            next(word2d.stream_fills(tops, [*sides, bad], 2, 3, 0))
+        with pytest.raises(InternalError, match="length-3 words at offsets"):
+            next(word2d.stream_fills([*tops, bad * 2], sides, 2, 3, 0))
 
 
 def test_stream_fills_rejects_a_lane_without_its_span(monkeypatch):
     # each top is handed the sides that start with its letter at `column`,
     # so its lane has their span as that column; a lane whose every row is
     # its top has it at neither the first column nor the last
-    tops, sides = word1d.factors1d(3, "dc"), word1d.factors1d(2, "db")
+    tops = _offsets(word1d.factors1d(3, "dc"), "dc")
+    sides = _offsets(word1d.factors1d(2, "db"), "db")
     for column in (0, 2):
-        assert len(list(word2d.stream_fills(tops, sides, column))) == 12
+        assert len(list(word2d.stream_fills(tops, sides, 2, 3, column))) == 12
     monkeypatch.setattr(word2d, "fill_text",
                         lambda top, side: (top + "\n") * len(side))
     for column in (0, 2):
         with pytest.raises(InternalError,
                            match=f"as its column {column + 1}"):
-            next(word2d.stream_fills(tops, sides, column))
+            next(word2d.stream_fills(tops, sides, 2, 3, column))
+
+
+class _Unsearched(str):
+    """A line word's prefix that is only sliced, never searched."""
+
+    def find(self, *args):
+        raise AssertionError("a word is found, not read at its offset")
 
 
 def test_stream_fills_builds_the_column_prefix_once(monkeypatch):
     # the sides are column words over db, whatever their first letter, so
-    # one prefix holds the sides of both corner letters, d and b
+    # one prefix holds the sides of both corner letters, d and b; each
+    # word is read at its offset, with no find
     built = []
 
     def prefix(alphabet, k):
         built.append((alphabet, k))
-        return word1d.factor_prefix(alphabet, k)
+        return _Unsearched(word1d.factor_prefix(alphabet, k))
 
     monkeypatch.setattr(word2d, "factor_prefix", prefix)
-    tops, sides = word1d.factors1d(3, "dc"), word1d.factors1d(5, "db")
-    assert {side[0] for side in sides} == {"b", "d"}
-    assert len(list(word2d.stream_fills(tops, sides, 0))) == 24
-    assert built == [("db", 5)]
+    tops = _offsets(word1d.factors1d(3, "dc"), "dc")
+    sides = _offsets(word1d.factors1d(5, "db"), "db")
+    q = word1d.factor_prefix("db", 5)
+    assert {q[i] for i in sides} == {"b", "d"}
+    assert len(list(word2d.stream_fills(tops, sides, 5, 3, 0))) == 24
+    assert built == [("dc", 3), ("db", 5)]
 
 
 def test_stream_fills_rejects_a_top_whose_corner_starts_no_side():
     # the side dd and its swap cc start with d and c, so the swap ba of
     # the top dc has a corner letter, b, that starts no side
+    tops, sides = _offsets(["dc"], "dc"), _offsets(["dd"], "db")
     with pytest.raises(InternalError, match="corner letter 'b' of top 'ba'"):
-        next(word2d.stream_fills(["dc"], ["dd"], 0))
+        next(word2d.stream_fills(tops, sides, 2, 2, 0))
     # at the last column the corner letters are c and a
     with pytest.raises(InternalError, match="corner letter 'a' of top 'ba'"):
-        next(word2d.stream_fills(["dc"], ["dd"], 1))
+        next(word2d.stream_fills(tops, sides, 2, 2, 1))
 
 
 @given(st.text(alphabet="abcd", max_size=40))
