@@ -4,16 +4,17 @@ A factor is pinned down by its first row and first column, which share the
 corner letter: word2d.fill rebuilds the other rows from them.  Growing the
 two frame words on the right and bottom grows the factor; a frame has
 |ext(top)| * |ext(side)| extensions, the paper's 1, 2, 2 or 4 by type: a
-word has two only as the reversed prefix of its length (word1d), so a list
-of words grows from one prefix.  The frames with corner letter x are
-exactly the pairs of a row factor and a column factor that both start with
-x, and the words of one line alphabet are those of the other under a letter
-swap that commutes with growing.  So a complete size class is the row
-factors over dc and the column factors over db, and growing every word of
-both once yields the next complete class.  Enumeration starts from the
-complete one-line class, grows it diagonally until the shorter side reaches
-its size, and only then hands the two lists, each word the offset of its
-first occurrence in its line word, to the frame family's reader,
+word has two only as the reversed prefix of its length (word1d).  The
+frames with corner letter x are exactly the pairs of a row factor and a
+column factor that both start with x, and the words of one line alphabet
+are those of the other under a letter swap that commutes with growing.  So
+a complete size class is the row factors over dc and the column factors
+over db, and growing every word of both once yields the next complete
+class.  As first occurrences, which a word keeps as it grows by one
+letter, each length adds one word, the reversed prefix's other extension
+(word1d._special).  Enumeration builds one list of these offsets per line
+alphabet, checks the count law of each size from the one-line class up
+the diagonal, and hands both lists to the frame family's reader,
 word2d.stream_fills, as dawg hands it its root paths.  It adds the swaps,
 pairs the words by corner letter and cuts each pair's text from its top's
 lane, whose first column is checked, as a stream in sorted order, so only
@@ -23,7 +24,7 @@ the two lists, a lane and a text are ever held.
 from collections import namedtuple
 
 from .errors import IncompleteInput, InconsistentJoint
-from .word1d import _extend_block, _grow, factor_prefix, factors1d
+from .word1d import _special, factor_prefix, right_extensions
 from .word2d import (Grid, classify_lines, col_alphabet_of, column,
                      count_law, fill, row_alphabet_of, stream_fills)
 # unused here; perfbench/selftest.py checks that the tracer wraps this binding
@@ -67,9 +68,10 @@ def extensions_of(f: FrameTL) -> tuple[FrameTL, ...]:
         raise InconsistentJoint(
             f"frames start with {frame_t[0]!r} and {frame_l[0]!r}, "
             f"joint {s!r}")
-    tops = _extend_block([frame_t], row_alphabet_of(s))
-    sides = _extend_block([frame_l], col_alphabet_of(s))
-    return tuple([FrameTL(t, l, s) for t in tops for l in sides])
+    xs = right_extensions(frame_t, row_alphabet_of(s))
+    ys = right_extensions(frame_l, col_alphabet_of(s))
+    return tuple([FrameTL(frame_t + x, frame_l + y, s)
+                  for x in xs for y in ys])
 
 
 def extend_diagonal(frames) -> tuple[FrameTL, ...]:
@@ -77,8 +79,8 @@ def extend_diagonal(frames) -> tuple[FrameTL, ...]:
     size-(k+1,l+1) class out: extensions_of each frame, in the order the
     frames come in.
 
-    The per-frame form of the step that enumerate_extension takes on its
-    two whole lists of line words.
+    The per-frame form of the growth that stream_extension reads off its
+    two lists of first occurrences.
     """
     fs = tuple(frames)
     if not fs:
@@ -103,24 +105,24 @@ def stream_extension(k: int, l: int):
     one of sides, the column factors over db, each word held as its first
     occurrence in its line word's word1d.factor_prefix; word2d.stream_fills
     adds their swaps and pairs each top with the sides that start with its
-    first letter, each pair the frame of one subword.  With m = min(k,l),
-    the lists start from the complete one-line class (k-m+1, l-m+1), whose
-    words are the 1D factors of length |k-l|+1 and single letters.  Each
-    of the m-1 diagonal steps grows both lists once (word1d._grow).
-    word2d.count_law checks the distinct offsets of every size on the way,
-    before the first text; stream_fills then cuts each pair of the final
-    offsets into its text, in sorted order, from its top's lane.
+    first letter, each pair the frame of one subword.  The letters sit at
+    0 and 1, and each length n > 1 adds the first occurrence of the other
+    extension of the reversed (n-1)-prefix, one find (word1d._special), so
+    the words of length n are a list's first n + 1 offsets.
+    word2d.count_law checks the distinct offsets of each size from the
+    one-line class (k-m+1, l-m+1), m = min(k,l), up the diagonal, before
+    the first text; stream_fills then cuts each pair into its text, in
+    sorted order, from its top's lane.
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
     m = min(k, l)
     p, q = factor_prefix("dc", l), factor_prefix("db", k)
-    tops = list(map(p.find, factors1d(l - m + 1, "dc")))
-    sides = list(map(q.find, factors1d(k - m + 1, "db")))
+    tops = [0, 1] + [_special(p, b)[1] for b in range(1, l)]
+    sides = [0, 1] + [_special(q, a)[1] for a in range(1, k)]
     for a, b in zip(range(k - m + 1, k + 1), range(l - m + 1, l + 1)):
-        count_law(len(set(tops)) * len(set(sides)), a, b, "extension")
-        if a < k:
-            tops, sides = _grow(tops, p, b), _grow(sides, q, a)
+        count_law(len(set(tops[:b + 1])) * len(set(sides[:a + 1])), a, b,
+                  "extension")
     return stream_fills(tops, sides, k, l, 0)
 
 

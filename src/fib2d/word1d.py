@@ -185,44 +185,37 @@ def factors1d(k: int, alphabet) -> tuple[str, ...]:
     return tuple(sorted(seen, reverse=first > second))
 
 
-def _grow(starts: list, p: str, k: int) -> list[int]:
-    """The offsets in p, a prefix of the infinite word, of the words that
-    grow from the length-k words first occurring at `starts`, as
-    _extend_block orders them.  Each offset i stays, for u + p[i + k].  The
-    reversed length-k prefix is a suffix of the shortest palindromic prefix
-    of fib(n, "F12") - 2 >= k letters and first occurs there; it also grows
-    by its other letter, found after it, first letter first."""
+def _special(p: str, k: int) -> tuple[int, int]:
+    """(i, t): the first occurrences in p, a prefix of the infinite word, of
+    u, the reversed length-k prefix, and of u + x, x the letter other than
+    p[i + k].  u is the one length-k factor with two right extensions; any
+    other grows by the letter after its first occurrence, which stays the
+    grown word's, so the length-n factors first occur at 0 and at t for
+    each k < n.  u ends the shortest palindromic prefix of at least k
+    letters, of fib(n, "F12") - 2, and first occurs there: only t is found."""
     i = fib(fib_index(k + 1, "F12"), "F12") - 2 - k
-    if i not in starts:
-        return starts
     u, x = p[i:i + k], p[1] if p[i + k] == p[0] else p[0]
     if u != p[:k][::-1]:
         raise InternalError(f"{u!r} at {i} is not the reversed prefix")
     t = p.find(u + x, i + 1)
     if t < 0:
         raise InternalError(f"{u + x!r} is not in the first {len(p)} letters")
-    j = starts.index(i)
-    return starts[:j] + ([t, i] if x == p[0] else [i, t]) + starts[j + 1:]
-
-
-def _extend_block(words: list, alphabet) -> list[str]:
-    """u + x for each word u, all of one length k, and each x with u + x a
-    factor: both letters for the reversed length-k prefix, else the letter
-    after u's first occurrence in factor_prefix (_grow)."""
-    k = len(words[0])
-    p = factor_prefix(alphabet, k)
-    starts = list(map(p.find, words))
-    for u, i in zip(words, starts):
-        if i < 0:
-            raise NotAFactor(f"{u!r} does not occur in the infinite word")
-        if i + k >= len(p):
-            raise InternalError(f"{u!r} ends the first {len(p)} letters")
-    return [p[i:i + k + 1] for i in _grow(starts, p, k)]
+    return i, t
 
 
 def right_extensions(u: str, alphabet) -> tuple[str, ...]:
-    """Letters x with u + x a factor: both for the reversed prefix, "" too."""
-    return tuple(v[-1] for v in _extend_block([u], alphabet))
+    """Letters x with u + x a factor, first letter first: the one after u's
+    first occurrence, and for the reversed prefix, "" too, the other."""
+    k = len(u)
+    p = factor_prefix(alphabet, k)
+    j = p.find(u)
+    if j < 0:
+        raise NotAFactor(f"{u!r} does not occur in the infinite word")
+    if j + k >= len(p):
+        raise InternalError(f"{u!r} ends the first {len(p)} letters")
+    i, t = _special(p, k)
+    xs = p[j + k] + p[t + k] if j == i else p[j + k]
+    return tuple(x for x in p[:2] if x in xs)
 
 
 # ------------------------------------------------------------- conjugates --

@@ -318,16 +318,20 @@ INVARIANT_BREAKS = {
                   "dawg", 2, 2, "0..2 leave the prefix of 0"),
     "extend-side": ("word2d.factor_prefix = lambda alphabet, k: ''",
                     "extend", 2, 2, "0..2 leave the prefix of 0"),
-    "extend-count": ("frames._grow = lambda starts, p, k: []",
+    # every offset step gives 0, so each size keeps the two letters' offsets
+    "extend-count": ("frames._special = lambda p, k: (0, 0)",
                      "extend", 2, 2,
-                     "size (2,2) has 9 subwords, extension gave 0"),
-    "extend-duplicate": ("frames._grow = lambda starts, p, k: "
-                         "[i for i in starts for _ in 'xx']",
-                         "extend", 2, 2,
-                         "size (2,2) has 9 subwords, extension gave 4"),
-    "one-line-count": ("frames.factors1d = lambda k, alph: ()",
+                     "size (2,2) has 9 subwords, extension gave 4"),
+    # the length-3 words repeat the second letter's offset
+    "extend-duplicate": ("frames._special = (lambda special: lambda p, k: "
+                         "special(p, k) if k < 2 else (0, 1))"
+                         "(frames._special)",
+                         "extend", 3, 3,
+                         "size (3,3) has 16 subwords, extension gave 9"),
+    # an offset step one letter off: the length-2 word takes offset 1 again
+    "one-line-count": ("frames._special = lambda p, k: (0, k)",
                        "extend", 1, 3,
-                       "size (1,3) has 8 subwords, extension gave 0"),
+                       "size (1,3) has 8 subwords, extension gave 6"),
     "conjugate": ("conjugacy.special_conjugate2d = lambda m, n: ('d',)",
                   "conjugate", 2, 2,
                   "size (2,2) has 9 subwords, conjugation gave 1"),

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from fib2d import frames
+from fib2d import frames, word1d
 from fib2d.errors import (IncompleteInput, InconsistentJoint, InternalError,
                           NotAFactor)
-from fib2d.word1d import _grow, factor_prefix, factors1d, right_extensions
+from fib2d.word1d import (_special, factor_prefix, factors1d,
+                          right_extensions)
 from fib2d.word2d import (COL_ALPHABETS, ROW_ALPHABETS, col_alphabet_of, fill,
                           parse_text, row_alphabet_of, subblock)
 
@@ -130,8 +131,7 @@ def test_extend_diagonal_rejects_bad_frames():
 def test_extend_diagonal_checks_the_count_law(monkeypatch):
     # every word grown by its dominant letter twice: the nine (2,2) frames
     # grow into nine frames, not the sixteen of size (3,3)
-    monkeypatch.setattr(frames, "_extend_block", lambda words, a: [
-        u + a[0] for u in words for _ in "xx"])
+    monkeypatch.setattr(frames, "right_extensions", lambda u, a: (a[0],) * 2)
     with pytest.raises(InternalError) as err:
         frames.extend_diagonal(frames_of(WORDS_2_2))
     assert str(err.value) == "size (3,3) has 16 subwords, extension gave 9"
@@ -190,24 +190,22 @@ def test_extend_diagonal_matches_per_frame_step():
 def test_extension_grows_each_distinct_word_once(monkeypatch):
     # the (a+1)(b+1) frames of a class are the swaps and pairs of its b+1
     # top words over dc and a+1 side words over db; the per-frame step
-    # looks up 44 278 at (40,40) and 56 028 at (30,70).  Each diagonal
-    # step grows the tops and the sides, one offset step each: 2 calls a
-    # step
-    blocks = []
+    # looks up 44 278 at (40,40) and 56 028 at (30,70).  Past the letters,
+    # each length adds one word to the tops or the sides by one offset
+    # step: one call per length and line word, (k-1) + (l-1) in all
+    calls = []
 
-    def counted(starts, p, k):
-        blocks.append(len(starts))
-        return _grow(starts, p, k)
+    def counted(p, k):
+        calls.append((p[:2], k))
+        return _special(p, k)
 
-    monkeypatch.setattr(frames, "_grow", counted)
-    for k, l, most in ((40, 40, 1638), (30, 70, 2088)):
-        m = min(k, l)
-        sizes = [(k - m + i, l - m + i) for i in range(1, m)]
-        assert sum(a + b + 2 for a, b in sizes) == most
-        blocks.clear()
-        frames.enumerate_extension(k, l)
-        assert len(blocks) == 2 * (m - 1)
-        assert 0 < sum(blocks) <= most
+    monkeypatch.setattr(frames, "_special", counted)
+    for k, l in ((40, 40), (30, 70), (70, 30), (1, 9), (300, 2), (1, 1)):
+        calls.clear()
+        frames.stream_extension(k, l)
+        assert sorted(calls) == sorted(
+            [("dc", b) for b in range(1, l)]
+            + [("db", a) for a in range(1, k)]), (k, l)
 
 
 class _Finds(str):
@@ -221,34 +219,30 @@ class _Finds(str):
 
 
 def test_extension_finds_once_per_diagonal_step(monkeypatch):
-    # a word's first occurrence is that of the word it grows into, so a
-    # diagonal step finds only the reversed prefix's other extension: at
-    # most one find in each line word's prefix, where the block step made
-    # one per word.  The one-line class is found word by word, before any
-    # step, and nothing else is found in them
+    # a word's first occurrence is that of the word it grows into, so each
+    # length finds only the reversed prefix's other extension: exactly one
+    # find per offset step in each line word's prefix, and none elsewhere,
+    # the one-line class's included
     made, steps = [], []
 
     def prefix(alphabet, k):
         made.append(_Finds(factor_prefix(alphabet, k)))
         return made[-1]
 
-    def step(starts, p, k):
+    def step(p, k):
         before = p.finds
-        grown = _grow(starts, p, k)
+        grown = _special(p, k)
         steps.append(p.finds - before)
         return grown
 
     monkeypatch.setattr(frames, "factor_prefix", prefix)
-    monkeypatch.setattr(frames, "_grow", step)
+    monkeypatch.setattr(frames, "_special", step)
     for k, l in ((40, 40), (30, 70), (70, 30), (1, 9), (300, 2), (2, 300)):
-        m = min(k, l)
         made.clear()
         steps.clear()
         frames.stream_extension(k, l)
-        assert len(steps) == 2 * (m - 1), (k, l)
-        assert max(steps, default=0) <= 1, (k, l)
-        assert [p.finds for p in made] == [
-            l - m + 2 + sum(steps[0::2]), k - m + 2 + sum(steps[1::2])], (k, l)
+        assert steps == [1] * (k - 1 + l - 1), (k, l)
+        assert [p.finds for p in made] == [l - 1, k - 1], (k, l)
 
 
 # ------------------------------------------------------------- enumeration --
@@ -273,8 +267,13 @@ def test_enumerate_extension_grows_blocks_not_frames(monkeypatch):
     def refuse(*args):
         raise AssertionError("enumerate_extension went frame by frame")
 
-    for name in ("extend_diagonal", "extensions_of", "FrameTL"):
+    for name in ("extend_diagonal", "extensions_of", "FrameTL",
+                 "right_extensions"):
         monkeypatch.setattr(frames, name, refuse)
+    # nor word by word: no word set of a length, no one-word step
+    for name in ("factors1d", "right_extensions"):
+        monkeypatch.setattr(word1d, name, refuse)
+    assert not hasattr(frames, "factors1d")
     assert frames.enumerate_extension(3, 3) == texts(WORDS_3_3)
     assert len(frames.enumerate_extension(5, 9)) == 6 * 10
 

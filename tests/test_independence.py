@@ -124,7 +124,7 @@ def test_the_oracle_stays_on_the_substitution():
     for refs in roots + [METHODS["oracle"]]:
         assert not _inside(reach(refs), FILLS | {
             "word2d.swap_row_alphabet", "word1d.factor_prefix",
-            "word1d.factors1d", "word1d._extend_block", "word1d._grow",
+            "word1d.factors1d", "word1d.right_extensions", "word1d._special",
             "frames", "dawg", "conjugacy"}), refs
     for name in ("oracle.stream_subwords", "oracle.oracle_occurrences"):
         assert "word2d.mu_prefix" in reach({name}), name
@@ -142,8 +142,8 @@ def test_dawg_borrows_no_extension_step():
     # DAWG walk that grew its paths by the extension step would agree with
     # extend by construction and leave verify's cross-check empty
     assert not reach({"dawg.stream_dawg"}) & {
-        "word1d._grow", "word1d._extend_block", "word1d.factors1d"}
-    assert "word1d._grow" in reach({"frames.stream_extension"})
+        "word1d._special", "word1d.right_extensions", "word1d.factors1d"}
+    assert "word1d._special" in reach({"frames.stream_extension"})
 
 
 def test_conjugation_fills_nothing():

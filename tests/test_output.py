@@ -238,29 +238,32 @@ def test_locate_lists_no_axis_beside_an_empty_one(capsys, tmp_path,
 
 # dawg 0.88 MB at (1100,1) and (1100,2), the sort keys of one corner
 # letter's sides, 1.34 MB at (1,1100) and (2,1100), its sorted tops, and
-# 0.21 and 0.31 MB at (500,1) and (1,500); extend 1.33 MB at each thin
-# shape, its one-line class's words; and at (40,40) and (100,100) dawg and
-# extend 25 and 113 KB, the corner-letter blocks, one lane and one text.
-# Each pin sits ~15% or more above its peak.  Spelling dawg's paths took 1.39
-# and 1.40 MB at (1100,1) and (1100,2) and 0.33 MB at (500,1), and both
-# methods 128 KB at (100,100).  Sorting every text first took 3.5 and 3.0
-# MB at (40,40) and 106 and 104 MB at (100,100), and holding dawg's
-# corner-check texts 0.17 and 2.2 MB.  At the thin shapes, filling each
-# text on its own took dawg 7.8-10.3 MB; growing each extend block through
-# a cached table of the longer factors extend 10.5-10.7 MB; caching the
-# one-line class's factors 3.9-5.5 MB; growing four corner-letter blocks,
-# not one list of tops over dc and one of sides over db, 2.7-5.2 MB;
-# swapping every top ahead of the stream dawg 2.2-3.0 MB; storing the line
-# DAWG's edges, node set and adjacency dawg 2.23 MB, and 0.65 MB at (500,1)
-# and (1,500); and keeping each word of extend's block step as it grew
-# extend 2.56 MB at (1100,2) and (2,1100)
+# 0.21 and 0.31 MB at (500,1) and (1,500); extend the same 0.88, 1.34 and
+# 0.21 MB, its offset lists built one offset per length; and at (40,40)
+# and (100,100) dawg and extend 25 and 113 KB, the corner-letter blocks,
+# one lane and one text.  Each pin sits ~15% or more above its peak.
+# Spelling dawg's paths took 1.39 and 1.40 MB at (1100,1) and (1100,2)
+# and 0.33 MB at (500,1), and both methods 128 KB at (100,100); seeding
+# extend's lists from the one-line class's words took it 1.33 MB at
+# (1100,1) and (1100,2) and 0.33 MB at (500,1).  Sorting every text first
+# took 3.5 and 3.0 MB at (40,40) and 106 and 104 MB at (100,100), and
+# holding dawg's corner-check texts 0.17 and 2.2 MB.  At the thin shapes,
+# filling each text on its own took dawg 7.8-10.3 MB; growing each extend
+# block through a cached table of the longer factors extend 10.5-10.7 MB;
+# caching the one-line class's factors 3.9-5.5 MB; growing four
+# corner-letter blocks, not one list of tops over dc and one of sides over
+# db, 2.7-5.2 MB; swapping every top ahead of the stream dawg 2.2-3.0 MB;
+# storing the line DAWG's edges, node set and adjacency dawg 2.23 MB, and
+# 0.65 MB at (500,1) and (1,500); and keeping each word of extend's block
+# step as it grew extend 2.56 MB at (1100,2) and (2,1100)
 FRAME_PEAK_PINS = {
     ("dawg", 1100, 1): 1_017_000, ("dawg", 1100, 2): 1_018_000,
     ("dawg", 1, 1100): 1_520_000, ("dawg", 2, 1100): 1_520_000,
     ("dawg", 500, 1): 242_000, ("dawg", 1, 500): 373_000,
     ("dawg", 40, 40): 34_000, ("dawg", 100, 100): 147_000,
-    ("extend", 1100, 1): 1_600_000, ("extend", 1100, 2): 1_610_000,
+    ("extend", 1100, 1): 1_008_000, ("extend", 1100, 2): 1_009_000,
     ("extend", 1, 1100): 1_530_000, ("extend", 2, 1100): 1_530_000,
+    ("extend", 500, 1): 242_000,
     ("extend", 40, 40): 37_900, ("extend", 100, 100): 154_000,
 }
 

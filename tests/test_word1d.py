@@ -389,54 +389,67 @@ def test_right_table_has_one_special_factor():
 
 def test_block_step_matches_right_table():
     # the letter after the first occurrence, and both letters for the
-    # reversed prefix, against the table read off the longer factors
+    # reversed prefix, against the table read off the longer factors; and
+    # the words at the first k + 2 offsets of the offset class are the
+    # factors grown by them, each once
     for alphabet in PAIRS:
+        p = word1d.factor_prefix(alphabet, 201)
+        starts = [0, 1]
         for k, exts in enumerate(_extensions_by_length(alphabet), 1):
             factors = word1d.factors1d(k, alphabet)
             table = right_table(k, alphabet)
             assert sorted(table) == sorted(factors), (alphabet, k)
             assert exts == tuple(map(table.get, factors)), (alphabet, k)
-            assert word1d._extend_block(list(factors), alphabet) == [
-                u + x for u in factors for x in table[u]], (alphabet, k)
+            starts.append(word1d._special(p, k)[1])
+            assert sorted(p[i:i + k + 1] for i in starts) == sorted(
+                u + x for u in factors for x in table[u]), (alphabet, k)
 
 
 def test_block_step_edge_cases(monkeypatch):
-    assert word1d._extend_block(["abab"], ("a", "b")) == ["ababa"]
-    assert word1d._extend_block(["abab"], "ab") == ["ababa"]
-    # the reversed prefix grows by its first letter first
-    assert word1d._extend_block(["aba", "bab"], "ab") == [
-        "abaa", "abab", "baba"]
-    # a non-factor in the middle of a block, and a letter off the alphabet
+    assert word1d.right_extensions("abab", ("a", "b")) == ("a",)
+    assert word1d.right_extensions("abab", "ab") == ("a",)
+    # the reversed prefix grows by its first letter first, whichever
+    # letter sorts first
+    assert word1d.right_extensions("aba", "ab") == ("a", "b")
+    assert word1d.right_extensions("bab", "ab") == ("a",)
+    assert word1d.right_extensions("bab", "ba") == ("b", "a")
+    # a non-factor, and a letter off the alphabet
     with pytest.raises(NotAFactor, match="'bb'"):
-        word1d._extend_block(["ab", "bb", "ba"], "ab")
+        word1d.right_extensions("bb", "ab")
     with pytest.raises(NotAFactor, match="'ac'"):
-        word1d._extend_block(["ab", "ac"], "ab")
+        word1d.right_extensions("ac", "ab")
     # a prefix too short to hold a letter after the word's first occurrence
     monkeypatch.setattr(word1d, "fib_prefix",
                         lambda alphabet, length: "abaab")
-    with pytest.raises(InternalError, match="'aab'"):
-        word1d._extend_block(["aab"], "ab")
+    with pytest.raises(InternalError, match="'aab' ends the first 5 letters"):
+        word1d.right_extensions("aab", "ab")
 
 
 @pytest.mark.parametrize("alphabet", ["ab", "ba"])
 def test_offset_step_keeps_first_occurrences(alphabet):
-    # grown from the first occurrences of the complete class of length k,
-    # the offsets are the first occurrences of the complete class of
-    # length k + 1, for every k < 200
+    # 0 and the other extension's offset of each shorter length are the
+    # first occurrences of the complete class of length n, for every
+    # n < 200, and the step's i is the reversed prefix's first occurrence
     p = word1d.factor_prefix(alphabet, 200)
-    starts = [p.find(u) for u in word1d.factors1d(1, alphabet)]
-    for k in range(1, 200):
-        starts = word1d._grow(starts, p, k)
-        words = [p[i:i + k + 1] for i in starts]
-        assert [p.find(u) for u in words] == starts, k
-        assert sorted(words) == sorted(word1d.factors1d(k + 1, alphabet)), k
+    assert word1d._special(p, 0) == (0, 1)
+    special = [word1d._special(p, b) for b in range(200)]
+    for b, (i, _) in enumerate(special):
+        assert p.find(p[:b][::-1]) == i, b
+    starts = [0] + [t for _, t in special]
+    for n in range(1, 200):
+        words = [p[i:i + n] for i in starts[:n + 1]]
+        assert [p.find(u) for u in words] == starts[:n + 1], n
+        assert sorted(words) == sorted(word1d.factors1d(n, alphabet)), n
 
 
 def test_offset_step_reads_the_reversed_prefix_back():
     # the offset the step takes for the reversed prefix's first occurrence
     # is read back: the reversed length-2 prefix, aa, is not at offset 1
     with pytest.raises(InternalError, match="'ab' at 1 is not the reversed"):
-        word1d._grow([1], "aabab", 2)
+        word1d._special("aabab", 2)
+    # the reversed prefix ba is at 1, but its other extension is not found
+    with pytest.raises(InternalError, match="'bab' is not in the first 5"):
+        word1d._special("abaab", 2)
 
 
 # the swaps word2d.stream_fills pairs with the row words over dc and the
@@ -464,8 +477,11 @@ def test_block_step_commutes_with_the_swaps(line, k, data):
     first, second, swap = SWAPS[line]
     block = data.draw(st.lists(st.sampled_from(word1d.factors1d(k, first)),
                                min_size=1, max_size=2 * k + 2))
-    assert word1d._extend_block(list(map(swap, block)), second) == list(
-        map(swap, word1d._extend_block(list(block), first)))
+    for u in block:
+        assert word1d.right_extensions(swap(u), second) == tuple(
+            map(swap, word1d.right_extensions(u, first))), u
+    assert word1d._special(word1d.factor_prefix(second, k), k) == (
+        word1d._special(word1d.factor_prefix(first, k), k))
 
 
 def test_special_factor_is_reversed_prefix():
